@@ -26,6 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .bundled import load_g_appendix, load_h_expansion
@@ -41,7 +42,6 @@ from .inequality import (
     check_gpi_real,
     check_mri,
     check_mri_real,
-    default_scan_range,
     find_mri_real_violation,
     find_mri_violation,
     g_poly,
@@ -49,10 +49,20 @@ from .inequality import (
     hfri_check,
     make_params,
     make_real_params,
-    _scan_point,
+    scan,
 )
 from .moments import GaussianPair, even_moment, odd_moment, wick_moment
-from .report import HOLDS, FAILS, VERIFIED, RESIDUAL_NONZERO, CheckReport, jsonable
+from .report import (
+    FAIL_STATUSES,
+    FAILS,
+    HOLDS,
+    INDETERMINATE,
+    PASS_STATUSES,
+    RESIDUAL_NONZERO,
+    VERIFIED,
+    CheckReport,
+    jsonable,
+)
 from .soscert import verify_bracket_positivity, verify_nonneg_coeffs
 
 EXIT_OK = 0
@@ -222,24 +232,22 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------------
 
 
-def _scan_worker(task: tuple) -> dict:
-    predicate, m2, m3, z_str, width_str, refine_max = task
-    params = make_params(m2, m3)
-    verdict, value = _scan_point(
-        predicate, params, rational(z_str), rational(width_str), refine_max
-    )
-    return {"z": z_str, "verdict": verdict, "value": jsonable(value)}
-
-
 def _cert_worker(m2: int) -> dict:
     return verify_bracket_positivity(m2).to_json_dict()
 
 
-def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
+def _pool_map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, over ``jobs`` worker processes when
+    jobs > 1.  Workers take contiguous chunks of about n / (4 jobs) items,
+    which keeps pickling and dispatch cheap while leaving a few chunks per
+    worker to even out the load; results come back in item order."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    workers = min(jobs, len(items))
+    chunksize = -(-len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 # ----------------------------------------------------------------------
@@ -384,52 +392,6 @@ def _cmd_check_gpi_real(cfg: RunConfig) -> list[dict]:
     return [check_gpi_real(rp, float(cfg.a), float(cfg.x)).to_json_dict()]
 
 
-def _cmd_scan(cfg: RunConfig, predicate: str) -> list[dict]:
-    params = make_params(cfg.m2, cfg.m3)
-    d_lo, d_hi, lo_open, hi_open = default_scan_range(predicate, params)
-    z_lo = rational(cfg.z_lo) if cfg.z_lo else d_lo
-    z_hi = rational(cfg.z_hi) if cfg.z_hi else d_hi
-    if not z_lo < z_hi:
-        raise _UsageError("need z_lo < z_hi")
-    n = cfg.grid
-    if n < 2:
-        raise _UsageError("--grid must be >= 2")
-    nudge = (z_hi - z_lo) / (10 * n)
-    lo_eff = z_lo + nudge if lo_open else z_lo
-    hi_eff = z_hi - nudge if hi_open else z_hi
-    step = (hi_eff - lo_eff) / (n - 1)
-    zs = [lo_eff + k * step for k in range(n)]
-    tasks = [
-        (predicate, cfg.m2, cfg.m3, str(z), cfg.width, cfg.refine_max) for z in zs
-    ]
-    points = _pool_map(_scan_worker, tasks, cfg.jobs)
-    counts = {HOLDS: 0, FAILS: 0, "indeterminate": 0}
-    first_failure = None
-    for entry in points:
-        counts[entry["verdict"]] += 1
-        if entry["verdict"] == FAILS and first_failure is None:
-            first_failure = entry
-    if counts[FAILS]:
-        status = FAILS
-    elif counts["indeterminate"]:
-        status = "indeterminate"
-    else:
-        status = HOLDS
-    report = CheckReport(
-        name=f"scan:{predicate}:m2={cfg.m2},m3={cfg.m3}",
-        status=status,
-        witnesses=[first_failure] if first_failure else [],
-        metadata={
-            "points": points,
-            "counts": counts,
-            "z_lo": lo_eff,
-            "z_hi": hi_eff,
-            "nudge": nudge,
-        },
-    )
-    return [report.to_json_dict()]
-
-
 def _cmd_oracle_compare(cfg: RunConfig) -> list[dict]:
     if cfg.real:
         return _cmd_oracle_compare_real(cfg)
@@ -557,7 +519,21 @@ def _resolve_config(argv: list[str]) -> tuple[RunConfig, str]:
         if k in RunConfig.__dataclass_fields__ and v is not None
     }
     cfg = RunConfig(command=command, **kwargs)
+    _validate(cfg)
     return cfg, (predicate or "")
+
+
+#: smallest accepted value of each integer option; checked after the command
+#: line and the --config file are merged, so both sources are covered
+_OPTION_MINIMUMS = {"jobs": 1, "refine_max": 0}
+
+
+def _validate(cfg: RunConfig) -> None:
+    for name, low in _OPTION_MINIMUMS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            flag = "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} must be an integer >= {low}; got {value!r}")
 
 
 def run(argv: list[str]) -> tuple[int, dict]:
@@ -573,7 +549,12 @@ def run(argv: list[str]) -> tuple[int, dict]:
         "check mri": lambda: _cmd_check_mri(cfg),
         "check hfri": lambda: _cmd_check_hfri(cfg),
         "check gpi-real": lambda: _cmd_check_gpi_real(cfg),
-        "scan": lambda: _cmd_scan(cfg, predicate),
+        "scan": lambda: [
+            scan(
+                predicate, make_params(cfg.m2, cfg.m3), cfg.z_lo or None, cfg.z_hi or None,
+                cfg.grid, cfg.width, cfg.refine_max, map_fn=partial(_pool_map, jobs=cfg.jobs),
+            ).to_json_dict()
+        ],
         "oracle compare": lambda: _cmd_oracle_compare(cfg),
         "params show": lambda: _cmd_params_show(cfg),
     }
@@ -583,9 +564,9 @@ def run(argv: list[str]) -> tuple[int, dict]:
         raise _UsageError(str(exc)) from exc
     statuses = [c["status"] for c in checks]
     summary = {
-        "pass": sum(1 for s in statuses if s in (HOLDS, VERIFIED)),
-        "fail": sum(1 for s in statuses if s in (FAILS, RESIDUAL_NONZERO, "coefficient_negative")),
-        "indeterminate": sum(1 for s in statuses if s == "indeterminate"),
+        "pass": sum(1 for s in statuses if s in PASS_STATUSES),
+        "fail": sum(1 for s in statuses if s in FAIL_STATUSES),
+        "indeterminate": sum(1 for s in statuses if s == INDETERMINATE),
     }
     report = {
         "schema": 1,

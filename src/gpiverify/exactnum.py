@@ -45,11 +45,6 @@ def rational(value: RationalLike) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a rational as "p/q" (or "p" for integers); inverse of rational()."""
-    return str(q)
-
-
 def cmp_sqrt(d: Fraction, a: Fraction) -> int:
     """Sign of sqrt(d) - a, decided exactly.  Requires d >= 0.
 

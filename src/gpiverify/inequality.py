@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 from .exactnum import (
     RationalInterval,
@@ -634,6 +635,7 @@ def scan(
     grid_n: int = 101,
     width: RationalLike = DEFAULT_WIDTH,
     refine_max: int = DEFAULT_REFINE_MAX,
+    map_fn: Callable[[Callable, list], Iterable] = map,
 ) -> CheckReport:
     """Evaluate a named predicate at grid_n exact rational points.
 
@@ -641,7 +643,9 @@ def scan(
     nudged inward by (z_hi - z_lo)/(10 grid_n), and the effective endpoints
     are recorded in the report.  Exact predicates never produce indeterminate
     points; interval predicates refine the enclosure width up to refine_max
-    halvings first.
+    halvings first.  ``map_fn(fn, zs)`` evaluates the points and must return
+    the results in the order of ``zs``; a process pool may stand in for the
+    default serial ``map``.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -655,12 +659,12 @@ def scan(
     lo_eff = z_lo + nudge if lo_open else z_lo
     hi_eff = z_hi - nudge if hi_open else z_hi
     step = (hi_eff - lo_eff) / (grid_n - 1)
+    zs = [lo_eff + k * step for k in range(grid_n)]
+    point = partial(_scan_point, predicate, params, width=width, refine_max=refine_max)
     points: list[dict] = []
     first_failure = None
     counts = {HOLDS: 0, FAILS: 0, INDETERMINATE: 0}
-    for k in range(grid_n):
-        z = lo_eff + k * step
-        verdict, value = _scan_point(predicate, params, z, width, refine_max)
+    for z, (verdict, value) in zip(zs, map_fn(point, zs)):
         counts[verdict] += 1
         entry = {"z": z, "verdict": verdict, "value": value}
         points.append(entry)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 
@@ -299,6 +297,8 @@ def mc_moment(
     Draws n correlated Gaussian pairs from a PCG64 stream seeded with ``seed``
     (method recorded in MC_METHOD); deterministic for fixed (n, seed).
     """
+    import numpy as np  # only this oracle needs numpy; keep it off the import path
+
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)

@@ -10,12 +10,19 @@ Operations on polynomials over different rings first align both operands to
 the union variable list (left operand's order first, then the right operand's
 new variables), so callers can freely mix rings.  All values are immutable
 after construction; no stored coefficient is ever zero.
+
+Evaluation at a rational point runs over the integers: each polynomial keeps,
+once built, the common denominator of its coefficients and the integer
+numerators over it, and the value is assembled from integer powers of each
+variable's numerator and denominator and reduced once at the end.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import RationalLike, rational
@@ -47,7 +54,7 @@ class MultiPoly:
     different rings compare equal when they agree after variable alignment.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_int_form")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
         object.__setattr__(self, "vars", tuple(vars))
@@ -63,6 +70,7 @@ class MultiPoly:
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_int_form", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -337,20 +345,40 @@ class MultiPoly:
             result = result + part * num_pows[k] * den_pows[clear_power - k]
         return result
 
+    def _integer_form(self) -> tuple[int, list[int], list[tuple[int, tuple[int, ...]]]]:
+        """(L, numerators, columns), built on first use: L is the common
+        denominator of the coefficients, numerators[i] is c*L for the i-th
+        term, and columns[j] is (degree, exponent of each term) for the j-th
+        variable."""
+        form = self._int_form
+        if form is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+            columns = [(max(exps), exps) for exps in zip(*self.terms)]
+            form = (den, nums, columns)
+            object.__setattr__(self, "_int_form", form)
+        return form
+
     def eval(self, point: Mapping[str, RationalLike]) -> Fraction:
-        """Exact value at a rational point assigning every variable."""
+        """Exact value at a rational point assigning every variable.
+
+        With each variable at n/d and of degree k, the value is
+        sum(c*L * prod n^e d^(k-e)) / (L * prod d^k), one integer sum reduced
+        once instead of one Fraction reduction per term.
+        """
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"missing assignments for {missing}")
         values = [rational(point[v]) for v in self.vars]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for val, e in zip(values, exps):
-                if e:
-                    prod *= val**e
-            total += prod
-        return total
+        den, nums, columns = self._integer_form()
+        for value, (k, exps) in zip(values, columns):
+            n, d = value.numerator, value.denominator
+            weights = [d**k]  # weights[e] = n^e d^(k-e)
+            for _ in range(k):
+                weights.append(weights[-1] // d * n)
+            nums = list(map(mul, nums, map(weights.__getitem__, exps)))
+            den *= weights[0]
+        return Fraction(sum(nums), den)
 
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.vars:

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from gpiverify.cli import main
+import pytest
+
+from gpiverify.cli import _resolve_config, _UsageError, main
 
 REQUIRED_REPORT_KEYS = {"schema", "tool", "run", "checks", "summary", "timing"}
 
@@ -164,7 +166,9 @@ class TestCommands:
             tmp_path,
         )
         assert code == 0
-        assert report["checks"][0]["metadata"]["counts"]["holds"] == 11
+        meta = report["checks"][0]["metadata"]
+        assert meta["counts"]["holds"] == 11
+        assert (meta["grid_n"], meta["width"], meta["refine_max"]) == (11, "1/1000000", 20)
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -182,6 +186,20 @@ class TestCommands:
         assert report["run"]["grid"] == 7 and report["run"]["seed"] == 99
         _, report = invoke(base + ["--grid", "11"], tmp_path, "c2.json")
         assert report["run"]["grid"] == 11
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-2"),
+                                             ("--refine-max", "-1")])
+    def test_out_of_range_option_is_usage_error(self, flag, value):
+        argv = ["scan", "g-negative", "--m2", "8", "--m3", "8", flag, value]
+        with pytest.raises(_UsageError, match=flag):
+            _resolve_config(argv)
+        assert main(argv) == 64
+
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refine_max": -1}))
+        with pytest.raises(_UsageError, match="--refine-max"):
+            _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2", "--m3", "3"])
 
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",
@@ -205,6 +223,20 @@ class TestDeterminism:
         _, parallel = invoke(base + ["--jobs", "3"], tmp_path, "parallel.json")
         assert serial["checks"] == parallel["checks"]
         assert serial["summary"] == parallel["summary"]
+
+    def test_interval_scan_identical_across_jobs(self, tmp_path):
+        base = ["scan", "g-negative", "--m2", "8", "--m3", "8", "--grid", "21"]
+        _, serial = invoke(base + ["--jobs", "1"], tmp_path, "serial.json")
+        _, parallel = invoke(base + ["--jobs", "2"], tmp_path, "parallel.json")
+        assert serial["checks"] == parallel["checks"]
+        assert serial["summary"] == parallel["summary"] == {"pass": 1, "fail": 0,
+                                                            "indeterminate": 0}
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy serves only the Monte Carlo oracle and is imported there
+        code = "import sys, gpiverify.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_stdout_report(self):
         proc = subprocess.run(

@@ -134,6 +134,48 @@ class TestEvalAndCoeff:
         with pytest.raises(ValueError):
             poly_parse("x + y", vars=("x", "y")).eval({"x": 1})
 
+    @staticmethod
+    def reference_eval(p, point):
+        """Per-term Fraction sum, the definition the integer kernel must match."""
+        total = Fraction(0)
+        for exps, coeff in p.terms.items():
+            term = coeff
+            for v, e in zip(p.vars, exps):
+                term *= Fraction(point[v]) ** e
+            total += term
+        return total
+
+    @given(
+        data=st.data(),
+        vars=st.sampled_from([("z",), ("x", "y"), ("a", "b", "c"), ()]),
+        big=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_eval_matches_per_term_sum(self, data, vars, big):
+        # wide coefficients and points: 0, negative values and denominators
+        # far beyond machine words all go through the same integer kernel
+        denominators = st.integers(1, 10**40 if big else 12)
+        values = st.builds(Fraction, st.integers(-(10**30), 10**30) | st.just(0), denominators)
+        n_terms = data.draw(st.integers(0, 8))
+        max_exp = data.draw(st.sampled_from([1, 2, 12]))
+        terms = {
+            tuple(data.draw(st.integers(0, max_exp)) for _ in vars): data.draw(values)
+            for _ in range(n_terms)
+        }
+        p = MultiPoly(vars, terms)
+        point = {v: data.draw(values) for v in vars}
+        value = p.eval(point)
+        assert value == self.reference_eval(p, point)
+        assert p.eval(point) == value  # second call reuses the integer form
+
+    def test_eval_edge_cases(self):
+        assert MultiPoly.zero(("z",)).eval({"z": Fraction(-7, 3)}) == 0
+        assert MultiPoly.const(Fraction(5, 4)).eval({}) == Fraction(5, 4)
+        p = poly_parse("1/3 - 2/5*z^3 + 7*z^9")
+        assert p.eval({"z": 0}) == Fraction(1, 3)
+        z = Fraction(-(10**25) - 1, 10**25)
+        assert p.eval({"z": z}) == Fraction(1, 3) - Fraction(2, 5) * z**3 + 7 * z**9
+
     def test_derivative(self):
         p = poly_parse("1 + 2*z + 5*z^3")
         assert p.derivative("z") == poly_parse("2 + 15*z^2")
