@@ -35,6 +35,7 @@ from .inequality import (
     DEFAULT_REFINE_MAX,
     DEFAULT_WIDTH,
     SCAN_PREDICATES,
+    TRUNCATION_BOUND,
     G_at_one,
     H_at_one,
     S_poly,
@@ -63,7 +64,7 @@ from .report import (
     CheckReport,
     jsonable,
 )
-from .soscert import verify_bracket_positivity, verify_nonneg_coeffs
+from .soscert import proportionality_scalar, verify_bracket_positivity, verify_nonneg_coeffs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -299,28 +300,14 @@ def _cmd_expand_g(cfg: RunConfig) -> list[dict]:
     }
     if cfg.compare_appendix:
         bundled = load_g_appendix()
-        scalar = None
-        proportional = len(bundled.terms) == len(poly.terms)
-        if proportional:
-            for exps, coeff in poly.iter_terms():
-                ref = bundled.coeff(exps)
-                if ref == 0:
-                    proportional = False
-                    break
-                ratio = coeff / ref
-                if scalar is None:
-                    scalar = ratio
-                elif ratio != scalar:
-                    proportional = False
-                    break
-        ok = proportional and scalar is not None and scalar > 0
-        meta["proportionality_scalar"] = scalar if ok else None
+        scalar = proportionality_scalar(poly, bundled)
+        meta["proportionality_scalar"] = scalar
         meta["bundled_constant"] = bundled.constant_term()
         meta["bundled_min_coeff"] = min(bundled.coefficients())
         checks.append(
             CheckReport(
                 name="expand:g:compare-appendix",
-                status=VERIFIED if ok else RESIDUAL_NONZERO,
+                status=VERIFIED if scalar is not None else RESIDUAL_NONZERO,
                 metadata=meta,
             ).to_json_dict()
         )
@@ -461,7 +448,7 @@ def _cmd_params_show(cfg: RunConfig) -> list[dict]:
         "t": params.t,
         "one_over_r": 1 / params.r,
         "one_over_r_sq": 1 / (params.r * params.r),
-        "truncation_split": Fraction(11, 4) / (params.m2 * params.m3),
+        "truncation_split": TRUNCATION_BOUND / (params.m2 * params.m3),
         "in_covered_set": params.in_s,
         "H_at_1": H_at_one(params),
         "G_at_1": G_at_one(params),
@@ -491,16 +478,11 @@ class _IOFailure(Exception):
 
 
 def _resolve_config(argv: list[str]) -> tuple[RunConfig, str]:
-    parser = _build_parser()
-    # first pass: find --config and preload defaults from it
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     values = {k.replace("-", "_"): v for k, v in vars(ns).items() if k != "config"}
-    if known.config:
+    if ns.config:
         try:
-            with open(known.config, "r", encoding="utf-8") as fh:
+            with open(ns.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc

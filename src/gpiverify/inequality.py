@@ -78,6 +78,9 @@ SCAN_PREDICATES = (
     "h-deriv-reduced",
 )
 
+#: lower bounds of H checked exactly by the threshold predicates
+H_THRESHOLDS = {"h-half": Fraction(1, 2), "h-seventh": Fraction(1, 7)}
+
 
 # ----------------------------------------------------------------------
 # parameters
@@ -202,9 +205,14 @@ def H_value(
     z = rational(z)
     _check_h_domain(params, z)
     r = params.r
-    denom = r * r * z - 1
-    root = sqrt_enclosure(h_radicand(params, z), rational(width) * denom)
-    return (root + params.msum * (r * z - 1)) / RationalInterval.point(denom)
+    root = sqrt_enclosure(h_radicand(params, z), rational(width) * (r * r * z - 1))
+    return _h_from_root(params, z, root)
+
+
+def _h_from_root(params: GpiParams, z: Fraction, root: RationalInterval) -> RationalInterval:
+    """H(z) from an enclosure ``root`` of sqrt(D(z))."""
+    r = params.r
+    return (root + params.msum * (r * z - 1)) / RationalInterval.point(r * r * z - 1)
 
 
 def H_at_one(params: GpiParams) -> Fraction:
@@ -228,27 +236,18 @@ def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> in
 
 def h_lower_bound_check(params: GpiParams, z: RationalLike, which: str) -> CheckReport:
     """Exact check of the two lower bounds for H on its split domain:
-    H > 1/2 on (1/r^2, 1/r] and H > 1/7 on (1/r, B/(m2 m3)] with B = 11/4."""
-    z = rational(z)
-    r = params.r
-    if which == "half":
-        threshold = Fraction(1, 2)
-        if not (1 / (r * r) < z <= 1 / r):
-            raise ValueError(f"'half' branch applies on (1/r^2, 1/r]; got z={z}")
-    elif which == "seventh":
-        threshold = Fraction(1, 7)
-        hi = TRUNCATION_BOUND / (params.m2 * params.m3)
-        if not (1 / r < z <= min(hi, Fraction(1))):
-            raise ValueError(f"'seventh' branch applies on (1/r, {hi}]; got z={z}")
-    else:
+    H > 1/2 on (1/r^2, 1/r] and H > 1/7 on (1/r, min(B/(m2 m3), 1)] with
+    B = 11/4 (the ``h-half`` and ``h-seventh`` scan predicates)."""
+    predicate = f"h-{which}"
+    if predicate not in H_THRESHOLDS:
         raise ValueError(f"which must be 'half' or 'seventh', got {which!r}")
-    sign = h_compare(params, z, threshold)
-    status = HOLDS if sign > 0 else FAILS
+    z = check_domain(predicate, params, z)
+    status, sign = _scan_point(predicate, params, z)
     return CheckReport(
-        name=f"h-{which}:m2={params.m2},m3={params.m3},z={z}",
+        name=f"{predicate}:m2={params.m2},m3={params.m3},z={z}",
         status=status,
         margin=None,
-        witnesses=[{"z": z, "threshold": threshold, "sign": sign}],
+        witnesses=[{"z": z, "threshold": H_THRESHOLDS[predicate], "sign": sign}],
         metadata={"method": "exact radical comparison"},
     )
 
@@ -258,20 +257,19 @@ def h_lower_bound_check(params: GpiParams, z: RationalLike, which: str) -> Check
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _s_poly_cached(m2: int, m3: int) -> MultiPoly:
-    f1 = hyp_poly(m2, m3, HALF)
-    f2 = hyp_poly(m2, m3, THREE_HALVES)
-    r = Fraction((2 * m2 + 1) * (2 * m3 + 1) + 1)
-    z = MultiPoly.var("z")
-    one = MultiPoly.const(1, ("z",))
+def _s_combination(f1, f2, z, r, msum, one=1) -> MultiPoly:
+    """(r-1)(one-z) f1^2 + 2 msum (rz-one) f1 f2 - (r^2 z - one) f2^2.
+
+    ``r`` and ``msum`` may be numbers or polynomials; ``one`` homogenizes the
+    form (the truncated f passes x2 x3 with z = u)."""
     return (
-        (f1 * f1) * (one - z) * (r - 1)
-        + (f1 * f2) * (z * r - one) * (2 * (m2 + m3 + 1))
-        - (f2 * f2) * (z * (r * r) - one)
+        (f1 * f1) * ((r - 1) * (one - z))
+        + (f1 * f2) * (2 * msum * (r * z - one))
+        - (f2 * f2) * (r * r * z - one)
     )
 
 
+@lru_cache(maxsize=None)
 def S_poly(params: GpiParams) -> MultiPoly:
     """Cleared-denominator positivity polynomial in z, degree 2 m2 + 1:
 
@@ -281,25 +279,21 @@ def S_poly(params: GpiParams) -> MultiPoly:
     positivity on (1/r^2, 1) is equivalent to the ratio inequality
     f1/f2 > 1/H there.
     """
-    return _s_poly_cached(params.m2, params.m3)
+    m2, m3 = params.m2, params.m3
+    return _s_combination(
+        hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES), MultiPoly.var("z"),
+        params.r, params.msum,
+    )
 
 
 @lru_cache(maxsize=None)
 def s_poly_symbolic(m2: int) -> MultiPoly:
     """S with the second exponent kept symbolic: a polynomial in (z, m3)."""
-    f1 = hyp_poly_symbolic_m3(m2, HALF)
-    f2 = hyp_poly_symbolic_m3(m2, THREE_HALVES)
     ring = ("z", "m3")
-    z = MultiPoly.var("z", ring)
     m3v = MultiPoly.var("m3", ring)
-    one = MultiPoly.const(1, ring)
-    rm1 = (m3v * 2 + 1) * (2 * m2 + 1)  # r - 1
-    r = rm1 + 1
-    msum = m3v + (m2 + 1)
-    return (
-        (f1 * f1) * (one - z) * rm1
-        + (f1 * f2) * (z * r - one) * msum * 2
-        - (f2 * f2) * (z * r * r - one)
+    return _s_combination(
+        hyp_poly_symbolic_m3(m2, HALF), hyp_poly_symbolic_m3(m2, THREE_HALVES),
+        MultiPoly.var("z", ring), (m3v * 2 + 1) * (2 * m2 + 1) + 1, m3v + (m2 + 1),
     )
 
 
@@ -358,14 +352,9 @@ def f_truncated_poly() -> MultiPoly:
             total = total + piece
         return total
 
-    b1 = bracket(odd=False)
-    b2 = bracket(odd=True)
     r = (x2 * 2 + 1) * (x3 * 2 + 1) + 1
-    msum = x2 + x3 + 1
-    return (
-        (x2 * 2 + 1) * (x3 * 2 + 1) * (x2x3 - u) * (b1 * b1)
-        + msum * (r * u - x2x3) * (b1 * b2) * 2
-        - (r * r * u - x2x3) * (b2 * b2)
+    return _s_combination(
+        bracket(odd=False), bracket(odd=True), u, r, x2 + x3 + 1, one=x2x3
     )
 
 
@@ -487,15 +476,12 @@ def find_mri_violation(
 
 def hfri_check(params: GpiParams, z: RationalLike) -> CheckReport:
     """Hypergeometric ratio inequality at one point, via exact positivity of
-    the cleared-denominator polynomial S(z)."""
-    z = rational(z)
-    r = params.r
-    if not (1 / (r * r) < z < 1):
-        raise ValueError(f"hfri domain is (1/r^2, 1); got z={z}")
-    value = S_poly(params).eval({"z": z})
+    the cleared-denominator polynomial S(z) (the ``hfri`` scan predicate)."""
+    z = check_domain("hfri", params, z)
+    status, value = _scan_point("hfri", params, z)
     return CheckReport(
         name=f"hfri:m2={params.m2},m3={params.m3},z={z}",
-        status=HOLDS if value > 0 else FAILS,
+        status=status,
         margin=value,
         metadata={"method": "exact rational"},
     )
@@ -569,7 +555,7 @@ def _deriv_direct_point(params: GpiParams, z: Fraction, width: Fraction, refine_
         if root.lo <= 0:
             # force another refinement round rather than divide by zero
             return RationalInterval(Fraction(-1), Fraction(1))
-        h_iv = (root + params.msum * (r * z - 1)) / RationalInterval.point(denom)
+        h_iv = _h_from_root(params, z, root)
         hp_num = root * (2 * r * rm1 * params.msum) + (
             2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
         )
@@ -610,7 +596,8 @@ def _deriv_reduced_point(params: GpiParams, z: Fraction, width: Fraction, refine
 def default_scan_range(
     predicate: str, params: GpiParams
 ) -> tuple[Fraction, Fraction, bool, bool]:
-    """(z_lo, z_hi, lo_open, hi_open) for each predicate's natural domain."""
+    """(z_lo, z_hi, lo_open, hi_open): the domain of each predicate, shared
+    by scans and point checks."""
     r = params.r
     b = TRUNCATION_BOUND / (params.m2 * params.m3)
     split = Fraction(21, 10) / (2 * params.m2 + 1)
@@ -618,13 +605,24 @@ def default_scan_range(
         "hfri": (1 / (r * r), Fraction(1), True, True),
         "g-negative": (b, Fraction(1), True, True),
         "h-half": (1 / (r * r), 1 / r, True, False),
-        "h-seventh": (1 / r, b, True, False),
+        "h-seventh": (1 / r, min(b, Fraction(1)), True, False),
         "h-deriv": (split, Fraction(1), False, True),
         "h-deriv-reduced": (b, split, True, True),
     }
     if predicate not in table:
         raise ValueError(f"unknown predicate {predicate!r}; expected one of {SCAN_PREDICATES}")
     return table[predicate]
+
+
+def check_domain(predicate: str, params: GpiParams, z: RationalLike) -> Fraction:
+    """``z`` as a Fraction if it lies in the predicate's domain (an open end
+    excludes its endpoint); ValueError otherwise."""
+    z = rational(z)
+    lo, hi, lo_open, hi_open = default_scan_range(predicate, params)
+    if (z <= lo if lo_open else z < lo) or (z >= hi if hi_open else z > hi):
+        interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+        raise ValueError(f"z={z} is outside the {predicate} domain {interval}")
+    return z
 
 
 def scan(
@@ -641,9 +639,10 @@ def scan(
 
     Grid points are z_lo + k (z_hi - z_lo)/(grid_n - 1); open endpoints are
     nudged inward by (z_hi - z_lo)/(10 grid_n), and the effective endpoints
-    are recorded in the report.  Exact predicates never produce indeterminate
-    points; interval predicates refine the enclosure width up to refine_max
-    halvings first.  ``map_fn(fn, zs)`` evaluates the points and must return
+    are recorded in the report.  Overrides of z_lo/z_hi may only narrow the
+    predicate's domain: an effective endpoint outside it raises ValueError.
+    Exact predicates never produce indeterminate points; interval predicates
+    refine the enclosure width up to refine_max halvings first.  ``map_fn(fn, zs)`` evaluates the points and must return
     the results in the order of ``zs``; a process pool may stand in for the
     default serial ``map``.
     """
@@ -656,8 +655,8 @@ def scan(
     if not z_lo < z_hi:
         raise ValueError("need z_lo < z_hi")
     nudge = (z_hi - z_lo) / (10 * grid_n)
-    lo_eff = z_lo + nudge if lo_open else z_lo
-    hi_eff = z_hi - nudge if hi_open else z_hi
+    lo_eff = check_domain(predicate, params, z_lo + nudge if lo_open else z_lo)
+    hi_eff = check_domain(predicate, params, z_hi - nudge if hi_open else z_hi)
     step = (hi_eff - lo_eff) / (grid_n - 1)
     zs = [lo_eff + k * step for k in range(grid_n)]
     point = partial(_scan_point, predicate, params, width=width, refine_max=refine_max)
@@ -694,33 +693,46 @@ def scan(
 
 
 def _scan_point(
-    predicate: str, params: GpiParams, z: Fraction, width: Fraction, refine_max: int
+    predicate: str,
+    params: GpiParams,
+    z: Fraction,
+    width: Fraction = DEFAULT_WIDTH,
+    refine_max: int = DEFAULT_REFINE_MAX,
 ):
-    """Single-point verdict for a scan predicate; exact where possible."""
-    if predicate == "hfri":
-        value = S_poly(params).eval({"z": z})
-        return (HOLDS if value > 0 else FAILS), value
-    if predicate == "h-half":
-        sign = h_compare(params, z, Fraction(1, 2))
-        return (HOLDS if sign > 0 else FAILS), sign
-    if predicate == "h-seventh":
-        sign = h_compare(params, z, Fraction(1, 7))
-        return (HOLDS if sign > 0 else FAILS), sign
+    """(verdict, value) of a predicate at a point of its domain.
+
+    The exact predicates hold iff their value is positive: S(z) for ``hfri``,
+    the sign of H(z) - threshold for ``h-half``/``h-seventh``.  The interval
+    predicates refine an enclosure until its sign is decided or refine_max
+    halvings are spent."""
     if predicate == "g-negative":
-        verdict, iv = _refined_sign(
-            lambda w: G_value(params, z, w), width, refine_max, SIGN_NEGATIVE
-        )
-        return verdict, iv
+        return _refined_sign(lambda w: G_value(params, z, w), width, refine_max, SIGN_NEGATIVE)
     if predicate == "h-deriv":
         return _deriv_direct_point(params, z, width, refine_max)
     if predicate == "h-deriv-reduced":
         return _deriv_reduced_point(params, z, width, refine_max)
-    raise ValueError(f"unknown predicate {predicate!r}")
+    if predicate == "hfri":
+        value = S_poly(params).eval({"z": z})
+    elif predicate in H_THRESHOLDS:
+        value = h_compare(params, z, H_THRESHOLDS[predicate])
+    else:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    return (HOLDS if value > 0 else FAILS), value
 
 
 # ----------------------------------------------------------------------
 # real-exponent path
 # ----------------------------------------------------------------------
+
+
+def _real_margin_status(margin: float) -> str:
+    """Verdict of a float margin: within REAL_MARGIN_GUARD of zero it is not
+    trusted and reads indeterminate."""
+    if margin > REAL_MARGIN_GUARD:
+        return HOLDS
+    if margin < -REAL_MARGIN_GUARD:
+        return FAILS
+    return INDETERMINATE
 
 
 def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
@@ -744,15 +756,9 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
         + 2.0 * a * x * (y3 + 1.0) * (y2 + 1.0) * gauss_hyp_real(-y3 / 2.0, -y2 / 2.0, 1.5, z)
         - (a * a + 1.0 + 2.0 * a * x)
     )
-    if margin > REAL_MARGIN_GUARD:
-        status = HOLDS
-    elif margin < -REAL_MARGIN_GUARD:
-        status = FAILS
-    else:
-        status = INDETERMINATE
     return CheckReport(
         name=f"gpi-real:y2={rp.y2},y3={rp.y3},a={a},x={x}",
-        status=status,
+        status=_real_margin_status(margin),
         margin=margin,
         metadata={"series_tol": 1e-12, "guard": REAL_MARGIN_GUARD},
     )
@@ -795,15 +801,9 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         bound = h_real(rp, z) * abs(x)
         branch = "ratio-bound"
     margin = bound - lhs
-    if margin > REAL_MARGIN_GUARD:
-        status = HOLDS
-    elif margin < -REAL_MARGIN_GUARD:
-        status = FAILS
-    else:
-        status = INDETERMINATE
     return CheckReport(
         name=f"mri-real:y2={rp.y2},y3={rp.y3},x={x}",
-        status=status,
+        status=_real_margin_status(margin),
         margin=margin,
         witnesses=[{"x": x, "branch": branch, "lhs": lhs, "bound": bound}],
         metadata={"series_tol": 1e-12, "guard": REAL_MARGIN_GUARD},

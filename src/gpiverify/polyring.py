@@ -273,31 +273,7 @@ class MultiPoly:
 
     def substitute(self, var: str, replacement: "MultiPoly | RationalLike") -> "MultiPoly":
         """Exact composition: replace ``var`` by a polynomial (or constant)."""
-        if var not in self.vars:
-            raise ValueError(f"unknown variable {var!r}")
-        replacement = _as_poly(replacement, ())
-        rest_vars = tuple(v for v in self.vars if v != var)
-        ring = list(rest_vars)
-        for v in replacement.vars:
-            if v not in ring:
-                ring.append(v)
-        ring = tuple(ring)
-        i = self.vars.index(var)
-        # group coefficients by the power of var, then build by Horner powers
-        by_power: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            rest = exps[:i] + exps[i + 1 :]
-            by_power.setdefault(exps[i], {})[rest] = coeff
-        repl = replacement.in_ring(ring)
-        result = MultiPoly.zero(ring)
-        power_cache: dict[int, MultiPoly] = {0: MultiPoly.const(1, ring)}
-        max_pow = max(by_power) if by_power else 0
-        for k in range(1, max_pow + 1):
-            power_cache[k] = power_cache[k - 1] * repl
-        for k, rest_terms in by_power.items():
-            part = MultiPoly(rest_vars, rest_terms).in_ring(ring)
-            result = result + part * power_cache[k]
-        return result
+        return self.substitute_rational(var, replacement, 1, max(self.degree(var), 0))
 
     def substitute_rational(
         self,
@@ -342,7 +318,7 @@ class MultiPoly:
         result = MultiPoly.zero(ring)
         for k, rest_terms in by_power.items():
             part = MultiPoly(rest_vars, rest_terms).in_ring(ring)
-            result = result + part * num_pows[k] * den_pows[clear_power - k]
+            result = result + part * (num_pows[k] * den_pows[clear_power - k])
         return result
 
     def _integer_form(self) -> tuple[int, list[int], list[tuple[int, tuple[int, ...]]]]:

@@ -120,6 +120,20 @@ def verify_nonneg_coeffs(p: MultiPoly, name: str = "polynomial") -> CheckReport:
     )
 
 
+def proportionality_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
+    """The positive rational c with p = c q, or None if there is none."""
+    ring = MultiPoly.union_ring(p, q)
+    p, q = p.in_ring(ring), q.in_ring(ring)
+    if p.is_zero() or len(p.terms) != len(q.terms):
+        return None
+    exps, coeff = next(iter(p.terms.items()))
+    ref = q.coeff(exps)
+    if ref == 0:
+        return None
+    scalar = coeff / ref
+    return scalar if scalar > 0 and p == q.scale(scalar) else None
+
+
 def verify_bracket_positivity(m2: int) -> CheckReport:
     """Full positivity certification of the bundled h_{m2}:
 

@@ -170,6 +170,25 @@ class TestCommands:
         assert meta["counts"]["holds"] == 11
         assert (meta["grid_n"], meta["width"], meta["refine_max"]) == (11, "1/1000000", 20)
 
+    @pytest.mark.parametrize("argv", [
+        "scan hfri --m2 2 --m3 3 --z-lo 0 --z-hi 3/2",
+        "scan h-half --m2 8 --m3 8 --z-hi 1",
+        "scan h-deriv --m2 8 --m3 8 --z-hi 2",
+        "check hfri --m2 2 --m3 3 --z 3/2",
+    ])
+    def test_outside_predicate_domain_is_usage_error(self, argv, capsys):
+        # --z-lo/--z-hi may only narrow a predicate's domain
+        assert main(argv.split()) == 64
+        assert "outside the" in capsys.readouterr().err
+
+    def test_h_seventh_small_pair_scans_up_to_one(self, tmp_path):
+        # 11/(4 m2 m3) exceeds 1 here, and H is defined only up to z = 1
+        code, report = invoke(["scan", "h-seventh", "--m2", "1", "--m3", "1", "--grid", "11"],
+                              tmp_path)
+        assert code == 0
+        meta = report["checks"][0]["metadata"]
+        assert meta["z_hi"] == "1" and meta["counts"]["holds"] == 11
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "from_config.json")}))

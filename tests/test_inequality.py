@@ -3,12 +3,16 @@ exact/interval predicates."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpiverify.exactnum import RationalInterval
 from gpiverify.inequality import (
+    SCAN_PREDICATES,
     G_at_one,
     G_value,
     H_at_one,
@@ -16,6 +20,7 @@ from gpiverify.inequality import (
     QuadraticForm,
     S_poly,
     TRUNCATION_BOUND,
+    check_domain,
     check_gpi,
     check_gpi_real,
     check_mri,
@@ -411,6 +416,8 @@ class TestScan:
         lo, hi, lo_open, hi_open = default_scan_range("h-seventh", params)
         assert lo == 1 / params.r and hi == TRUNCATION_BOUND / 64
         assert lo_open and not hi_open
+        # 11/(4 m2 m3) > 1 here; H, and so the domain, ends at z = 1
+        assert default_scan_range("h-seventh", make_params(1, 1)) == (Fraction(1, 10), 1, True, False)
 
     def test_exact_scans_hold(self):
         assert scan("hfri", make_params(2, 3), grid_n=31).status == "holds"
@@ -451,6 +458,75 @@ class TestScan:
         assert verdict == "indeterminate"
         assert len(calls) == 6  # initial width plus five halvings
         assert calls[-1] == Fraction(1, 10) / 32
+
+
+#: a scan endpoint override: None, an absolute z, or (True, t) for the point
+#: a fraction t of the way across the predicate's domain
+overrides = st.none() | st.tuples(
+    st.booleans(), st.fractions(min_value=-1, max_value=2, max_denominator=50)
+)
+
+
+class TestDomainTable:
+    def test_open_and_closed_ends(self):
+        params = make_params(8, 8)
+        r = params.r
+        assert check_domain("h-half", params, 1 / r) == 1 / r
+        with pytest.raises(ValueError, match="outside the h-half domain"):
+            check_domain("h-half", params, 1 / (r * r))
+        split = Fraction(21, 10) / 17
+        assert check_domain("h-deriv", params, split) == split
+        with pytest.raises(ValueError, match="outside the h-deriv domain"):
+            check_domain("h-deriv", params, 1)
+        with pytest.raises(ValueError, match="unknown predicate"):
+            check_domain("nope", params, Fraction(1, 2))
+
+    @given(
+        predicate=st.sampled_from(SCAN_PREDICATES),
+        pair=st.sampled_from([(1, 1), (2, 3), (8, 8)]),
+        lo=overrides,
+        hi=overrides,
+        grid_n=st.integers(min_value=2, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scan_points_stay_in_domain(self, predicate, pair, lo, hi, grid_n):
+        params = make_params(*pair)
+        d_lo, d_hi, _, _ = default_scan_range(predicate, params)
+
+        def resolve(override):
+            if override is None:
+                return None
+            relative, t = override
+            return d_lo + t * (d_hi - d_lo) if relative else t
+
+        try:
+            rep = scan(predicate, params, resolve(lo), resolve(hi), grid_n=grid_n, map_fn=map)
+        except ValueError as exc:
+            # rejected at the endpoints, never while evaluating a point
+            assert re.search(r"outside the \S+ domain|need z_lo < z_hi", str(exc)), exc
+            return
+        assert len(rep.metadata["points"]) == grid_n
+        for point in rep.metadata["points"]:
+            check_domain(predicate, params, point["z"])
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
+    def test_hfri_check_agrees_with_scan(self, pair):
+        params = make_params(*pair)
+        verdicts = set()
+        for point in scan("hfri", params, grid_n=9).metadata["points"]:
+            rep = hfri_check(params, point["z"])
+            assert (rep.status, rep.margin) == (point["verdict"], point["value"])
+            verdicts.add(rep.status)
+        # S_{1,1} < 0 near z = 1, so both verdicts are compared
+        assert verdicts == ({"holds", "fails"} if pair == (1, 1) else {"holds"})
+
+    @pytest.mark.parametrize("which", ["half", "seventh"])
+    def test_lower_bound_check_agrees_with_scan(self, which):
+        params = make_params(8, 8)
+        for point in scan(f"h-{which}", params, grid_n=7).metadata["points"]:
+            rep = h_lower_bound_check(params, point["z"], which)
+            assert rep.status == point["verdict"]
+            assert rep.witnesses[0]["sign"] == point["value"]
 
 
 class TestRealPath:

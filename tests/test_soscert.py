@@ -14,6 +14,7 @@ from gpiverify.soscert import (
     SosCertificate,
     load_certificate,
     mutate_certificate,
+    proportionality_scalar,
     verify_bracket_positivity,
     verify_nonneg_coeffs,
     verify_sos,
@@ -154,3 +155,19 @@ class TestAppendixData:
         assert len(ratios) == 1
         scalar = ratios.pop()
         assert scalar > 0
+
+
+class TestProportionalityScalar:
+    def test_proportional_pair(self):
+        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        assert proportionality_scalar(q.scale(Fraction(9, 4)), q) == Fraction(9, 4)
+        assert proportionality_scalar(g_poly(), load_g_appendix()) == 960751264112640000
+
+    def test_one_coefficient_off(self):
+        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        p = q.scale(3) + MultiPoly(q.vars, {(0, 0, 1): Fraction(1)})
+        assert proportionality_scalar(p, q) is None
+
+    def test_negative_scalar(self):
+        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        assert proportionality_scalar(-q, q) is None
