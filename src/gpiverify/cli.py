@@ -9,18 +9,22 @@ Commands (see README for examples):
     oracle compare [--max-m N --corr-steps N]
     params show --m2 K --m3 K
 
-Exit codes: 0 all checks passed; 1 any check failed; 2 indeterminate after
-refinement (and nothing failed); 64 usage error; 74 report I/O error.  The
-JSON report is written to --out (stdout by default) on exits 0..2; it embeds
-the fully resolved run configuration.  Wall-clock timing is recorded only
-with --timing so that exact-arithmetic reports are byte-identical across
-runs and parallelism degrees.
+Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
+real-exponent path too close to zero to trust (and nothing failed); 64 usage
+error; 74 report I/O error.  The JSON report is written to --out (stdout by
+default) on exits 0..2; it embeds the fully resolved run configuration.
+Wall-clock timing is recorded only with --timing so that exact-arithmetic
+reports are byte-identical across runs and parallelism degrees.
+
+--config FILE supplies option defaults as a JSON object keyed by option
+name; each value is converted like the same value on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +36,6 @@ from . import __version__
 from .bundled import load_g_appendix, load_h_expansion
 from .exactnum import rational
 from .inequality import (
-    DEFAULT_REFINE_MAX,
     DEFAULT_WIDTH,
     SCAN_PREDICATES,
     TRUNCATION_BOUND,
@@ -98,7 +101,6 @@ class RunConfig:
     z_hi: str | None = None
     grid: int = 101
     width: str = str(DEFAULT_WIDTH)
-    refine_max: int = DEFAULT_REFINE_MAX
     seed: int = 0
     jobs: int = 1
     out: str | None = None
@@ -134,10 +136,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--timing", action="store_true", help="record wall time in the report")
         if grid:
             p.add_argument("--grid", type=int, help="grid points (default 101)")
-            p.add_argument("--width", help=f"interval width target (default {DEFAULT_WIDTH})")
-            p.add_argument("--refine-max", type=int,
-                           help=f"max width halvings before indeterminate "
-                                f"(default {DEFAULT_REFINE_MAX})")
+        # the options of this command, for converting --config values
+        p.set_defaults(options={a.dest: a for a in p._actions})
 
     sos = sub.add_parser("sos", help="certificate verification").add_subparsers(
         dest="subcommand", required=True
@@ -239,13 +239,14 @@ def _cert_worker(m2: int) -> dict:
 
 def _pool_map(fn, items, jobs: int) -> list:
     """``[fn(item) for item in items]``, over ``jobs`` worker processes when
-    jobs > 1.  Workers take contiguous chunks of about n / (4 jobs) items,
-    which keeps pickling and dispatch cheap while leaving a few chunks per
-    worker to even out the load; results come back in item order."""
+    jobs > 1, but never more workers than items or CPUs.  Workers take
+    contiguous chunks of about n / (4 workers) items, which keeps pickling and
+    dispatch cheap while leaving a few chunks per worker to even out the load;
+    results come back in item order."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    workers = min(jobs, len(items))
     chunksize = -(-len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
@@ -478,18 +479,13 @@ class _IOFailure(Exception):
 
 
 def _resolve_config(argv: list[str]) -> tuple[RunConfig, str]:
-    ns = _build_parser().parse_args(argv)
-    values = {k.replace("-", "_"): v for k, v in vars(ns).items() if k != "config"}
-    if ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise _UsageError(f"cannot read config file: {exc}") from exc
-        for key, value in file_values.items():
-            key = key.replace("-", "_")
-            if key in values and values[key] in (None, False):
-                values[key] = value
+    values = vars(_build_parser().parse_args(argv))
+    options = values.pop("options")
+    path = values.pop("config")
+    if path:
+        for dest, value in _read_config(path, options).items():
+            if values[dest] in (None, False):
+                values[dest] = value
     command = values.pop("command")
     sub = values.pop("subcommand", None)
     if sub:
@@ -501,21 +497,42 @@ def _resolve_config(argv: list[str]) -> tuple[RunConfig, str]:
         if k in RunConfig.__dataclass_fields__ and v is not None
     }
     cfg = RunConfig(command=command, **kwargs)
-    _validate(cfg)
+    if cfg.jobs < 1:
+        raise _UsageError(f"--jobs must be an integer >= 1; got {cfg.jobs!r}")
     return cfg, (predicate or "")
 
 
-#: smallest accepted value of each integer option; checked after the command
-#: line and the --config file are merged, so both sources are covered
-_OPTION_MINIMUMS = {"jobs": 1, "refine_max": 0}
-
-
-def _validate(cfg: RunConfig) -> None:
-    for name, low in _OPTION_MINIMUMS.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"{flag} must be an integer >= {low}; got {value!r}")
+def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
+    """The values of a --config file for this command's options, each
+    converted like the same value given on the command line.  A key that
+    names no RunConfig field is a usage error; one that names a field but no
+    option of this command is skipped, so one file can serve every command."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:
+        raise _UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _UsageError(f"config file {path} must hold a JSON object")
+    converted = {}
+    for key, value in data.items():
+        dest = key.replace("-", "_")
+        if dest not in RunConfig.__dataclass_fields__:
+            raise _UsageError(f"config file {path}: unknown option {key!r}")
+        action = options.get(dest)
+        if action is None:
+            continue
+        flag = action.nargs == 0  # takes true or false; the others a string or a number
+        invalid = f"config file {path}: invalid value {value!r} for {key!r}"
+        if isinstance(value, bool) != flag or not isinstance(value, (str, int, float)):
+            raise _UsageError(invalid)
+        try:
+            converted[dest] = value if flag else (action.type or str)(str(value))
+        except ValueError as exc:
+            raise _UsageError(invalid) from exc
+    return converted
 
 
 def run(argv: list[str]) -> tuple[int, dict]:
@@ -534,7 +551,7 @@ def run(argv: list[str]) -> tuple[int, dict]:
         "scan": lambda: [
             scan(
                 predicate, make_params(cfg.m2, cfg.m3), cfg.z_lo or None, cfg.z_hi or None,
-                cfg.grid, cfg.width, cfg.refine_max, map_fn=partial(_pool_map, jobs=cfg.jobs),
+                cfg.grid, map_fn=partial(_pool_map, jobs=cfg.jobs),
             ).to_json_dict()
         ],
         "oracle compare": lambda: _cmd_oracle_compare(cfg),

@@ -3,9 +3,9 @@
 Every quantity in the verification pipeline is either an exact rational or a
 rational interval guaranteed to contain the real number it stands for.  Square
 roots are the only irrational ingredient anywhere in the library; they are
-handled by :func:`sqrt_enclosure`, which brackets the root between rational
-endpoints to any requested width, and by :func:`cmp_sqrt`, which decides the
-sign of ``sqrt(d) - a`` without ever leaving the rationals.
+handled by :func:`sign_sqrt`, which decides the sign of ``a + b sqrt(d)``
+without ever leaving the rationals, and by :func:`sqrt_enclosure`, which
+brackets the root between rational endpoints to any requested width.
 
 All values are immutable and all operations pure.
 """
@@ -45,24 +45,26 @@ def rational(value: RationalLike) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def cmp_sqrt(d: Fraction, a: Fraction) -> int:
-    """Sign of sqrt(d) - a, decided exactly.  Requires d >= 0.
+def sign_sqrt(a: Fraction, b: Fraction, d: Fraction) -> int:
+    """Sign of a + b sqrt(d), decided exactly.  Requires d >= 0.
 
-    This is the workhorse for deciding inequalities of the form
-    ``linear + sqrt(d) > bound`` without interval arithmetic: isolate the
-    radical and compare squares, minding the sign of the rational side.
+    This is the workhorse for every inequality whose one irrational
+    ingredient is a square root: when a and b sqrt(d) do not have opposite
+    signs the answer is immediate, otherwise a^2 and b^2 d are compared.
     """
     if d < 0:
-        raise ValueError("cmp_sqrt requires a nonnegative radicand")
-    if a < 0:
-        return 1
-    # both sides nonnegative: compare squares
-    a2 = a * a
-    if d > a2:
-        return 1
-    if d < a2:
-        return -1
-    return 0
+        raise ValueError("sign_sqrt requires a nonnegative radicand")
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0) if d else 0
+    if sa * sb >= 0:
+        return sa or sb
+    diff = a * a - b * b * d
+    return sa * ((diff > 0) - (diff < 0))
+
+
+def cmp_sqrt(d: Fraction, a: Fraction) -> int:
+    """Sign of sqrt(d) - a, decided exactly.  Requires d >= 0."""
+    return sign_sqrt(-a, 1, d)
 
 
 def _isqrt_is_exact(n: int) -> tuple[int, bool]:

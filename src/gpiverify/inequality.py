@@ -12,12 +12,14 @@ This module materializes, with exact rational arithmetic wherever possible:
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
 * exact checks of the product inequality (GPI) and the moment-ratio
-  inequality (MRI), plus interval-based scans for the predicates whose
-  statements involve the square root in H.
+  inequality (MRI), and grid scans of the inequality predicates.
 
-Inequalities that reduce to polynomial sign conditions are decided exactly by
-isolating the radical and comparing squares (cmp_sqrt); only genuinely
-radical-valued scans use interval enclosures, with automatic width refinement.
+Every predicate is decided exactly.  Those whose statements involve H have
+one irrational ingredient, sqrt(D(z)), so at a rational z each is the sign of
+alpha + beta sqrt(D) for rationals alpha and beta, up to a positive factor,
+decided by comparing alpha^2 with beta^2 D (sign_sqrt).  Interval enclosures
+(H_value, G_value) remain as independent references and as the margin that
+accompanies an MRI verdict.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ from typing import Callable, Iterable
 from .exactnum import (
     RationalInterval,
     RationalLike,
-    SIGN_NEGATIVE,
-    SIGN_POSITIVE,
-    cmp_sqrt,
     rational,
+    sign_sqrt,
     sqrt_enclosure,
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly, hyp_poly_symbolic_m3, hyp_value_at_one
@@ -64,7 +64,6 @@ TRUNCATION_BOUND = Fraction(11, 4)
 FACT17 = math.factorial(17)
 
 DEFAULT_WIDTH = Fraction(1, 10**6)
-DEFAULT_REFINE_MAX = 20
 
 #: float-path guard: series results within this of zero are indeterminate
 REAL_MARGIN_GUARD = 1e-9
@@ -206,12 +205,6 @@ def H_value(
     _check_h_domain(params, z)
     r = params.r
     root = sqrt_enclosure(h_radicand(params, z), rational(width) * (r * r * z - 1))
-    return _h_from_root(params, z, root)
-
-
-def _h_from_root(params: GpiParams, z: Fraction, root: RationalInterval) -> RationalInterval:
-    """H(z) from an enclosure ``root`` of sqrt(D(z))."""
-    r = params.r
     return (root + params.msum * (r * z - 1)) / RationalInterval.point(r * r * z - 1)
 
 
@@ -223,15 +216,14 @@ def H_at_one(params: GpiParams) -> Fraction:
 def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
     """Exact sign of H(z) - threshold, by isolating the radical.
 
-    H(z) > c  <=>  sqrt(D) > c (r^2 z - 1) - (m2+m3+1)(r z - 1), decided with
-    integer square-root comparisons only.
+    H(z) > c  <=>  sqrt(D) - [c (r^2 z - 1) - (m2+m3+1)(r z - 1)] > 0.
     """
     z = rational(z)
     _check_h_domain(params, z)
     threshold = rational(threshold)
     r = params.r
     rhs = threshold * (r * r * z - 1) - params.msum * (r * z - 1)
-    return cmp_sqrt(h_radicand(params, z), rhs)
+    return sign_sqrt(-rhs, 1, h_radicand(params, z))
 
 
 def h_lower_bound_check(params: GpiParams, z: RationalLike, which: str) -> CheckReport:
@@ -518,58 +510,56 @@ def G_at_one(params: GpiParams) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# interval scan predicates
+# scan predicates
 # ----------------------------------------------------------------------
+#
+# Each radical predicate holds iff alpha + beta sqrt(D) > 0, where the margin
+# functions below return (alpha, beta, D) at a point of the predicate's domain.
+# With s = sqrt(D), den = r^2 z - 1 > 0 and M = (m2+m3+1)(rz - 1):
+#
+#     H = (M + s)/den,    H^2 = (M^2 + D + 2 M s)/den^2,
+#     H' = [r (r-1)(m2+m3+1) + P s/(2 D)]/den^2,
+#
+# with P = 2 (m3-m2)^2 r (r-1)(rz - 1) - (r-1)^3 (1 + r^2 z); the 1/s of H'
+# is written as s/D.
 
 
-def _refined_sign(evaluate, width: Fraction, refine_max: int, want: str):
-    """Evaluate an interval-valued quantity, halving the width until its sign
-    matches/contradicts ``want`` or the refinement budget runs out."""
-    w = width
-    iv = None
-    for _ in range(refine_max + 1):
-        iv = evaluate(w)
-        sign = iv.sign()
-        if sign == want:
-            return HOLDS, iv
-        if sign in (SIGN_POSITIVE, SIGN_NEGATIVE):
-            return FAILS, iv
-        w = w / 2
-    return INDETERMINATE, iv
+def _g_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """-G(z) (r^2 z - 1): G < 0 iff this margin is positive."""
+    m2, m3, r = params.m2, params.m3, params.r
+    f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": z})
+    f1 = hyp_poly(m2, m3, HALF).eval({"z": z})
+    den = r * r * z - 1
+    beta = (2 * m3 + 1) * z * f1
+    alpha = ((1 - z) * f1 - f_big) * den + beta * params.msum * (r * z - 1)
+    return alpha, beta, h_radicand(params, z)
 
 
-def _deriv_direct_point(params: GpiParams, z: Fraction, width: Fraction, refine_max: int):
+def _deriv_direct_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Condition at interior critical points of G, direct form:
 
         (1-z) + [2(m2+m3+1) z - 1] H(z)  <  (r-1) z H(z)^2 + 2 z (1-z) H'(z)
 
-    evaluated with a shared enclosure for sqrt(D); holds iff rhs - lhs > 0.
+    with the margin (rhs - lhs)(r^2 z - 1)^2.
     """
-    r = params.r
-    d = h_radicand(params, z)
-    denom = r * r * z - 1
+    r, msum = params.r, params.msum
     rm1 = r - 1
-
-    def evaluate(w: Fraction) -> RationalInterval:
-        root = sqrt_enclosure(d, w * denom)
-        if root.lo <= 0:
-            # force another refinement round rather than divide by zero
-            return RationalInterval(Fraction(-1), Fraction(1))
-        h_iv = _h_from_root(params, z, root)
-        hp_num = root * (2 * r * rm1 * params.msum) + (
-            2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
-        )
-        hp = hp_num / (root * (2 * denom * denom))
-        lhs = (1 - z) + h_iv * (2 * params.msum * z - 1)
-        rhs = h_iv.square() * (rm1 * z) + hp * (2 * z * (1 - z))
-        return rhs - lhs
-
-    return _refined_sign(evaluate, width, refine_max, SIGN_POSITIVE)
+    d = h_radicand(params, z)
+    den = r * r * z - 1
+    m = msum * (r * z - 1)
+    p = 2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
+    c = 2 * msum * z - 1
+    alpha = (
+        rm1 * z * (m * m + d) + 2 * z * (1 - z) * r * rm1 * msum
+        - (1 - z) * den * den - c * den * m
+    )
+    beta = 2 * rm1 * z * m + z * (1 - z) * p / d - c * den
+    return alpha, beta, d
 
 
-def _deriv_reduced_point(params: GpiParams, z: Fraction, width: Fraction, refine_max: int):
+def _deriv_reduced_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Radical-isolated form of the critical-point condition on the low-z
-    range; holds iff lhs - rhs > 0 where rhs carries 1/sqrt(D)."""
+    range, lhs - rhs_num / sqrt(D) > 0, with the margin lhs sqrt(D) - rhs_num."""
     r = params.r
     msum = params.msum
     dd = params.mdiff_sq
@@ -583,14 +573,15 @@ def _deriv_reduced_point(params: GpiParams, z: Fraction, width: Fraction, refine
     rhs_num = (r - 1) * z * (1 - z) * (
         (r - 1) ** 2 * (1 + r * r * z) - 2 * dd * r * (r * z - 1)
     ) + (2 * msum * z * (r + r * z - 2) - (r * r * z - 1)) * d
+    return -rhs_num, lhs, d
 
-    def evaluate(w: Fraction) -> RationalInterval:
-        root = sqrt_enclosure(d, w)
-        if root.lo <= 0:
-            return RationalInterval(Fraction(-1), Fraction(1))
-        return RationalInterval.point(lhs) - RationalInterval.point(rhs_num) / root
 
-    return _refined_sign(evaluate, width, refine_max, SIGN_POSITIVE)
+#: (alpha, beta, D(z)) of the margin alpha + beta sqrt(D(z)) of each radical predicate
+RADICAL_MARGINS = {
+    "g-negative": _g_margin,
+    "h-deriv": _deriv_direct_margin,
+    "h-deriv-reduced": _deriv_reduced_margin,
+}
 
 
 def default_scan_range(
@@ -620,9 +611,13 @@ def check_domain(predicate: str, params: GpiParams, z: RationalLike) -> Fraction
     z = rational(z)
     lo, hi, lo_open, hi_open = default_scan_range(predicate, params)
     if (z <= lo if lo_open else z < lo) or (z >= hi if hi_open else z > hi):
-        interval = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
-        raise ValueError(f"z={z} is outside the {predicate} domain {interval}")
+        raise ValueError(f"z={z} is outside the {_domain_text(predicate, params)}")
     return z
+
+
+def _domain_text(predicate: str, params: GpiParams) -> str:
+    lo, hi, lo_open, hi_open = default_scan_range(predicate, params)
+    return f"{predicate} domain {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
 
 
 def scan(
@@ -631,8 +626,6 @@ def scan(
     z_lo: RationalLike | None = None,
     z_hi: RationalLike | None = None,
     grid_n: int = 101,
-    width: RationalLike = DEFAULT_WIDTH,
-    refine_max: int = DEFAULT_REFINE_MAX,
     map_fn: Callable[[Callable, list], Iterable] = map,
 ) -> CheckReport:
     """Evaluate a named predicate at grid_n exact rational points.
@@ -640,16 +633,20 @@ def scan(
     Grid points are z_lo + k (z_hi - z_lo)/(grid_n - 1); open endpoints are
     nudged inward by (z_hi - z_lo)/(10 grid_n), and the effective endpoints
     are recorded in the report.  Overrides of z_lo/z_hi may only narrow the
-    predicate's domain: an effective endpoint outside it raises ValueError.
-    Exact predicates never produce indeterminate points; interval predicates
-    refine the enclosure width up to refine_max halvings first.  ``map_fn(fn, zs)`` evaluates the points and must return
-    the results in the order of ``zs``; a process pool may stand in for the
-    default serial ``map``.
+    predicate's domain: an effective endpoint outside it raises ValueError,
+    and so does a predicate whose domain is empty for the pair.
+    ``map_fn(fn, zs)`` evaluates the points and must return the results in
+    the order of ``zs``; a process pool may stand in for the default serial
+    ``map``.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    width = rational(width)
     d_lo, d_hi, lo_open, hi_open = default_scan_range(predicate, params)
+    if not d_lo < d_hi:
+        raise ValueError(
+            f"every z is outside the {_domain_text(predicate, params)}, which is "
+            f"empty for m2={params.m2}, m3={params.m3}"
+        )
     z_lo = d_lo if z_lo is None else rational(z_lo)
     z_hi = d_hi if z_hi is None else rational(z_hi)
     if not z_lo < z_hi:
@@ -659,7 +656,7 @@ def scan(
     hi_eff = check_domain(predicate, params, z_hi - nudge if hi_open else z_hi)
     step = (hi_eff - lo_eff) / (grid_n - 1)
     zs = [lo_eff + k * step for k in range(grid_n)]
-    point = partial(_scan_point, predicate, params, width=width, refine_max=refine_max)
+    point = partial(_scan_point, predicate, params)
     points: list[dict] = []
     first_failure = None
     counts = {HOLDS: 0, FAILS: 0, INDETERMINATE: 0}
@@ -669,15 +666,9 @@ def scan(
         points.append(entry)
         if verdict == FAILS and first_failure is None:
             first_failure = entry
-    if counts[FAILS]:
-        status = FAILS
-    elif counts[INDETERMINATE]:
-        status = INDETERMINATE
-    else:
-        status = HOLDS
     return CheckReport(
         name=f"scan:{predicate}:m2={params.m2},m3={params.m3}",
-        status=status,
+        status=FAILS if counts[FAILS] else HOLDS,
         witnesses=[first_failure] if first_failure else [],
         metadata={
             "points": points,
@@ -686,35 +677,22 @@ def scan(
             "z_hi": hi_eff,
             "nudge": nudge,
             "grid_n": grid_n,
-            "width": width,
-            "refine_max": refine_max,
         },
     )
 
 
-def _scan_point(
-    predicate: str,
-    params: GpiParams,
-    z: Fraction,
-    width: Fraction = DEFAULT_WIDTH,
-    refine_max: int = DEFAULT_REFINE_MAX,
-):
+def _scan_point(predicate: str, params: GpiParams, z: Fraction):
     """(verdict, value) of a predicate at a point of its domain.
 
-    The exact predicates hold iff their value is positive: S(z) for ``hfri``,
-    the sign of H(z) - threshold for ``h-half``/``h-seventh``.  The interval
-    predicates refine an enclosure until its sign is decided or refine_max
-    halvings are spent."""
-    if predicate == "g-negative":
-        return _refined_sign(lambda w: G_value(params, z, w), width, refine_max, SIGN_NEGATIVE)
-    if predicate == "h-deriv":
-        return _deriv_direct_point(params, z, width, refine_max)
-    if predicate == "h-deriv-reduced":
-        return _deriv_reduced_point(params, z, width, refine_max)
+    Every predicate holds iff its value is positive: S(z) for ``hfri``, and
+    for the others the exact sign (1, -1 or 0) of H(z) - threshold or of the
+    predicate's margin alpha + beta sqrt(D(z))."""
     if predicate == "hfri":
         value = S_poly(params).eval({"z": z})
     elif predicate in H_THRESHOLDS:
         value = h_compare(params, z, H_THRESHOLDS[predicate])
+    elif predicate in RADICAL_MARGINS:
+        value = sign_sqrt(*RADICAL_MARGINS[predicate](params, z))
     else:
         raise ValueError(f"unknown predicate {predicate!r}")
     return (HOLDS if value > 0 else FAILS), value

@@ -168,18 +168,23 @@ class TestCommands:
         assert code == 0
         meta = report["checks"][0]["metadata"]
         assert meta["counts"]["holds"] == 11
-        assert (meta["grid_n"], meta["width"], meta["refine_max"]) == (11, "1/1000000", 20)
+        assert meta["grid_n"] == 11
 
     @pytest.mark.parametrize("argv", [
         "scan hfri --m2 2 --m3 3 --z-lo 0 --z-hi 3/2",
         "scan h-half --m2 8 --m3 8 --z-hi 1",
         "scan h-deriv --m2 8 --m3 8 --z-hi 2",
         "check hfri --m2 2 --m3 3 --z 3/2",
+        # 11/(4 m2 m3) >= 1, and 11/(4 m2 m3) >= 2.1/(2 m2 + 1): empty domains
+        "scan g-negative --m2 1 --m3 1",
+        "scan h-deriv-reduced --m2 2 --m3 3",
     ])
     def test_outside_predicate_domain_is_usage_error(self, argv, capsys):
         # --z-lo/--z-hi may only narrow a predicate's domain
         assert main(argv.split()) == 64
-        assert "outside the" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outside the" in err
+        assert ("which is empty" in err) == ("--z" not in argv)
 
     def test_h_seventh_small_pair_scans_up_to_one(self, tmp_path):
         # 11/(4 m2 m3) exceeds 1 here, and H is defined only up to z = 1
@@ -216,9 +221,37 @@ class TestCommands:
 
     def test_out_of_range_config_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"refine_max": -1}))
-        with pytest.raises(_UsageError, match="--refine-max"):
+        cfg.write_text(json.dumps({"jobs": 0}))
+        with pytest.raises(_UsageError, match="--jobs"):
             _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2", "--m3", "3"])
+
+    @pytest.mark.parametrize("text, argv, match", [
+        ("[1]", "scan hfri --m2 2 --m3 3", "must hold a JSON object"),
+        ("{bad", "scan hfri --m2 2 --m3 3", "not valid JSON"),
+        ('{"grid": "x"}', "scan hfri --m2 2 --m3 3", "'grid'"),
+        ('{"grid": 7.5}', "scan hfri --m2 2 --m3 3", "'grid'"),
+        ('{"timing": 1}', "scan hfri --m2 2 --m3 3", "'timing'"),
+        ('{"seed": "x"}', "oracle compare --real", "'seed'"),
+        ('{"gird": 7}', "scan hfri --m2 2 --m3 3", "unknown option 'gird'"),
+        ('{"refine_max": 3}', "scan hfri --m2 2 --m3 3", "unknown option 'refine_max'"),
+    ])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text, argv, match):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg)] + argv.split()
+        with pytest.raises(_UsageError, match=match):
+            _resolve_config(argv)
+        assert main(argv) == 64
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_values_converted_like_options(self, tmp_path):
+        # a value is read as its option reads it; an option of another
+        # command is skipped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "7", "z-lo": 0.25, "timing": True, "max_m": 3}))
+        cfg_obj, _ = _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2",
+                                      "--m3", "3"])
+        assert (cfg_obj.grid, cfg_obj.z_lo, cfg_obj.timing, cfg_obj.max_m) == (7, "0.25", True, 8)
 
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",
@@ -250,6 +283,41 @@ class TestDeterminism:
         assert serial["checks"] == parallel["checks"]
         assert serial["summary"] == parallel["summary"] == {"pass": 1, "fail": 0,
                                                             "indeterminate": 0}
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        import gpiverify.cli as cli_mod
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+        items = list(range(-50, 51))
+        assert cli_mod._pool_map(abs, items, 5000) == [abs(i) for i in items]
+        assert cli_mod._pool_map(abs, items[:2], 5000) == [50, 49]
+        assert started == [3, 2]
+        # one CPU: no pool at all
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 1)
+        assert cli_mod._pool_map(abs, items, 8) == [abs(i) for i in items]
+        assert started == [3, 2]
+        # the report echoes the --jobs asked for, not the workers started
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+        code, report = cli_mod.run(["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "5",
+                                    "--jobs", "64"])
+        assert code == 0 and report["run"]["jobs"] == 64
+        assert started == [3, 2, 3]
 
     def test_import_leaves_numpy_unloaded(self):
         # numpy serves only the Monte Carlo oracle and is imported there

@@ -15,6 +15,7 @@ from gpiverify.exactnum import (
     RationalInterval,
     cmp_sqrt,
     rational,
+    sign_sqrt,
     sqrt_enclosure,
 )
 
@@ -90,6 +91,40 @@ class TestCmpSqrt:
         assert cmp_sqrt(Fraction(2), Fraction(3, 2)) == -1
         assert cmp_sqrt(Fraction(4), Fraction(2)) == 0
         assert cmp_sqrt(Fraction(1, 4), Fraction(-5)) == 1
+
+
+class TestSignSqrt:
+    def test_exact_zeros(self):
+        # a + b sqrt(d) = 0 needs d a perfect square (or b = 0, or d = 0)
+        assert sign_sqrt(Fraction(-2), Fraction(1), Fraction(4)) == 0
+        assert sign_sqrt(Fraction(3), Fraction(-1), Fraction(9)) == 0
+        assert sign_sqrt(Fraction(-3, 2), Fraction(1, 2), Fraction(9)) == 0
+        assert sign_sqrt(Fraction(1, 3), Fraction(-2, 3), Fraction(1, 4)) == 0
+        assert sign_sqrt(Fraction(0), Fraction(0), Fraction(5)) == 0
+        assert sign_sqrt(Fraction(0), Fraction(7), Fraction(0)) == 0
+        assert sign_sqrt(Fraction(-1), Fraction(7), Fraction(0)) == -1
+
+    def test_negative_radicand_rejected(self):
+        with pytest.raises(ValueError):
+            sign_sqrt(Fraction(1), Fraction(1), Fraction(-1))
+
+    @given(a=rationals, b=rationals,
+           k=st.fractions(min_value=Fraction(0), max_value=Fraction(50), max_denominator=40))
+    @settings(max_examples=150, deadline=None)
+    def test_perfect_square_radicand(self, a, b, k):
+        value = a + b * k
+        assert sign_sqrt(a, b, k * k) == (value > 0) - (value < 0)
+
+    @given(a=rationals, b=rationals,
+           d=st.fractions(min_value=Fraction(0), max_value=Fraction(1000), max_denominator=99))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_decided_enclosure(self, a, b, d):
+        # narrow the enclosure until its sign is decided: a + b sqrt(d) is
+        # irrational, hence nonzero, unless d is a square or b = 0
+        width = Fraction(1, 10)
+        while (sign := (a + b * sqrt_enclosure(d, width)).sign()) == "indeterminate":
+            width /= 2
+        assert sign_sqrt(a, b, d) == {"positive": 1, "negative": -1, "zero": 0}[sign]
 
 
 intervals = st.builds(

@@ -41,6 +41,7 @@ from gpiverify.inequality import (
     s_poly_symbolic,
     scan,
 )
+from gpiverify.inequality import _scan_point
 from gpiverify.moments import GaussianPair
 
 
@@ -384,6 +385,11 @@ class TestHfri:
         with pytest.raises(ValueError):
             hfri_check(make_params(1, 1), Fraction(1))
 
+    def test_exact_zero_fails(self):
+        # S_{1,2}(3/4) = 0 exactly: the inequality is strict
+        rep = hfri_check(make_params(1, 2), Fraction(3, 4))
+        assert (rep.status, rep.margin) == ("fails", 0)
+
 
 class TestG:
     def test_exact_values_at_one(self):
@@ -408,6 +414,34 @@ class TestG:
         iv = G_value(params, Fraction(1), Fraction(1, 10**9))
         exact = G_at_one(params)
         assert iv.contains(exact)
+
+    def test_exact_sign_matches_enclosure_on_scan(self):
+        # the g-negative value is the exact sign of -G; G_value's enclosure,
+        # narrowed until its sign is decided, is the independent reference
+        params = make_params(8, 8)
+        points = scan("g-negative", params, grid_n=101).metadata["points"]
+        for point in points:
+            width = Fraction(1, 10**6)
+            while (sign := G_value(params, point["z"], width).sign()) == "indeterminate":
+                width /= 2
+            assert point["value"] == {"negative": 1, "positive": -1}[sign], point["z"]
+
+
+class TestDerivForms:
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 3), (8, 8), (12, 9)])
+    def test_direct_and_reduced_forms_agree(self, pair):
+        # two algebraic forms of one condition: equal signs on a grid over all
+        # of H's domain (1/r^2, 1], which spans both predicates' domains; the
+        # condition fails near 1/r^2 for the small pairs
+        params = make_params(*pair)
+        lo = 1 / (params.r * params.r)
+        fails = 0
+        for k in range(1, 81):
+            z = lo + (1 - lo) * Fraction(k, 80)
+            direct = _scan_point("h-deriv", params, z)
+            assert _scan_point("h-deriv-reduced", params, z) == direct, z
+            fails += direct[0] == "fails"
+        assert (fails > 0) == (pair[0] < 8)
 
 
 class TestScan:
@@ -444,20 +478,6 @@ class TestScan:
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
             scan("nope", make_params(2, 3))
-
-    def test_refinement_gives_up_honestly(self):
-        from gpiverify.inequality import _refined_sign
-
-        calls = []
-
-        def evaluate(w):
-            calls.append(w)
-            return RationalInterval(Fraction(-1), Fraction(1))
-
-        verdict, _ = _refined_sign(evaluate, Fraction(1, 10), 5, "positive")
-        assert verdict == "indeterminate"
-        assert len(calls) == 6  # initial width plus five halvings
-        assert calls[-1] == Fraction(1, 10) / 32
 
 
 #: a scan endpoint override: None, an absolute z, or (True, t) for the point
