@@ -2,19 +2,23 @@
 
 Commands (see README for examples):
 
-    sos verify [--all | --m2 K]
+    sos verify [--all | --m2 K] [--jobs N]
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
-    scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ...
-    oracle compare [--max-m N --corr-steps N]
+    scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N --jobs N]
+    oracle compare [--max-m N --corr-steps N] [--real --mc-n N --seed N]
     params show --m2 K --m3 K
+
+Every command also takes --out and --timing.  The parser is the one
+definition of the commands, their handlers and their options' defaults and ranges.
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
 error; 74 report I/O error.  The JSON report is written to --out (stdout by
-default) on exits 0..2; it embeds the fully resolved run configuration.
-Wall-clock timing is recorded only with --timing so that exact-arithmetic
-reports are byte-identical across runs and parallelism degrees.
+default) on exits 0..2; its ``run`` block holds the command and the resolved
+value of each of its options.  Wall-clock timing is recorded only with
+--timing so that exact-arithmetic reports are byte-identical across runs and
+parallelism degrees.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -28,7 +32,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -36,7 +39,6 @@ from . import __version__
 from .bundled import load_g_appendix, load_h_expansion
 from .exactnum import rational
 from .inequality import (
-    DEFAULT_WIDTH,
     SCAN_PREDICATES,
     TRUNCATION_BOUND,
     G_at_one,
@@ -81,99 +83,76 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 64 on usage errors, synopsis to stderr
+    """Raises _UsageError (exit 64) on usage errors.  The top-level parser
+    lists the parser of each command ("gpiverify sos verify", ...) in
+    ``commands``."""
+
+    def error(self, message):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration, embedded verbatim in every report."""
+def _at_least(low: int):
+    """Option type: an integer >= low."""
 
-    command: str
-    m2: int | None = None
-    m3: int | None = None
-    y2: float | None = None
-    y3: float | None = None
-    a: str | None = None
-    x: str | None = None
-    z: str | None = None
-    z_lo: str | None = None
-    z_hi: str | None = None
-    grid: int = 101
-    width: str = str(DEFAULT_WIDTH)
-    seed: int = 0
-    jobs: int = 1
-    out: str | None = None
-    poly_out: str | None = None
-    var2: str | None = None
-    var3: str | None = None
-    cov: str | None = None
-    find_violation: bool = False
-    compare_bundled: bool = False
-    compare_appendix: bool = False
-    all: bool = False
-    max_m: int = 8
-    corr_steps: int = 12
-    real: bool = False
-    mc_n: int = 10**6
-    timing: bool = False
+    def integer(text: str) -> int:  # argparse names the type in its error message
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}; got {value}")
+        return value
 
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+    return integer
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gpiverify", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = []
 
-    # numeric options default to None here so that precedence is
-    # RunConfig default < --config file < explicit command line
-    def common(p, *, grid=False):
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    def common(p, handler, *, jobs=False, seed=False):
         p.add_argument("--out", help="report path (default: stdout)")
-        p.add_argument("--jobs", type=int, help="worker processes (default 1)")
-        p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
+        if jobs:
+            p.add_argument("--jobs", type=_at_least(1), default=1,
+                           help="worker processes (default %(default)s)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for sampled checks (default %(default)s)")
         p.add_argument("--timing", action="store_true", help="record wall time in the report")
-        if grid:
-            p.add_argument("--grid", type=int, help="grid points (default 101)")
-        # the options of this command, for converting --config values
-        p.set_defaults(options={a.dest: a for a in p._actions})
+        p.set_defaults(handler=handler, parser=p)
+        parser.commands.append(p)
 
-    sos = sub.add_parser("sos", help="certificate verification").add_subparsers(
-        dest="subcommand", required=True
-    )
+    sos = group("sos", "certificate verification")
     p = sos.add_parser("verify", help="verify bundled weighted-square certificates")
     p.add_argument("--all", action="store_true", help="verify all seven certificates")
     p.add_argument("--m2", type=int, help="verify the certificate for one index")
-    common(p)
+    common(p, _cmd_sos_verify, jobs=True)
 
-    expand = sub.add_parser("expand", help="regenerate symbolic objects").add_subparsers(
-        dest="subcommand", required=True
-    )
+    expand = group("expand", "regenerate symbolic objects")
     p = expand.add_parser("h", help="bivariate positivity polynomial h_{m2}")
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--compare-bundled", action="store_true")
     p.add_argument("--poly-out", help="write the polynomial JSON here")
-    common(p)
+    common(p, _cmd_expand_h)
     p = expand.add_parser("g", help="three-variable positivity polynomial g")
     p.add_argument("--compare-appendix", action="store_true")
     p.add_argument("--poly-out", help="write the polynomial JSON here")
-    common(p)
+    common(p, _cmd_expand_g)
     p = expand.add_parser("s", help="ratio-inequality polynomial S for one (m2, m3)")
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--m3", type=int, required=True)
     p.add_argument("--poly-out", help="write the polynomial JSON here")
-    common(p)
+    common(p, _cmd_expand_s)
 
-    check = sub.add_parser("check", help="single-point inequality checks").add_subparsers(
-        dest="subcommand", required=True
-    )
+    check = group("check", "single-point inequality checks")
     p = check.add_parser("gpi", help="exact product-inequality margin")
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--m3", type=int, required=True)
     p.add_argument("--a", required=True, help="coefficient in X1 = X2 + a X3 (rational)")
     p.add_argument("--x", required=True, help="correlation in [-1, 1] (rational)")
-    common(p)
+    common(p, _cmd_check_gpi)
     p = check.add_parser("mri", help="moment-ratio inequality (exact or real-exponent)")
     p.add_argument("--m2", type=int)
     p.add_argument("--m3", type=int)
@@ -184,18 +163,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--var3", help="variance of X3 (rational, default 1)")
     p.add_argument("--cov", help="covariance (rational; alternative to --x)")
     p.add_argument("--find-violation", action="store_true")
-    common(p)
+    common(p, _cmd_check_mri)
     p = check.add_parser("hfri", help="hypergeometric ratio inequality via S(z) > 0")
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--m3", type=int, required=True)
     p.add_argument("--z", required=True, help="point in (1/r^2, 1) (rational)")
-    common(p)
+    common(p, _cmd_check_hfri)
     p = check.add_parser("gpi-real", help="real-exponent product-inequality margin")
     p.add_argument("--y2", type=float, required=True)
     p.add_argument("--y3", type=float, required=True)
     p.add_argument("--a", required=True, help="float coefficient")
     p.add_argument("--x", required=True, help="float correlation, |x| < 1")
-    common(p)
+    common(p, _cmd_check_gpi_real)
 
     p = sub.add_parser("scan", help="grid scans of inequality predicates")
     p.add_argument("predicate", choices=SCAN_PREDICATES)
@@ -203,27 +182,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--m3", type=int, required=True)
     p.add_argument("--z-lo", help="override scan lower endpoint (rational)")
     p.add_argument("--z-hi", help="override scan upper endpoint (rational)")
-    common(p, grid=True)
+    p.add_argument("--grid", type=_at_least(2), default=101,
+                   help="grid points (default %(default)s)")
+    common(p, _cmd_scan, jobs=True)
 
-    oracle = sub.add_parser("oracle", help="independent-oracle comparisons").add_subparsers(
-        dest="subcommand", required=True
-    )
+    oracle = group("oracle", "independent-oracle comparisons")
     p = oracle.add_parser("compare", help="closed-form moments vs pairing recursion")
-    p.add_argument("--max-m", type=int, help="exponent indices range 0..max-m (default 8)")
-    p.add_argument("--corr-steps", type=int,
-                   help="correlations k/corr-steps, k = -corr-steps..corr-steps (default 12)")
+    p.add_argument("--max-m", type=_at_least(0), default=8,
+                   help="exponent indices range 0..max-m (default %(default)s)")
+    p.add_argument("--corr-steps", type=_at_least(1), default=12,
+                   help="correlations k/corr-steps, k = -corr-steps..corr-steps "
+                        "(default %(default)s)")
     p.add_argument("--real", action="store_true",
                    help="compare real-exponent closed forms against Monte Carlo")
-    p.add_argument("--mc-n", type=int, help="Monte Carlo sample size (default 10^6)")
-    common(p)
+    p.add_argument("--mc-n", type=_at_least(1), default=10**6,
+                   help="Monte Carlo sample size (default %(default)s)")
+    common(p, _cmd_oracle_compare, seed=True)
 
-    params = sub.add_parser("params", help="parameter inspection").add_subparsers(
-        dest="subcommand", required=True
-    )
+    params = group("params", "parameter inspection")
     p = params.add_parser("show", help="derived parameters for one (m2, m3)")
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--m3", type=int, required=True)
-    common(p)
+    common(p, _cmd_params_show)
 
     return parser
 
@@ -241,7 +221,7 @@ def _pool_map(fn, items, jobs: int) -> list:
     """``[fn(item) for item in items]``, over ``jobs`` worker processes when
     jobs > 1, but never more workers than items or CPUs.  Workers take
     contiguous chunks of about n / (4 workers) items, which keeps pickling and
-    dispatch cheap while leaving a few chunks per worker to even out the load;
+    task hand-off cheap while leaving a few chunks per worker to even out the load;
     results come back in item order."""
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -257,30 +237,30 @@ def _pool_map(fn, items, jobs: int) -> list:
 # ----------------------------------------------------------------------
 
 
-def _cmd_sos_verify(cfg: RunConfig) -> list[dict]:
-    if cfg.m2 is not None:
-        indices = [cfg.m2]
+def _cmd_sos_verify(args: argparse.Namespace) -> list[dict]:
+    if args.m2 is not None:
+        indices = [args.m2]
     else:
         indices = list(range(1, 8))  # --all and the bare form verify everything
-    return _pool_map(_cert_worker, indices, cfg.jobs)
+    return _pool_map(_cert_worker, indices, args.jobs)
 
 
-def _cmd_expand_h(cfg: RunConfig) -> list[dict]:
-    poly = h_poly(cfg.m2)
-    _maybe_write_poly(cfg, poly)
+def _cmd_expand_h(args: argparse.Namespace) -> list[dict]:
+    poly = h_poly(args.m2)
+    _maybe_write_poly(args, poly)
     report = CheckReport(
-        name=f"expand:h{cfg.m2}",
+        name=f"expand:h{args.m2}",
         status=VERIFIED,
         metadata={"terms": len(poly.terms), "degree_b": poly.degree("b"),
                   "degree_c": poly.degree("c"), "polynomial": poly.to_json_dict()},
     )
     out = [report.to_json_dict()]
-    if cfg.compare_bundled:
-        bundled = load_h_expansion(cfg.m2)
+    if args.compare_bundled:
+        bundled = load_h_expansion(args.m2)
         same = poly == bundled
         out.append(
             CheckReport(
-                name=f"expand:h{cfg.m2}:compare-bundled",
+                name=f"expand:h{args.m2}:compare-bundled",
                 status=VERIFIED if same else RESIDUAL_NONZERO,
                 residual=None if same else poly - bundled,
             ).to_json_dict()
@@ -288,9 +268,9 @@ def _cmd_expand_h(cfg: RunConfig) -> list[dict]:
     return out
 
 
-def _cmd_expand_g(cfg: RunConfig) -> list[dict]:
+def _cmd_expand_g(args: argparse.Namespace) -> list[dict]:
     poly = g_poly()
-    _maybe_write_poly(cfg, poly)
+    _maybe_write_poly(args, poly)
     checks = [verify_nonneg_coeffs(poly, "g").to_json_dict()]
     meta = {
         "terms": len(poly.terms),
@@ -299,7 +279,7 @@ def _cmd_expand_g(cfg: RunConfig) -> list[dict]:
             all(e % 2 == 0 for e in exps) for exps in poly.terms
         ),
     }
-    if cfg.compare_appendix:
+    if args.compare_appendix:
         bundled = load_g_appendix()
         scalar = proportionality_scalar(poly, bundled)
         meta["proportionality_scalar"] = scalar
@@ -319,13 +299,13 @@ def _cmd_expand_g(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _cmd_expand_s(cfg: RunConfig) -> list[dict]:
-    params = make_params(cfg.m2, cfg.m3)
+def _cmd_expand_s(args: argparse.Namespace) -> list[dict]:
+    params = make_params(args.m2, args.m3)
     poly = S_poly(params)
-    _maybe_write_poly(cfg, poly)
+    _maybe_write_poly(args, poly)
     return [
         CheckReport(
-            name=f"expand:s:m2={cfg.m2},m3={cfg.m3}",
+            name=f"expand:s:m2={args.m2},m3={args.m3}",
             status=VERIFIED,
             metadata={
                 "degree": poly.degree("z"),
@@ -336,61 +316,67 @@ def _cmd_expand_s(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _cmd_check_gpi(cfg: RunConfig) -> list[dict]:
-    params = make_params(cfg.m2, cfg.m3)
-    return [check_gpi(params, rational(cfg.a), rational(cfg.x)).to_json_dict()]
+def _cmd_check_gpi(args: argparse.Namespace) -> list[dict]:
+    params = make_params(args.m2, args.m3)
+    return [check_gpi(params, rational(args.a), rational(args.x)).to_json_dict()]
 
 
-def _cmd_check_mri(cfg: RunConfig) -> list[dict]:
-    real = cfg.y2 is not None or cfg.y3 is not None
+def _cmd_check_mri(args: argparse.Namespace) -> list[dict]:
+    real = args.y2 is not None or args.y3 is not None
     if real:
-        if cfg.y2 is None or cfg.y3 is None:
+        if args.y2 is None or args.y3 is None:
             raise _UsageError("real-exponent mri needs both --y2 and --y3")
-        rp = make_real_params(cfg.y2, cfg.y3)
-        if cfg.find_violation:
+        rp = make_real_params(args.y2, args.y3)
+        if args.find_violation:
             return [find_mri_real_violation(rp).to_json_dict()]
-        if cfg.x is None:
+        if args.x is None:
             raise _UsageError("check mri needs --x or --find-violation")
-        return [check_mri_real(rp, float(cfg.x)).to_json_dict()]
-    if cfg.m2 is None or cfg.m3 is None:
+        return [check_mri_real(rp, float(args.x)).to_json_dict()]
+    if args.m2 is None or args.m3 is None:
         raise _UsageError("check mri needs --m2/--m3 (or --y2/--y3)")
-    params = make_params(cfg.m2, cfg.m3)
-    if cfg.find_violation:
+    params = make_params(args.m2, args.m3)
+    if args.find_violation:
         return [find_mri_violation(params).to_json_dict()]
-    if cfg.cov is not None:
-        var2 = rational(cfg.var2) if cfg.var2 else Fraction(1)
-        var3 = rational(cfg.var3) if cfg.var3 else Fraction(1)
-        pair = GaussianPair(var2, var3, rational(cfg.cov))
-    elif cfg.x is not None:
-        if cfg.var2 or cfg.var3:
+    if args.cov is not None:
+        var2 = rational(args.var2) if args.var2 else Fraction(1)
+        var3 = rational(args.var3) if args.var3 else Fraction(1)
+        pair = GaussianPair(var2, var3, rational(args.cov))
+    elif args.x is not None:
+        if args.var2 or args.var3:
             raise _UsageError("--x means a unit-variance pair; use --cov with --var2/--var3")
-        pair = GaussianPair.unit(rational(cfg.x))
+        pair = GaussianPair.unit(rational(args.x))
     else:
         raise _UsageError("check mri needs --x, --cov, or --find-violation")
-    return [check_mri(params, pair, rational(cfg.width)).to_json_dict()]
+    return [check_mri(params, pair).to_json_dict()]
 
 
-def _cmd_check_hfri(cfg: RunConfig) -> list[dict]:
-    params = make_params(cfg.m2, cfg.m3)
-    return [hfri_check(params, rational(cfg.z)).to_json_dict()]
+def _cmd_check_hfri(args: argparse.Namespace) -> list[dict]:
+    params = make_params(args.m2, args.m3)
+    return [hfri_check(params, rational(args.z)).to_json_dict()]
 
 
-def _cmd_check_gpi_real(cfg: RunConfig) -> list[dict]:
-    rp = make_real_params(cfg.y2, cfg.y3)
-    return [check_gpi_real(rp, float(cfg.a), float(cfg.x)).to_json_dict()]
+def _cmd_check_gpi_real(args: argparse.Namespace) -> list[dict]:
+    rp = make_real_params(args.y2, args.y3)
+    return [check_gpi_real(rp, float(args.a), float(args.x)).to_json_dict()]
 
 
-def _cmd_oracle_compare(cfg: RunConfig) -> list[dict]:
-    if cfg.real:
-        return _cmd_oracle_compare_real(cfg)
+def _cmd_scan(args: argparse.Namespace) -> list[dict]:
+    params = make_params(args.m2, args.m3)
+    return [scan(args.predicate, params, args.z_lo or None, args.z_hi or None, args.grid,
+                 map_fn=partial(_pool_map, jobs=args.jobs)).to_json_dict()]
+
+
+def _cmd_oracle_compare(args: argparse.Namespace) -> list[dict]:
+    if args.real:
+        return _cmd_oracle_compare_real(args)
     mismatches = []
     comparisons = 0
-    steps = cfg.corr_steps
+    steps = args.corr_steps
     for k in range(-steps, steps + 1):
         x = Fraction(k, steps)
         pair = GaussianPair.unit(x)
-        for m2 in range(cfg.max_m + 1):
-            for m3 in range(cfg.max_m + 1):
+        for m2 in range(args.max_m + 1):
+            for m3 in range(args.max_m + 1):
                 comparisons += 2
                 if even_moment(m2, m3, pair) != wick_moment(2 * m2, 2 * m3, pair):
                     mismatches.append({"kind": "even", "m2": m2, "m3": m3, "x": x})
@@ -398,7 +384,7 @@ def _cmd_oracle_compare(cfg: RunConfig) -> list[dict]:
                     mismatches.append({"kind": "odd", "m2": m2, "m3": m3, "x": x})
     return [
         CheckReport(
-            name=f"oracle:moments:max_m={cfg.max_m}",
+            name=f"oracle:moments:max_m={args.max_m}",
             status=HOLDS if not mismatches else FAILS,
             witnesses=mismatches[:16],
             metadata={"comparisons": comparisons, "correlations": 2 * steps + 1},
@@ -406,7 +392,7 @@ def _cmd_oracle_compare(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _cmd_oracle_compare_real(cfg: RunConfig) -> list[dict]:
+def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[dict]:
     from .moments import MC_METHOD, MomentExponents, abs_moment_real, mc_moment, mixed_abs_moment_real
 
     half = GaussianPair.unit(Fraction(1, 2))
@@ -425,7 +411,7 @@ def _cmd_oracle_compare_real(cfg: RunConfig) -> list[dict]:
     ]
     checks = []
     for i, (label, closed, exps, pair) in enumerate(configs):
-        mean, stderr = mc_moment(exps, pair, cfg.mc_n, cfg.seed + i)
+        mean, stderr = mc_moment(exps, pair, args.mc_n, args.seed + i)
         ok = abs(closed - mean) <= 4 * stderr
         checks.append(
             CheckReport(
@@ -433,15 +419,15 @@ def _cmd_oracle_compare_real(cfg: RunConfig) -> list[dict]:
                 status=HOLDS if ok else FAILS,
                 margin=closed - mean,
                 witnesses=[{"closed_form": closed, "mc_mean": mean, "mc_stderr": stderr}],
-                metadata={"method": MC_METHOD, "seed": cfg.seed + i, "n": cfg.mc_n,
+                metadata={"method": MC_METHOD, "seed": args.seed + i, "n": args.mc_n,
                           "tolerance": "4 standard errors"},
             ).to_json_dict()
         )
     return checks
 
 
-def _cmd_params_show(cfg: RunConfig) -> list[dict]:
-    params = make_params(cfg.m2, cfg.m3)
+def _cmd_params_show(args: argparse.Namespace) -> list[dict]:
+    params = make_params(args.m2, args.m3)
     meta = {
         "m2": params.m2,
         "m3": params.m3,
@@ -455,7 +441,7 @@ def _cmd_params_show(cfg: RunConfig) -> list[dict]:
         "G_at_1": G_at_one(params),
         "S_at_0": S_poly(params).eval({"z": 0}),
     }
-    return [CheckReport(name=f"params:m2={cfg.m2},m3={cfg.m3}", status=HOLDS,
+    return [CheckReport(name=f"params:m2={args.m2},m3={args.m3}", status=HOLDS,
                         metadata=meta).to_json_dict()]
 
 
@@ -464,10 +450,10 @@ def _cmd_params_show(cfg: RunConfig) -> list[dict]:
 # ----------------------------------------------------------------------
 
 
-def _maybe_write_poly(cfg: RunConfig, poly) -> None:
-    if cfg.poly_out:
+def _maybe_write_poly(args: argparse.Namespace, poly) -> None:
+    if args.poly_out:
         try:
-            with open(cfg.poly_out, "w", encoding="utf-8") as fh:
+            with open(args.poly_out, "w", encoding="utf-8") as fh:
                 json.dump(poly.to_json_dict(), fh, indent=1)
                 fh.write("\n")
         except OSError as exc:
@@ -478,35 +464,30 @@ class _IOFailure(Exception):
     pass
 
 
-def _resolve_config(argv: list[str]) -> tuple[RunConfig, str]:
-    values = vars(_build_parser().parse_args(argv))
-    options = values.pop("options")
-    path = values.pop("config")
-    if path:
-        for dest, value in _read_config(path, options).items():
-            if values[dest] in (None, False):
-                values[dest] = value
-    command = values.pop("command")
-    sub = values.pop("subcommand", None)
-    if sub:
-        command = f"{command} {sub}"
-    predicate = values.pop("predicate", None)
-    kwargs = {
-        k: v
-        for k, v in values.items()
-        if k in RunConfig.__dataclass_fields__ and v is not None
-    }
-    cfg = RunConfig(command=command, **kwargs)
-    if cfg.jobs < 1:
-        raise _UsageError(f"--jobs must be an integer >= 1; got {cfg.jobs!r}")
-    return cfg, (predicate or "")
+def _resolve_config(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line.  With --config, the file's values become the
+    chosen command's defaults and the command line is parsed again, so the
+    precedence is option default < --config file < command line."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        known = {dest for p in parser.commands for dest in _options(p)}
+        args.parser.set_defaults(**_read_config(args.config, _options(args.parser), known))
+        args = parser.parse_args(argv)
+    return args
 
 
-def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options of one command (not its positionals or --help), by dest."""
+    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def _read_config(path: str, options: dict[str, argparse.Action], known: set[str]) -> dict:
     """The values of a --config file for this command's options, each
     converted like the same value given on the command line.  A key that
-    names no RunConfig field is a usage error; one that names a field but no
-    option of this command is skipped, so one file can serve every command."""
+    names no option of any command is a usage error; one that names an
+    option of another command is skipped, so one file can serve every
+    command."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -519,7 +500,7 @@ def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
     converted = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in RunConfig.__dataclass_fields__:
+        if dest not in known:
             raise _UsageError(f"config file {path}: unknown option {key!r}")
         action = options.get(dest)
         if action is None:
@@ -530,35 +511,17 @@ def _read_config(path: str, options: dict[str, argparse.Action]) -> dict:
             raise _UsageError(invalid)
         try:
             converted[dest] = value if flag else (action.type or str)(str(value))
-        except ValueError as exc:
-            raise _UsageError(invalid) from exc
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"{invalid}: argument {action.option_strings[0]}: {exc}") from exc
     return converted
 
 
 def run(argv: list[str]) -> tuple[int, dict]:
     """Execute one CLI invocation; returns (exit_code, report_dict)."""
-    cfg, predicate = _resolve_config(argv)
+    args = _resolve_config(argv)
     start = time.monotonic()
-    dispatch = {
-        "sos verify": lambda: _cmd_sos_verify(cfg),
-        "expand h": lambda: _cmd_expand_h(cfg),
-        "expand g": lambda: _cmd_expand_g(cfg),
-        "expand s": lambda: _cmd_expand_s(cfg),
-        "check gpi": lambda: _cmd_check_gpi(cfg),
-        "check mri": lambda: _cmd_check_mri(cfg),
-        "check hfri": lambda: _cmd_check_hfri(cfg),
-        "check gpi-real": lambda: _cmd_check_gpi_real(cfg),
-        "scan": lambda: [
-            scan(
-                predicate, make_params(cfg.m2, cfg.m3), cfg.z_lo or None, cfg.z_hi or None,
-                cfg.grid, map_fn=partial(_pool_map, jobs=cfg.jobs),
-            ).to_json_dict()
-        ],
-        "oracle compare": lambda: _cmd_oracle_compare(cfg),
-        "params show": lambda: _cmd_params_show(cfg),
-    }
     try:
-        checks = dispatch[cfg.command]()
+        checks = args.handler(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise _UsageError(str(exc)) from exc
     statuses = [c["status"] for c in checks]
@@ -567,13 +530,15 @@ def run(argv: list[str]) -> tuple[int, dict]:
         "fail": sum(1 for s in statuses if s in FAIL_STATUSES),
         "indeterminate": sum(1 for s in statuses if s == INDETERMINATE),
     }
+    command = args.parser.prog.split(" ", 1)[1]  # prog is "gpiverify <command>"
+    actions = [a for a in args.parser._actions if a.dest != "help"]
     report = {
         "schema": 1,
         "tool": {"name": "gpiverify", "version": __version__},
-        "run": jsonable(cfg.to_json_dict() | ({"predicate": predicate} if predicate else {})),
+        "run": jsonable({"command": command} | {a.dest: getattr(args, a.dest) for a in actions}),
         "checks": checks,
         "summary": summary,
-        "timing": round(time.monotonic() - start, 6) if cfg.timing else None,
+        "timing": round(time.monotonic() - start, 6) if args.timing else None,
     }
     if summary["fail"]:
         code = EXIT_FAIL
@@ -596,10 +561,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     text = json.dumps(jsonable(report), indent=2) + "\n"
-    cfg_out = report["run"].get("out")
-    if cfg_out:
+    out = report["run"]["out"]
+    if out:
         try:
-            with open(cfg_out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"gpiverify: i/o error: {exc}", file=sys.stderr)

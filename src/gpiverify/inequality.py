@@ -138,9 +138,11 @@ class RealGpiParams:
 
 
 def make_real_params(y2: float, y3: float) -> RealGpiParams:
-    if y2 <= 0 or y3 <= 0:
-        raise ValueError("make_real_params requires y2, y3 > 0")
+    if not (0 < y2 < math.inf and 0 < y3 < math.inf):  # also rejects NaN
+        raise ValueError("make_real_params requires finite y2, y3 > 0")
     r = (y2 + 1.0) * (y3 + 1.0) + 1.0
+    if not math.isfinite(r):
+        raise ValueError("make_real_params requires a finite r = (y2 + 1)(y3 + 1) + 1")
     t = 1.0 / (r + (1.0 + 1.0 / y2) * (1.0 + 1.0 / y3))
     return RealGpiParams(y2, y3, r, t)
 
@@ -726,6 +728,8 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
     """
     if not abs(x) < 1:
         raise ValueError("check_gpi_real requires |x| < 1")
+    if not math.isfinite(a):
+        raise ValueError("check_gpi_real requires a finite a")
     y2, y3 = rp.y2, rp.y3
     z = x * x
     margin = (

@@ -55,14 +55,6 @@ class CheckReport:
     residual: Any = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status in PASS_STATUSES
-
-    @property
-    def failed(self) -> bool:
-        return self.status in FAIL_STATUSES
-
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"name": self.name, "status": self.status}
         if self.margin is not None:

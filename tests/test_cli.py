@@ -1,12 +1,15 @@
 """CLI contract tests: exit codes, report schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpiverify.cli import _resolve_config, _UsageError, main
+from gpiverify.cli import _build_parser, _resolve_config, _UsageError, main, run
 
 REQUIRED_REPORT_KEYS = {"schema", "tool", "run", "checks", "summary", "timing"}
 
@@ -16,6 +19,42 @@ def invoke(argv, tmp_path, name="report.json"):
     code = main(argv + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+ARGV_VALUES = ["-1", "0", "1", "2", "1/2", "0.5", "1/0", "abc", "nan", "inf", ""]
+# starting values that keep an example cheap; a drawn value may override them
+CHEAP_OPTIONS = {"scan": ["--grid", "5"], "oracle compare": ["--max-m", "2", "--mc-n", "1000"]}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command, its required options, then options mostly of that command,
+    each with a value from ARGV_VALUES (--jobs only 1 or 2).  Reports go to
+    os.devnull."""
+    commands = _build_parser().commands
+    parser = draw(st.sampled_from(commands))
+    command = parser.prog.split()[1:]
+    argv = command + CHEAP_OPTIONS.get(" ".join(command), [])
+    argv += [draw(st.sampled_from(a.choices)) for a in parser._actions if not a.option_strings]
+
+    def drawable(p):
+        return {a.option_strings[0]: a for a in p._actions
+                if a.option_strings and a.dest not in ("help", "out", "poly_out")}
+
+    own = drawable(parser)
+    foreign = {flag: a for p in commands for flag, a in drawable(p).items() if flag not in own}
+    flags = st.sampled_from(sorted(own) * 4 + sorted(foreign))
+    values = st.sampled_from(ARGV_VALUES)
+    # half the values of required options are plausible, so more examples
+    # get past the parser
+    for flag in [flag for flag, a in own.items() if a.required]:
+        argv += [flag, draw(st.sampled_from(["1", "2", "1/2"]) | values)]
+    for flag in draw(st.lists(flags, max_size=6)):
+        action = own.get(flag) or foreign[flag]
+        argv.append(flag)
+        if action.nargs != 0:
+            argv.append(draw(st.sampled_from(["1", "2"]) if flag == "--jobs" else values))
+    return argv + ["--out", os.devnull]
 
 
 class TestExitCodes:
@@ -53,6 +92,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage" in err
 
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argvs())
+    def test_any_argv_exits_with_a_documented_code(self, argv):
+        assert main(argv) in {0, 1, 2, 64, 74}
+
     def test_domain_violation_is_usage(self, tmp_path):
         code = main(
             ["check", "hfri", "--m2", "1", "--m3", "1", "--z", "1",
@@ -78,7 +122,7 @@ class TestReportSchema:
         assert REQUIRED_REPORT_KEYS <= set(report)
         assert report["schema"] == 1
         assert report["run"]["command"] == "check gpi"
-        assert report["run"]["width"] == "1/1000000"  # documented default
+        assert list(report["run"]) == ["command", "m2", "m3", "a", "x", "out", "timing"]
         assert report["checks"][0]["margin"] == "1/2"
         assert report["timing"] is None
 
@@ -202,19 +246,32 @@ class TestCommands:
         assert (tmp_path / "from_config.json").exists()
 
     def test_config_precedence(self, tmp_path):
-        # dataclass default < config file < explicit command line
+        # option default < config file < explicit command line; scan has no
+        # --seed, so the file's seed is skipped
         cfg = tmp_path / "cfg.json"
+        base = ["scan", "hfri", "--m2", "2", "--m3", "3"]
+        _, report = invoke(base, tmp_path, "c0.json")
+        assert report["run"]["grid"] == 101
         cfg.write_text(json.dumps({"grid": 7, "seed": 99}))
-        base = ["--config", str(cfg), "scan", "hfri", "--m2", "2", "--m3", "3"]
+        base = ["--config", str(cfg)] + base
         _, report = invoke(base, tmp_path, "c1.json")
-        assert report["run"]["grid"] == 7 and report["run"]["seed"] == 99
+        assert report["run"]["grid"] == 7 and "seed" not in report["run"]
         _, report = invoke(base + ["--grid", "11"], tmp_path, "c2.json")
         assert report["run"]["grid"] == 11
 
-    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-2"),
-                                             ("--refine-max", "-1")])
-    def test_out_of_range_option_is_usage_error(self, flag, value):
-        argv = ["scan", "g-negative", "--m2", "8", "--m3", "8", flag, value]
+    @pytest.mark.parametrize("argv", [
+        "scan g-negative --m2 8 --m3 8 --jobs 0",
+        "scan g-negative --m2 8 --m3 8 --jobs -2",
+        "scan g-negative --m2 8 --m3 8 --refine-max -1",
+        "scan hfri --m2 2 --m3 3 --grid 1",
+        "oracle compare --max-m -1",
+        "oracle compare --corr-steps -1",
+        "oracle compare --corr-steps 0",
+        "oracle compare --real --mc-n 0",
+    ], ids=lambda argv: "-".join(argv.split()[-2:]))
+    def test_out_of_range_option_is_usage_error(self, argv):
+        argv = argv.split()
+        flag = argv[-2]
         with pytest.raises(_UsageError, match=flag):
             _resolve_config(argv)
         assert main(argv) == 64
@@ -249,9 +306,58 @@ class TestCommands:
         # command is skipped
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": "7", "z-lo": 0.25, "timing": True, "max_m": 3}))
-        cfg_obj, _ = _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2",
-                                      "--m3", "3"])
-        assert (cfg_obj.grid, cfg_obj.z_lo, cfg_obj.timing, cfg_obj.max_m) == (7, "0.25", True, 8)
+        args = _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2",
+                                "--m3", "3"])
+        assert (args.grid, args.z_lo, args.timing) == (7, "0.25", True)
+        assert not hasattr(args, "max_m")
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, "check gpi --m2 1 --m3 1 --a 1 --x 1/2 --seed 1"),
+        (None, "params show --m2 1 --m3 1 --jobs 2"),
+        # no command has a width option
+        ({"width": "1/10"}, "check mri --m2 2 --m3 3 --x 1/4"),
+    ])
+    def test_option_the_command_lacks_is_usage_error(self, tmp_path, config, argv):
+        argv = argv.split()
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)] + argv
+        assert main(argv) == 64
+
+    @pytest.mark.parametrize("argv", [
+        "check gpi-real --y2 inf --y3 1 --a 1 --x 0.5",
+        "check gpi-real --y2 nan --y3 1 --a 1 --x 0.5",
+        "check gpi-real --y2 1e308 --y3 1 --a 1 --x 0.5",
+        "check gpi-real --y2 1 --y3 1 --a nan --x 0.5",
+        "check gpi-real --y2 1 --y3 1 --a inf --x 0.5",
+        "check mri --y2 nan --y3 4 --x 0.5",
+    ])
+    def test_non_finite_real_input_is_usage_error(self, argv, capsys):
+        assert main(argv.split()) == 64
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_run_echoes_only_the_commands_own_options(self):
+        # one cheap argv per command; a command missing here fails the lookup
+        tails = {
+            "sos verify": "--m2 2",
+            "expand h": "--m2 1",
+            "expand g": "",
+            "expand s": "--m2 1 --m3 2",
+            "check gpi": "--m2 1 --m3 1 --a 1 --x 1/2",
+            "check mri": "--m2 2 --m3 3 --x 1/4",
+            "check hfri": "--m2 1 --m3 5 --z 1/2",
+            "check gpi-real": "--y2 2 --y3 2 --a 1 --x 0.5",
+            "scan": "hfri --m2 2 --m3 3 --grid 5",
+            "oracle compare": "--max-m 1 --corr-steps 1",
+            "params show": "--m2 1 --m3 1",
+        }
+        for parser in _build_parser().commands:
+            command = parser.prog.split(" ", 1)[1]
+            code, report = run(command.split() + tails[command].split())
+            assert code == 0
+            assert report["run"]["command"] == command
+            assert set(report["run"]) - {"command"} <= {a.dest for a in parser._actions}
 
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",
