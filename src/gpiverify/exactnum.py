@@ -62,11 +62,6 @@ def sign_sqrt(a: Fraction, b: Fraction, d: Fraction) -> int:
     return sa * ((diff > 0) - (diff < 0))
 
 
-def cmp_sqrt(d: Fraction, a: Fraction) -> int:
-    """Sign of sqrt(d) - a, decided exactly.  Requires d >= 0."""
-    return sign_sqrt(-a, 1, d)
-
-
 def _isqrt_is_exact(n: int) -> tuple[int, bool]:
     r = isqrt(n)
     return r, r * r == n

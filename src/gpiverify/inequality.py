@@ -14,11 +14,12 @@ This module materializes, with exact rational arithmetic wherever possible:
 * exact checks of the product inequality (GPI) and the moment-ratio
   inequality (MRI), and grid scans of the inequality predicates.
 
-Every predicate is decided exactly.  Those whose statements involve H have
-one irrational ingredient, sqrt(D(z)), so at a rational z each is the sign of
-alpha + beta sqrt(D) for rationals alpha and beta, up to a positive factor,
-decided by comparing alpha^2 with beta^2 D (sign_sqrt).  Interval enclosures
-(H_value, G_value) remain as independent references and as the margin that
+Every predicate is decided exactly.  Each holds at z iff
+alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
+are polynomials in z built once per (predicate, params) (margin_polys; beta
+is 0 for the HFRI polynomial S).  At a rational z the sign is decided by
+comparing alpha^2 with beta^2 D (sign_sqrt).  Interval enclosures (H_value,
+G_value) remain as independent references and as the margin that
 accompanies an MRI verdict.
 """
 
@@ -188,8 +189,9 @@ class QuadraticForm:
 # ----------------------------------------------------------------------
 
 
-def h_radicand(params: GpiParams, z: Fraction) -> Fraction:
-    """D(z) = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z."""
+def h_radicand(params: GpiParams, z: Fraction | MultiPoly) -> Fraction | MultiPoly:
+    """D(z) = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z, for a rational z or the
+    polynomial variable z."""
     r = params.r
     return params.mdiff_sq * (r * z - 1) ** 2 + (r - 1) ** 3 * z
 
@@ -215,17 +217,23 @@ def H_at_one(params: GpiParams) -> Fraction:
     return 2 * params.msum / (params.r + 1)
 
 
-def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
-    """Exact sign of H(z) - threshold, by isolating the radical.
+def _h_excess(
+    params: GpiParams, z: Fraction | MultiPoly, threshold: Fraction
+) -> Fraction | MultiPoly:
+    """alpha with (H(z) - threshold)(r^2 z - 1) = alpha + sqrt(D), for a
+    rational z or the polynomial variable z:
 
-    H(z) > c  <=>  sqrt(D) - [c (r^2 z - 1) - (m2+m3+1)(r z - 1)] > 0.
+        H(z) > c  <=>  (m2+m3+1)(r z - 1) - c (r^2 z - 1) + sqrt(D) > 0.
     """
+    r = params.r
+    return params.msum * (r * z - 1) - threshold * (r * r * z - 1)
+
+
+def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
+    """Exact sign of H(z) - threshold, by isolating the radical (_h_excess)."""
     z = rational(z)
     _check_h_domain(params, z)
-    threshold = rational(threshold)
-    r = params.r
-    rhs = threshold * (r * r * z - 1) - params.msum * (r * z - 1)
-    return sign_sqrt(-rhs, 1, h_radicand(params, z))
+    return sign_sqrt(_h_excess(params, z, rational(threshold)), 1, h_radicand(params, z))
 
 
 def h_lower_bound_check(params: GpiParams, z: RationalLike, which: str) -> CheckReport:
@@ -515,75 +523,61 @@ def G_at_one(params: GpiParams) -> Fraction:
 # scan predicates
 # ----------------------------------------------------------------------
 #
-# Each radical predicate holds iff alpha + beta sqrt(D) > 0, where the margin
-# functions below return (alpha, beta, D) at a point of the predicate's domain.
-# With s = sqrt(D), den = r^2 z - 1 > 0 and M = (m2+m3+1)(rz - 1):
+# Each predicate holds at z iff alpha(z) + beta(z) sqrt(D(z)) > 0, where
+# margin_polys builds alpha, beta and D as polynomials in z, once per
+# (predicate, params).  With s = sqrt(D), den = r^2 z - 1 > 0 and
+# M = (m2+m3+1)(rz - 1):
 #
 #     H = (M + s)/den,    H^2 = (M^2 + D + 2 M s)/den^2,
 #     H' = [r (r-1)(m2+m3+1) + P s/(2 D)]/den^2,
 #
-# with P = 2 (m3-m2)^2 r (r-1)(rz - 1) - (r-1)^3 (1 + r^2 z); the 1/s of H'
-# is written as s/D.
+# with P = 2 (m3-m2)^2 r (r-1)(rz - 1) - (r-1)^3 (1 + r^2 z).
 
 
-def _g_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """-G(z) (r^2 z - 1): G < 0 iff this margin is positive."""
-    m2, m3, r = params.m2, params.m3, params.r
-    f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": z})
-    f1 = hyp_poly(m2, m3, HALF).eval({"z": z})
-    den = r * r * z - 1
-    beta = (2 * m3 + 1) * z * f1
-    alpha = ((1 - z) * f1 - f_big) * den + beta * params.msum * (r * z - 1)
-    return alpha, beta, h_radicand(params, z)
-
-
-def _deriv_direct_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Condition at interior critical points of G, direct form:
-
-        (1-z) + [2(m2+m3+1) z - 1] H(z)  <  (r-1) z H(z)^2 + 2 z (1-z) H'(z)
-
-    with the margin (rhs - lhs)(r^2 z - 1)^2.
-    """
-    r, msum = params.r, params.msum
+@lru_cache(maxsize=None)
+def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(alpha, beta, D) of a predicate, as polynomials in z.  The margins:
+    S for ``hfri`` (beta = 0); (H - c) den for ``h-half``/``h-seventh``;
+    -G den for ``g-negative``; for ``h-deriv``, the critical-point condition
+    (1-z) + [2(m2+m3+1) z - 1] H < (r-1) z H^2 + 2 z (1-z) H' as
+    (rhs - lhs) den^2 D, where the factor D clears the 1/s of H'; and for
+    ``h-deriv-reduced``, its radical-isolated form lhs s - rhs_num."""
+    z = MultiPoly.var("z")
+    r, msum, dd = params.r, params.msum, params.mdiff_sq
     rm1 = r - 1
     d = h_radicand(params, z)
     den = r * r * z - 1
     m = msum * (r * z - 1)
-    p = 2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
-    c = 2 * msum * z - 1
-    alpha = (
-        rm1 * z * (m * m + d) + 2 * z * (1 - z) * r * rm1 * msum
-        - (1 - z) * den * den - c * den * m
-    )
-    beta = 2 * rm1 * z * m + z * (1 - z) * p / d - c * den
+    if predicate == "hfri":
+        alpha, beta = S_poly(params), MultiPoly.zero(z.vars)
+    elif predicate in H_THRESHOLDS:
+        alpha = _h_excess(params, z, H_THRESHOLDS[predicate])
+        beta = MultiPoly.const(1, z.vars)
+    elif predicate == "g-negative":
+        f_big = hyp_poly(params.m2 + 1, params.m3, HALF)
+        f1 = hyp_poly(params.m2, params.m3, HALF)
+        beta = (2 * params.m3 + 1) * z * f1
+        alpha = ((1 - z) * f1 - f_big) * den + beta * m
+    elif predicate == "h-deriv":
+        p = 2 * dd * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
+        c = 2 * msum * z - 1
+        alpha = (
+            rm1 * z * (m * m + d) + 2 * z * (1 - z) * r * rm1 * msum
+            - (1 - z) * den * den - c * den * m
+        ) * d
+        beta = (2 * rm1 * z * m - c * den) * d + z * (1 - z) * p
+    elif predicate == "h-deriv-reduced":
+        alpha = -(rm1 * z * (1 - z) * (rm1**2 * (1 + r * r * z) - 2 * dd * r * (r * z - 1))
+                  + (2 * msum * z * (r + r * z - 2) - den) * d)
+        beta = (
+            (-1 + 4 * z - 4 * r * z + 3 * r * r * z + z * z - 8 * r * z * z
+             + 8 * r * r * z * z - 4 * r**3 * z * z + r * r * z**3)
+            + msum * (1 - 3 * r * z + r * r * z + 2 * r * z * z - 2 * r * r * z * z + r**3 * z * z)
+            - 2 * dd * (2 * z - r * z - 3 * r * z * z + r * r * z * z + r * r * z**3)
+        )
+    else:
+        raise ValueError(f"unknown predicate {predicate!r}; expected one of {SCAN_PREDICATES}")
     return alpha, beta, d
-
-
-def _deriv_reduced_margin(params: GpiParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Radical-isolated form of the critical-point condition on the low-z
-    range, lhs - rhs_num / sqrt(D) > 0, with the margin lhs sqrt(D) - rhs_num."""
-    r = params.r
-    msum = params.msum
-    dd = params.mdiff_sq
-    d = h_radicand(params, z)
-    lhs = (
-        (-1 + 4 * z - 4 * r * z + 3 * r * r * z + z * z - 8 * r * z * z
-         + 8 * r * r * z * z - 4 * r**3 * z * z + r * r * z**3)
-        + msum * (1 - 3 * r * z + r * r * z + 2 * r * z * z - 2 * r * r * z * z + r**3 * z * z)
-        - 2 * dd * (2 * z - r * z - 3 * r * z * z + r * r * z * z + r * r * z**3)
-    )
-    rhs_num = (r - 1) * z * (1 - z) * (
-        (r - 1) ** 2 * (1 + r * r * z) - 2 * dd * r * (r * z - 1)
-    ) + (2 * msum * z * (r + r * z - 2) - (r * r * z - 1)) * d
-    return -rhs_num, lhs, d
-
-
-#: (alpha, beta, D(z)) of the margin alpha + beta sqrt(D(z)) of each radical predicate
-RADICAL_MARGINS = {
-    "g-negative": _g_margin,
-    "h-deriv": _deriv_direct_margin,
-    "h-deriv-reduced": _deriv_reduced_margin,
-}
 
 
 def default_scan_range(
@@ -684,19 +678,15 @@ def scan(
 
 
 def _scan_point(predicate: str, params: GpiParams, z: Fraction):
-    """(verdict, value) of a predicate at a point of its domain.
-
-    Every predicate holds iff its value is positive: S(z) for ``hfri``, and
-    for the others the exact sign (1, -1 or 0) of H(z) - threshold or of the
-    predicate's margin alpha + beta sqrt(D(z))."""
-    if predicate == "hfri":
-        value = S_poly(params).eval({"z": z})
-    elif predicate in H_THRESHOLDS:
-        value = h_compare(params, z, H_THRESHOLDS[predicate])
-    elif predicate in RADICAL_MARGINS:
-        value = sign_sqrt(*RADICAL_MARGINS[predicate](params, z))
-    else:
-        raise ValueError(f"unknown predicate {predicate!r}")
+    """(verdict, value) of a predicate at a point of its domain: the value is
+    alpha(z) when beta = 0 (S(z) for ``hfri``) and otherwise the exact sign
+    (1, -1 or 0) of alpha(z) + beta(z) sqrt(D(z)); the predicate holds iff
+    the value is positive."""
+    alpha, beta, d = margin_polys(predicate, params)
+    point = {"z": z}
+    value = alpha.eval(point)
+    if beta:
+        value = sign_sqrt(value, beta.eval(point), d.eval(point))
     return (HOLDS if value > 0 else FAILS), value
 
 
@@ -707,7 +697,9 @@ def _scan_point(predicate: str, params: GpiParams, z: Fraction):
 
 def _real_margin_status(margin: float) -> str:
     """Verdict of a float margin: within REAL_MARGIN_GUARD of zero it is not
-    trusted and reads indeterminate."""
+    trusted and reads indeterminate; a non-finite margin raises ValueError."""
+    if not math.isfinite(margin):
+        raise ValueError(f"the float margin is {margin}: the inputs overflow the float range")
     if margin > REAL_MARGIN_GUARD:
         return HOLDS
     if margin < -REAL_MARGIN_GUARD:

@@ -193,7 +193,8 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
 
     Terminates when a geometric tail bound certifies the remainder below
     ``tol``; if either of a, b is a nonpositive integer the series is finite
-    and summed exactly.
+    and summed exactly.  A partial sum that leaves the float range raises
+    ValueError.
     """
     if not abs(z) < 1:
         raise ValueError("series evaluation requires |z| < 1")
@@ -211,6 +212,8 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
         if term == 0.0:
             return total
         total += term
+        if not math.isfinite(total):
+            raise ValueError(f"the series F({a}, {b}; {c}; {z}) overflows the float range")
         if j > settle:
             q = abs(z) * (1.0 + abs(a) / j) * (1.0 + abs(b) / j)
             if q < 1.0 and abs(term) * q / (1.0 - q) < tol:

@@ -21,7 +21,10 @@ def invoke(argv, tmp_path, name="report.json"):
     return code, report
 
 
-ARGV_VALUES = ["-1", "0", "1", "2", "1/2", "0.5", "1/0", "abc", "nan", "inf", ""]
+# "1e5" and "1e200" reach the float overflow of the real-exponent path; a
+# bare large integer would not do, as --max-m would accept it and hang the test
+ARGV_VALUES = ["-1", "0", "1", "2", "1/2", "0.5", "1e5", "1e200", "1/0", "abc", "nan", "inf",
+               ""]
 # starting values that keep an example cheap; a drawn value may override them
 CHEAP_OPTIONS = {"scan": ["--grid", "5"], "oracle compare": ["--max-m", "2", "--mc-n", "1000"]}
 
@@ -71,9 +74,9 @@ class TestExitCodes:
         assert report["summary"]["fail"] == 1
 
     def test_indeterminate_is_two(self, tmp_path, monkeypatch):
-        # genuine indeterminacy is unreachable with the bundled predicates
-        # (enclosures resolve every sign), so force one through the dispatcher
-        # to pin the status -> summary -> exit-code plumbing
+        # only a float margin near zero is indeterminate, and no cheap argv
+        # lands there, so force one through a command handler to pin the
+        # status -> summary -> exit-code plumbing
         import gpiverify.cli as cli_mod
 
         monkeypatch.setitem(
@@ -96,6 +99,18 @@ class TestExitCodes:
     @given(cli_argvs())
     def test_any_argv_exits_with_a_documented_code(self, argv):
         assert main(argv) in {0, 1, 2, 64, 74}
+
+    @pytest.mark.parametrize("argv", [
+        "check mri --y2 1e100 --y3 1 --x 0.5",
+        "check mri --y2 1e6 --y3 1 --x 0.5",
+        "check mri --y2 3000 --y3 3000 --find-violation",
+        "check gpi-real --y2 1e5 --y3 1e5 --a 1 --x 0.9",
+        "check gpi-real --y2 1 --y3 1 --a 1e200 --x 0.5",
+    ])
+    def test_float_overflow_is_usage(self, argv, capsys):
+        # a series partial sum or a margin past the float range
+        assert main(argv.split() + ["--out", os.devnull]) == 64
+        assert "overflow" in capsys.readouterr().err
 
     def test_domain_violation_is_usage(self, tmp_path):
         code = main(
@@ -366,7 +381,7 @@ class TestCommands:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
-        # identical RunConfig (same --out) must reproduce the report exactly
+        # the same argv (same --out) must reproduce the report exactly
         args = ["check", "gpi", "--m2", "2", "--m3", "3", "--a", "1/4", "--x=-3/10",
                 "--out", str(tmp_path / "r.json")]
         assert main(args) == 0
@@ -382,8 +397,11 @@ class TestDeterminism:
         assert serial["checks"] == parallel["checks"]
         assert serial["summary"] == parallel["summary"]
 
-    def test_interval_scan_identical_across_jobs(self, tmp_path):
-        base = ["scan", "g-negative", "--m2", "8", "--m3", "8", "--grid", "21"]
+    @pytest.mark.parametrize("predicate", ["g-negative", "hfri", "h-half", "h-seventh",
+                                           "h-deriv", "h-deriv-reduced"])
+    def test_interval_scan_identical_across_jobs(self, tmp_path, predicate):
+        m2, m3 = ("2", "3") if predicate == "hfri" else ("8", "8")
+        base = ["scan", predicate, "--m2", m2, "--m3", m3, "--grid", "21"]
         _, serial = invoke(base + ["--jobs", "1"], tmp_path, "serial.json")
         _, parallel = invoke(base + ["--jobs", "2"], tmp_path, "parallel.json")
         assert serial["checks"] == parallel["checks"]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from gpiverify.exactnum import (
     RationalInterval,
-    cmp_sqrt,
     rational,
     sign_sqrt,
     sqrt_enclosure,
@@ -85,15 +84,14 @@ class TestSqrtEnclosure:
         assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
 
 
-class TestCmpSqrt:
-    def test_signs(self):
-        assert cmp_sqrt(Fraction(2), Fraction(1)) == 1
-        assert cmp_sqrt(Fraction(2), Fraction(3, 2)) == -1
-        assert cmp_sqrt(Fraction(4), Fraction(2)) == 0
-        assert cmp_sqrt(Fraction(1, 4), Fraction(-5)) == 1
-
-
 class TestSignSqrt:
+    def test_root_minus_rational(self):
+        # sqrt(d) - a is sign_sqrt(-a, 1, d)
+        assert sign_sqrt(Fraction(-1), 1, Fraction(2)) == 1
+        assert sign_sqrt(Fraction(-3, 2), 1, Fraction(2)) == -1
+        assert sign_sqrt(Fraction(-2), 1, Fraction(4)) == 0
+        assert sign_sqrt(Fraction(5), 1, Fraction(1, 4)) == 1
+
     def test_exact_zeros(self):
         # a + b sqrt(d) = 0 needs d a perfect square (or b = 0, or d = 0)
         assert sign_sqrt(Fraction(-2), Fraction(1), Fraction(4)) == 0
