@@ -6,7 +6,7 @@ Commands (see README for examples):
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
     scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N --jobs N]
-    oracle compare [--max-m N --corr-steps N] [--real --mc-n N --seed N]
+    oracle compare [--max-m N] [--real --mc-n N --seed N]
     params show --m2 K --m3 K
 
 Every command also takes --out and --timing.  The parser is the one
@@ -57,7 +57,7 @@ from .inequality import (
     make_real_params,
     scan,
 )
-from .moments import GaussianPair, even_moment, odd_moment, wick_moment
+from .moments import GaussianPair, closed_form_poly, wick_poly
 from .report import (
     FAIL_STATUSES,
     FAILS,
@@ -190,9 +190,6 @@ def _build_parser() -> _Parser:
     p = oracle.add_parser("compare", help="closed-form moments vs pairing recursion")
     p.add_argument("--max-m", type=_at_least(0), default=8,
                    help="exponent indices range 0..max-m (default %(default)s)")
-    p.add_argument("--corr-steps", type=_at_least(1), default=12,
-                   help="correlations k/corr-steps, k = -corr-steps..corr-steps "
-                        "(default %(default)s)")
     p.add_argument("--real", action="store_true",
                    help="compare real-exponent closed forms against Monte Carlo")
     p.add_argument("--mc-n", type=_at_least(1), default=10**6,
@@ -238,6 +235,8 @@ def _pool_map(fn, items, jobs: int) -> list:
 
 
 def _cmd_sos_verify(args: argparse.Namespace) -> list[dict]:
+    if args.all and args.m2 is not None:
+        raise _UsageError("sos verify --all does not use --m2")
     if args.m2 is not None:
         indices = [args.m2]
     else:
@@ -322,31 +321,37 @@ def _cmd_check_gpi(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_check_mri(args: argparse.Namespace) -> list[dict]:
+    """--m2/--m3 or --y2/--y3 (real exponents), then --find-violation or a
+    point: --x, or --cov with --var2/--var3 for integers.  An option that
+    the chosen form ignores is a usage error."""
     real = args.y2 is not None or args.y3 is not None
+    indices = ("y2", "y3") if real else ("m2", "m3")
+    if any(getattr(args, opt) is None for opt in indices):
+        raise _UsageError(f"check mri needs both --{indices[0]} and --{indices[1]}")
+    if args.find_violation:
+        point = ()
+    elif args.x is not None:
+        point = ("x",)
+    elif args.cov is not None and not real:
+        point = ("cov", "var2", "var3")
+    else:
+        raise _UsageError("check mri needs --x, --cov (with --m2/--m3), or --find-violation")
+    ignored = [f"--{opt}" for opt in ("m2", "m3", "y2", "y3", "x", "cov", "var2", "var3")
+               if getattr(args, opt) is not None and opt not in indices + point]
+    if ignored:
+        raise _UsageError(f"this form of check mri does not use {', '.join(ignored)}")
     if real:
-        if args.y2 is None or args.y3 is None:
-            raise _UsageError("real-exponent mri needs both --y2 and --y3")
         rp = make_real_params(args.y2, args.y3)
         if args.find_violation:
             return [find_mri_real_violation(rp).to_json_dict()]
-        if args.x is None:
-            raise _UsageError("check mri needs --x or --find-violation")
         return [check_mri_real(rp, float(args.x)).to_json_dict()]
-    if args.m2 is None or args.m3 is None:
-        raise _UsageError("check mri needs --m2/--m3 (or --y2/--y3)")
     params = make_params(args.m2, args.m3)
     if args.find_violation:
         return [find_mri_violation(params).to_json_dict()]
-    if args.cov is not None:
-        var2 = rational(args.var2) if args.var2 else Fraction(1)
-        var3 = rational(args.var3) if args.var3 else Fraction(1)
-        pair = GaussianPair(var2, var3, rational(args.cov))
-    elif args.x is not None:
-        if args.var2 or args.var3:
-            raise _UsageError("--x means a unit-variance pair; use --cov with --var2/--var3")
+    if args.x is not None:
         pair = GaussianPair.unit(rational(args.x))
     else:
-        raise _UsageError("check mri needs --x, --cov, or --find-violation")
+        pair = GaussianPair(rational(args.var2 or 1), rational(args.var3 or 1), rational(args.cov))
     return [check_mri(params, pair).to_json_dict()]
 
 
@@ -369,25 +374,20 @@ def _cmd_scan(args: argparse.Namespace) -> list[dict]:
 def _cmd_oracle_compare(args: argparse.Namespace) -> list[dict]:
     if args.real:
         return _cmd_oracle_compare_real(args)
-    mismatches = []
-    comparisons = 0
-    steps = args.corr_steps
-    for k in range(-steps, steps + 1):
-        x = Fraction(k, steps)
-        pair = GaussianPair.unit(x)
-        for m2 in range(args.max_m + 1):
-            for m3 in range(args.max_m + 1):
-                comparisons += 2
-                if even_moment(m2, m3, pair) != wick_moment(2 * m2, 2 * m3, pair):
-                    mismatches.append({"kind": "even", "m2": m2, "m3": m3, "x": x})
-                if odd_moment(m2, m3, pair) != wick_moment(2 * m2 + 1, 2 * m3 + 1, pair):
-                    mismatches.append({"kind": "odd", "m2": m2, "m3": m3, "x": x})
+    # each side is a polynomial in the correlation, so equality holds for every x
+    indices = range(args.max_m + 1)
+    cases = [(m2, m3, odd) for m2 in indices for m3 in indices for odd in (False, True)]
+    mismatches = [
+        {"kind": "odd" if odd else "even", "m2": m2, "m3": m3}
+        for m2, m3, odd in cases
+        if closed_form_poly(m2, m3, odd) != wick_poly(2 * m2 + odd, 2 * m3 + odd)
+    ]
     return [
         CheckReport(
             name=f"oracle:moments:max_m={args.max_m}",
             status=HOLDS if not mismatches else FAILS,
             witnesses=mismatches[:16],
-            metadata={"comparisons": comparisons, "correlations": 2 * steps + 1},
+            metadata={"comparisons": len(cases)},
         ).to_json_dict()
     ]
 

@@ -1,15 +1,11 @@
 """Bivariate and trivariate Gaussian product moments.
 
-Integer-exponent moments of a centered Gaussian pair are computed exactly two
-independent ways:
-
-* closed form: ``E[X2^(2m2) X3^(2m3)]`` equals
-  ``(2m2-1)!! (2m3-1)!! Var2^m2 Var3^m3 F(-m2, -m3; 1/2; x^2)`` and the odd
-  analogue carries ``(2m2+1)!! (2m3+1)!!`` with a ``3/2`` parameter; the odd
-  formula is implemented in the rationalized form
-  ``(2m2+1)!!(2m3+1)!! Var2^m2 Var3^m3 Cov F(...)`` so no square roots appear.
-* independent oracle: the Stein/pairing recursion
-  ``M(p, q) = (p-1) Var2 M(p-2, q) + q Cov M(p-1, q-1)``.
+An integer-exponent moment of a unit-variance Gaussian pair is a polynomial
+in the correlation x, built exactly two independent ways: the closed forms
+(:func:`closed_form_poly`, from F(-m2, -m3; 1/2 or 3/2; x^2)) and the
+Stein/pairing recursion (:func:`wick_poly`).  Their agreement is a polynomial
+identity, so it holds at every correlation.  :func:`_moment_at` takes either
+to any pair by homogeneity, without square roots.
 
 Real (non-integer) exponents get a floating-point path built on the absolute
 moment closed forms, plus a seeded Monte Carlo estimator used as an
@@ -21,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 
 from .exactnum import RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
+from .polyring import MultiPoly
 
 __all__ = [
     "GaussianPair",
@@ -33,6 +32,8 @@ __all__ = [
     "even_moment",
     "odd_moment",
     "wick_moment",
+    "wick_poly",
+    "closed_form_poly",
     "triple_even_moment",
     "gauss_hyp_real",
     "abs_moment_real",
@@ -102,68 +103,61 @@ def double_factorial_odd(m: int) -> int:
     return result
 
 
-def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
-    """E[X2^(2 m2) X3^(2 m3)], exact."""
+@lru_cache(maxsize=None)
+def wick_poly(p: int, q: int) -> MultiPoly:
+    """E[X2^p X3^q] of a unit-variance pair as a polynomial in x, by the
+    pairing recursion M(i, j) = (i-1) M(i-2, j) + j x M(i-1, j-1) with
+    M(0, j) = (j-1)!! for even j; independent of hyp_poly.  Built bottom-up
+    as integer coefficient lists, column j holding the rows i <= p - (q - j)."""
+    if p < 0 or q < 0:
+        raise ValueError("exponents must be >= 0")
+    prev: list[list[int]] = []  # column j - 1
+    for j in range(q + 1):
+        col = [[double_factorial_odd(j // 2)] if j % 2 == 0 else []]
+        for i in range(1, p - (q - j) + 1):
+            # (i-1) M(i-2, j): the same column; j x M(i-1, j-1): the previous one
+            same = [(i - 1) * c for c in col[i - 2]] if i >= 2 else []
+            shifted = [0] + [j * c for c in prev[i - 1]] if j and prev[i - 1] else []
+            col.append([a + b for a, b in zip_longest(same, shifted, fillvalue=0)])
+        prev = col
+    return MultiPoly(("x",), {(k,): c for k, c in enumerate(prev[p])})
+
+
+@lru_cache(maxsize=None)
+def closed_form_poly(m2: int, m3: int, odd: bool) -> MultiPoly:
+    """E[X2^(2m2+odd) X3^(2m3+odd)] of a unit-variance pair as a polynomial in
+    x: (2m2-1)!! (2m3-1)!! F(-m2, -m3; 1/2; x^2), or when odd
+    (2m2+1)!! (2m3+1)!! x F(-m2, -m3; 3/2; x^2)."""
     if m2 < 0 or m3 < 0:
         raise ValueError("exponent indices must be >= 0")
-    f = hyp_poly(m2, m3, HALF).eval({"z": pair.corr_sq})
-    return (
-        double_factorial_odd(m2)
-        * double_factorial_odd(m3)
-        * pair.var2**m2
-        * pair.var3**m3
-        * f
-    )
+    f = hyp_poly(m2, m3, THREE_HALVES if odd else HALF)
+    scale = double_factorial_odd(m2 + odd) * double_factorial_odd(m3 + odd)
+    return MultiPoly(("x",), {(2 * j + odd,): c * scale for (j,), c in f.terms.items()})
+
+
+def _moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
+    """E[X2^p X3^q] at ``pair`` from its unit-variance polynomial in x: by
+    homogeneity x^k becomes Cov^k Var2^((p-k)/2) Var3^((q-k)/2), and pairing
+    parity makes p - k and q - k even in every nonzero term."""
+    total = Fraction(0)
+    for (k,), c in poly.terms.items():
+        total += c * pair.cov**k * pair.var2 ** ((p - k) // 2) * pair.var3 ** ((q - k) // 2)
+    return total
+
+
+def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
+    """E[X2^(2 m2) X3^(2 m3)], exact."""
+    return _moment_at(closed_form_poly(m2, m3, False), 2 * m2, 2 * m3, pair)
 
 
 def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
     """E[X2^(2 m2 + 1) X3^(2 m3 + 1)], exact; sign equals the sign of Cov."""
-    if m2 < 0 or m3 < 0:
-        raise ValueError("exponent indices must be >= 0")
-    f = hyp_poly(m2, m3, THREE_HALVES).eval({"z": pair.corr_sq})
-    return (
-        double_factorial_odd(m2 + 1)
-        * double_factorial_odd(m3 + 1)
-        * pair.var2**m2
-        * pair.var3**m3
-        * pair.cov
-        * f
-    )
+    return _moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
 
 
 def wick_moment(p: int, q: int, pair: GaussianPair) -> Fraction:
-    """E[X2^p X3^q] by the pairing recursion; independent of hyp_poly.
-
-    M(p, q) = (p-1) Var2 M(p-2, q) + q Cov M(p-1, q-1), M(0, 0) = 1, and zero
-    whenever p + q is odd.  Memoized per call; by symmetry the recursion is
-    run on whichever exponent is currently first.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("exponents must be >= 0")
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def rec(i: int, j: int, swapped: bool) -> Fraction:
-        # swapped=True means (i, j) index (X3, X2); memo keys are unswapped
-        if i < 0 or j < 0:
-            return Fraction(0)
-        if i == 0 and j == 0:
-            return Fraction(1)
-        if (i + j) % 2 == 1:
-            return Fraction(0)
-        if i == 0:
-            return rec(j, i, not swapped)
-        key = (j, i) if swapped else (i, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        var_i = pair.var3 if swapped else pair.var2
-        value = (i - 1) * var_i * rec(i - 2, j, swapped) + j * pair.cov * rec(
-            i - 1, j - 1, swapped
-        )
-        memo[key] = value
-        return value
-
-    return rec(p, q, False)
+    """E[X2^p X3^q] by the pairing recursion; independent of hyp_poly."""
+    return _moment_at(wick_poly(p, q), p, q, pair)
 
 
 def triple_even_moment(spec: TripleSpec, m2: int, m3: int) -> Fraction:

@@ -41,11 +41,13 @@ from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
     abs_moment_real,
+    closed_form_poly,
     even_moment,
     mc_moment,
     mixed_abs_moment_real,
     odd_moment,
     wick_moment,
+    wick_poly,
 )
 from gpiverify.soscert import (
     Mutation,
@@ -133,6 +135,17 @@ def test_criterion_04_moment_oracle_equivalence():
     assert elapsed < 60.0, elapsed
     print(f"[criterion 4] PASS: closed forms equal the pairing recursion exactly "
           f"({comparisons} comparisons, 25 correlations, {elapsed:.1f} s)")
+
+
+def test_criterion_04_moment_oracle_identity_at_scale():
+    # as polynomials in the correlation, up to degree 33: 25 sampled
+    # correlations could decide an identity only up to degree 24
+    for m2 in range(17):
+        for m3 in range(17):
+            for odd in (False, True):
+                wick = wick_poly(2 * m2 + odd, 2 * m3 + odd)
+                assert closed_form_poly(m2, m3, odd) == wick, (m2, m3, odd)
+    assert wick_poly(33, 33).degree("x") == 33
 
 
 def test_criterion_05_hypergeometric_identities():

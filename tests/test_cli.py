@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpiverify.cli import _build_parser, _resolve_config, _UsageError, main, run
+from gpiverify.polyring import MultiPoly
 
 REQUIRED_REPORT_KEYS = {"schema", "tool", "run", "checks", "summary", "timing"}
 
@@ -203,11 +204,49 @@ class TestCommands:
         assert data["vars"] == ["z"]
 
     def test_oracle_compare(self, tmp_path):
-        code, report = invoke(
-            ["oracle", "compare", "--max-m", "3", "--corr-steps", "3"], tmp_path
-        )
+        code, report = invoke(["oracle", "compare", "--max-m", "3"], tmp_path)
         assert code == 0
-        assert report["checks"][0]["metadata"]["comparisons"] == 2 * 7 * 16
+        meta = report["checks"][0]["metadata"]
+        assert meta["comparisons"] == 2 * 16
+        assert "correlations" not in meta
+
+    def test_oracle_compare_reports_a_wrong_closed_form(self, tmp_path, monkeypatch):
+        import gpiverify.cli as cli
+
+        right = cli.closed_form_poly
+
+        def perturbed(m2, m3, odd):
+            poly = right(m2, m3, odd)
+            return poly + MultiPoly.var("x") ** 3 if (m2, m3, odd) == (2, 1, True) else poly
+
+        monkeypatch.setattr(cli, "closed_form_poly", perturbed)
+        code, report = invoke(["oracle", "compare", "--max-m", "3"], tmp_path)
+        assert code == 1
+        check = report["checks"][0]
+        assert check["status"] == "fails"
+        assert check["witnesses"] == [{"kind": "odd", "m2": 2, "m3": 1}]
+
+    @pytest.mark.parametrize("argv", [
+        "check mri --m2 2 --m3 3 --x 1/4 --cov 1/2",
+        "check mri --m2 2 --m3 3 --y2 2 --y3 2 --x 0.5",
+        "check mri --y2 2 --y3 2 --x 0.5 --cov 1/2",
+        "check mri --y2 2 --y3 2 --x 0.5 --var2 2",
+        "check mri --y2 2 --y3 2 --x 0.5 --var3 2",
+        "check mri --y2 4 --y3 4.3 --find-violation --x 0.5",
+        "check mri --m2 2 --m3 2 --find-violation --x 1/2",
+        "check mri --m2 2 --m3 2 --find-violation --cov 1/2",
+        "check mri --m2 2 --m3 2 --find-violation --var2 2",
+        "sos verify --all --m2 3",
+    ])
+    def test_option_the_chosen_form_ignores_is_usage_error(self, argv, capsys):
+        assert main(argv.split()) == 64
+        assert "does not use" in capsys.readouterr().err
+
+    def test_mri_ignored_config_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"var2": "2"}))
+        with pytest.raises(_UsageError, match="--var2"):
+            run(["--config", str(cfg), "check", "mri", "--m2", "2", "--m3", "3", "--x", "1/4"])
 
     def test_oracle_compare_real_records_rng_method(self, tmp_path):
         code, report = invoke(
@@ -331,6 +370,7 @@ class TestCommands:
         (None, "params show --m2 1 --m3 1 --jobs 2"),
         # no command has a width option
         ({"width": "1/10"}, "check mri --m2 2 --m3 3 --x 1/4"),
+        (None, "oracle compare --corr-steps 12"),
     ])
     def test_option_the_command_lacks_is_usage_error(self, tmp_path, config, argv):
         argv = argv.split()
@@ -364,7 +404,7 @@ class TestCommands:
             "check hfri": "--m2 1 --m3 5 --z 1/2",
             "check gpi-real": "--y2 2 --y3 2 --a 1 --x 0.5",
             "scan": "hfri --m2 2 --m3 3 --grid 5",
-            "oracle compare": "--max-m 1 --corr-steps 1",
+            "oracle compare": "--max-m 1",
             "params show": "--m2 1 --m3 1",
         }
         for parser in _build_parser().commands:

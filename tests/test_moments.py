@@ -19,7 +19,9 @@ from gpiverify.moments import (
     odd_moment,
     triple_even_moment,
     wick_moment,
+    wick_poly,
 )
+from gpiverify.polyring import poly_parse
 
 HALF_CORR = GaussianPair.unit(Fraction(1, 2))
 
@@ -51,6 +53,26 @@ class TestWickOracle:
         pair = GaussianPair.unit(Fraction(1, 3))
         for p, q in [(1, 0), (0, 3), (2, 1), (3, 4)]:
             assert wick_moment(p, q, pair) == 0
+
+    def test_table_entries(self):
+        assert wick_poly(2, 2) == poly_parse("1 + 2*x^2")
+        assert wick_poly(3, 3) == poly_parse("9*x + 6*x^3")
+
+    def test_high_power_needs_no_deep_recursion(self):
+        # a recursive evaluation overflows the interpreter stack near p = 2000
+        assert wick_moment(2400, 0, GaussianPair.unit(0)) == double_factorial_odd(1200)
+
+    def test_independent_of_hypergeometric_polynomials(self, monkeypatch):
+        import gpiverify.moments as moments
+
+        def forbidden(*args):
+            raise AssertionError("the pairing recursion must not use hyp_poly")
+
+        monkeypatch.setattr(moments, "hyp_poly", forbidden)
+        wick_poly.cache_clear()
+        assert wick_moment(3, 3, HALF_CORR) == Fraction(21, 4)
+        pair = GaussianPair(Fraction(9, 4), Fraction(16, 9), Fraction(-5, 6))
+        assert wick_moment(4, 2, pair) == 3 * pair.var2**2 * pair.var3 + 12 * pair.var2 * pair.cov**2
 
 
 class TestClosedForms:
