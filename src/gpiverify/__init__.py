@@ -9,8 +9,8 @@ cross-check oracle.
 
 __version__ = "1.0.0"
 
-from .exactnum import BigRational, RationalInterval, rational, sqrt_enclosure
-from .polyring import MultiPoly, poly_parse, poly_serialize
+from .exactnum import RationalInterval, rational, sqrt_enclosure
+from .polyring import MultiPoly
 from .moments import GaussianPair, even_moment, odd_moment, wick_moment
 from .inequality import (
     GpiParams,
@@ -25,7 +25,6 @@ from .inequality import (
 from .soscert import SosCertificate, load_certificate, verify_sos
 
 __all__ = [
-    "BigRational",
     "GaussianPair",
     "GpiParams",
     "MultiPoly",
@@ -41,8 +40,6 @@ __all__ = [
     "load_certificate",
     "make_params",
     "odd_moment",
-    "poly_parse",
-    "poly_serialize",
     "rational",
     "scan",
     "sqrt_enclosure",

@@ -5,16 +5,34 @@ certs/h{k}_sos.json       : weighted-square certificate for h_k's bracket
 data/g_appendix.json      : the reference expansion of g
 
 All files use the polynomial JSON format ({"vars": [...], "terms": [...]})
-with coefficients as exact rational strings.
+with coefficients as exact rational strings.  A file that cannot be read or
+parsed raises :class:`BundledDataError`: it is a defect of the installed
+package, never of the caller's input.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
 
 from .polyring import MultiPoly
+
+
+class BundledDataError(Exception):
+    """A bundled file is missing or malformed; the message names the file."""
+
+
+@contextmanager
+def reading(package_dir: str, name: str):
+    """Re-raise a failure to read or parse one bundled file as BundledDataError."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BundledDataError(
+            f"bundled file {package_dir}/{name}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _read(package_dir: str, name: str) -> dict:
@@ -28,7 +46,9 @@ def load_h_expansion(m2: int) -> MultiPoly:
     """Bundled reference expansion of h_{m2}, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
         raise ValueError("bundled h expansions exist for m2 in 1..7")
-    return MultiPoly.from_json_dict(_read("certs", f"h{m2}_expansion.json"))
+    name = f"h{m2}_expansion.json"
+    with reading("certs", name):
+        return MultiPoly.from_json_dict(_read("certs", name))
 
 
 @lru_cache(maxsize=None)
@@ -36,10 +56,13 @@ def load_certificate_dict(m2: int) -> dict:
     """Raw certificate JSON for h_{m2}'s bracket, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
         raise ValueError("bundled certificates exist for m2 in 1..7")
-    return _read("certs", f"h{m2}_sos.json")
+    name = f"h{m2}_sos.json"
+    with reading("certs", name):
+        return _read("certs", name)
 
 
 @lru_cache(maxsize=None)
 def load_g_appendix() -> MultiPoly:
     """Bundled reference expansion of g over (a, b, c)."""
-    return MultiPoly.from_json_dict(_read("data", "g_appendix.json"))
+    with reading("data", "g_appendix.json"):
+        return MultiPoly.from_json_dict(_read("data", "g_appendix.json"))

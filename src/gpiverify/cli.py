@@ -2,7 +2,7 @@
 
 Commands (see README for examples):
 
-    sos verify [--all | --m2 K] [--jobs N]
+    sos verify [--all | --m2 K]
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
     scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N --jobs N]
@@ -14,7 +14,8 @@ definition of the commands, their handlers and their options' defaults and range
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
-error; 74 report I/O error.  The JSON report is written to --out (stdout by
+error; 70 internal error (a bundled data file cannot be read or parsed); 74
+report I/O error.  The JSON report is written to --out (stdout by
 default) on exits 0..2; its ``run`` block holds the command and the resolved
 value of each of its options.  Wall-clock timing is recorded only with
 --timing so that exact-arithmetic reports are byte-identical across runs and
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .bundled import load_g_appendix, load_h_expansion
+from .bundled import BundledDataError, load_g_appendix, load_h_expansion
 from .exactnum import rational
 from .inequality import (
     SCAN_PREDICATES,
@@ -75,6 +76,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 
@@ -128,7 +130,7 @@ def _build_parser() -> _Parser:
     p = sos.add_parser("verify", help="verify bundled weighted-square certificates")
     p.add_argument("--all", action="store_true", help="verify all seven certificates")
     p.add_argument("--m2", type=int, help="verify the certificate for one index")
-    common(p, _cmd_sos_verify, jobs=True)
+    common(p, _cmd_sos_verify)
 
     expand = group("expand", "regenerate symbolic objects")
     p = expand.add_parser("h", help="bivariate positivity polynomial h_{m2}")
@@ -206,12 +208,8 @@ def _build_parser() -> _Parser:
 
 
 # ----------------------------------------------------------------------
-# workers (top level for process pools)
+# process pool
 # ----------------------------------------------------------------------
-
-
-def _cert_worker(m2: int) -> dict:
-    return verify_bracket_positivity(m2).to_json_dict()
 
 
 def _pool_map(fn, items, jobs: int) -> list:
@@ -241,7 +239,7 @@ def _cmd_sos_verify(args: argparse.Namespace) -> list[dict]:
         indices = [args.m2]
     else:
         indices = list(range(1, 8))  # --all and the bare form verify everything
-    return _pool_map(_cert_worker, indices, args.jobs)
+    return [verify_bracket_positivity(m2).to_json_dict() for m2 in indices]
 
 
 def _cmd_expand_h(args: argparse.Namespace) -> list[dict]:
@@ -557,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
+    except BundledDataError as exc:
+        print(f"gpiverify: internal error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     except _IOFailure as exc:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -7,6 +7,9 @@ handled by :func:`sign_sqrt`, which decides the sign of ``a + b sqrt(d)``
 without ever leaving the rationals, and by :func:`sqrt_enclosure`, which
 brackets the root between rational endpoints to any requested width.
 
+A sign is an integer 1, -1 or 0, from :func:`sign_sqrt` and from
+:meth:`RationalInterval.sign` (None when the interval does not decide it).
+
 All values are immutable and all operations pure.
 """
 
@@ -17,14 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-BigRational = Fraction
-
 RationalLike = Union[Fraction, int, str]
-
-SIGN_POSITIVE = "positive"
-SIGN_NEGATIVE = "negative"
-SIGN_ZERO = "zero"
-SIGN_INDETERMINATE = "indeterminate"
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -138,16 +134,17 @@ class RationalInterval:
             return RationalInterval(self.hi * self.hi, self.lo * self.lo)
         return RationalInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
-    def sign(self) -> str:
-        """Conservative sign: endpoints touching zero are indeterminate unless
-        the interval is exactly the point 0."""
-        if self.lo == 0 and self.hi == 0:
-            return SIGN_ZERO
+    def sign(self) -> int | None:
+        """Sign of every point of the interval, 1, -1 or 0 like
+        :func:`sign_sqrt`; None when the interval straddles or touches zero
+        without being exactly the point 0."""
         if self.lo > 0:
-            return SIGN_POSITIVE
+            return 1
         if self.hi < 0:
-            return SIGN_NEGATIVE
-        return SIGN_INDETERMINATE
+            return -1
+        if self.lo == 0 and self.hi == 0:
+            return 0
+        return None
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

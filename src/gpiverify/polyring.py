@@ -15,11 +15,13 @@ Evaluation at a rational point runs over the integers: each polynomial keeps,
 once built, the common denominator of its coefficients and the integer
 numerators over it, and the value is assembled from integer powers of each
 variable's numerator and denominator and reduced once at the end.
+
+JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
+:meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -28,22 +30,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .exactnum import RationalLike, rational
 
 Exponents = tuple[int, ...]
-
-
-class PolyParseError(ValueError):
-    """Malformed polynomial text; carries the offending line and column."""
-
-    def __init__(self, message: str, pos: int | None = None, text: str = ""):
-        self.pos = pos
-        self.line = self.column = None
-        if pos is not None and text:
-            consumed = text[:pos]
-            self.line = consumed.count("\n") + 1
-            self.column = pos - (consumed.rfind("\n") + 1) + 1
-            message = f"{message} (line {self.line}, column {self.column})"
-        elif pos is not None:
-            message = f"{message} (at offset {pos})"
-        super().__init__(message)
 
 
 class MultiPoly:
@@ -383,44 +369,16 @@ class MultiPoly:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "MultiPoly":
+        """Inverse of :meth:`to_json_dict`.  A repeated exponent vector is an
+        error; zero coefficients are dropped by the constructor."""
         vars = tuple(data["vars"])
         terms: dict[Exponents, Fraction] = {}
         for item in data["terms"]:
             exps = tuple(int(e) for e in item["e"])
-            coeff = rational(item["c"])
             if exps in terms:
                 raise ValueError(f"duplicate monomial {exps} in polynomial data")
-            if coeff != 0:
-                terms[exps] = coeff
+            terms[exps] = rational(item["c"])
         return MultiPoly(vars, terms)
-
-    def to_expr(self) -> str:
-        """Human-readable expression, graded-lex term order; parses back equal."""
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for exps, coeff in self.iter_terms():
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __str__(self) -> str:
-        return self.to_expr()
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {len(self.terms)} terms)"
@@ -443,162 +401,3 @@ def falling_factorial(var: str, j: int, vars: Sequence[str] | None = None) -> Mu
         result = result * (x - i)
     return result
 
-
-# ----------------------------------------------------------------------
-# expression parser
-# ----------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
-
-
-class _Parser:
-    """Recursive-descent parser for polynomial expressions.
-
-    Grammar (whitespace-adjacency means multiplication, so both
-    ``3/2*b^2*c`` and ``48 b^6 c^4`` parse):
-
-        expr   := ['+'|'-'] term (('+'|'-') term)*
-        term   := factor (('*'|'/')? factor)*      # '/' needs constant divisor
-        factor := base ['^' number]
-        base   := number | ident | '(' expr ')'
-    """
-
-    def __init__(self, text: str, vars: Sequence[str] | None):
-        self.text = text
-        self.pos = 0
-        self.tokens = self._tokenize(text)
-        self.index = 0
-        self.fixed_vars = tuple(vars) if vars is not None else None
-        self.seen_vars: list[str] = []
-
-    def _tokenize(self, text: str) -> list[tuple[str, str, int]]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise PolyParseError(f"unexpected character {stripped[0]!r}", pos, text)
-            if m.group("number"):
-                tokens.append(("number", m.group("number"), m.start("number")))
-            elif m.group("ident"):
-                tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-        return tokens
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of input", len(self.text), self.text)
-        self.index += 1
-        return tok
-
-    def _ring(self) -> tuple[str, ...]:
-        return self.fixed_vars if self.fixed_vars is not None else tuple(self.seen_vars)
-
-    def parse(self) -> MultiPoly:
-        result = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise PolyParseError(f"trailing input {tok[1]!r}", tok[2], self.text)
-        if self.fixed_vars is None:
-            # deterministic ring for inferred variables
-            result = result.in_ring(tuple(sorted(result.vars)))
-        return result
-
-    def _expr(self) -> MultiPoly:
-        tok = self._peek()
-        negate = False
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self._next()
-            negate = tok[1] == "-"
-        result = self._term()
-        if negate:
-            result = -result
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                rhs = self._term()
-                result = result - rhs if tok[1] == "-" else result + rhs
-            else:
-                return result
-
-    def _term(self) -> MultiPoly:
-        result = self._factor()
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return result
-            kind, value, pos = tok
-            if kind == "op" and value in "*/":
-                self._next()
-                rhs = self._factor()
-                if value == "*":
-                    result = result * rhs
-                else:
-                    if rhs.total_degree() > 0:
-                        raise PolyParseError("division by a non-constant polynomial", pos, self.text)
-                    c = rhs.constant_term()
-                    if c == 0:
-                        raise PolyParseError("division by zero", pos, self.text)
-                    result = result.scale(Fraction(1) / c)
-            elif kind in ("number", "ident") or (kind == "op" and value == "("):
-                result = result * self._factor()  # implicit multiplication
-            else:
-                return result
-
-    def _factor(self) -> MultiPoly:
-        base = self._base()
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self._next()
-            etok = self._next()
-            if etok[0] != "number" or "." in etok[1]:
-                raise PolyParseError("exponent must be a nonnegative integer", etok[2], self.text)
-            base = base ** int(etok[1])
-        return base
-
-    def _base(self) -> MultiPoly:
-        kind, value, pos = self._next()
-        if kind == "number":
-            return MultiPoly.const(rational(value), self._ring())
-        if kind == "ident":
-            if self.fixed_vars is not None:
-                if value not in self.fixed_vars:
-                    raise PolyParseError(f"unknown variable {value!r}", pos, self.text)
-            elif value not in self.seen_vars:
-                self.seen_vars.append(value)
-            return MultiPoly.var(value, self._ring())
-        if kind == "op" and value == "(":
-            inner = self._expr()
-            closing = self._next()
-            if closing[0] != "op" or closing[1] != ")":
-                raise PolyParseError("expected ')'", closing[2], self.text)
-            return inner
-        if kind == "op" and value == "-":
-            return -self._factor()
-        raise PolyParseError(f"unexpected token {value!r}", pos, self.text)
-
-
-def poly_parse(text: str, vars: Sequence[str] | None = None) -> MultiPoly:
-    """Parse an expression like ``"48*b^6*c^4 + 3/2*b^2*c - 1"``.
-
-    With ``vars`` given, unknown identifiers raise; otherwise variables are
-    collected and the ring is their sorted list.
-    """
-    return _Parser(text, vars).parse()
-
-
-def poly_serialize(p: MultiPoly) -> str:
-    """Expression text whose round trip through poly_parse is identity."""
-    return p.to_expr()

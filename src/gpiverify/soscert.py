@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundled import load_certificate_dict, load_h_expansion
+from .bundled import load_certificate_dict, load_h_expansion, reading
 from .exactnum import rational
 from .polyring import MultiPoly
 from .report import (
@@ -64,20 +64,21 @@ class SosCertificate:
 def load_certificate(m2: int) -> SosCertificate:
     """Bundled certificate for the h_{m2} bracket, with its host attached."""
     raw = load_certificate_dict(m2)
-    target = MultiPoly.from_json_dict(raw["target"])
-    if tuple(raw["ring"]) != target.vars:
-        raise ValueError(f"certificate ring {raw['ring']} does not match target {target.vars}")
-    squares = tuple(
-        (rational(item["lambda"]), MultiPoly.from_json_dict(item["poly"]))
-        for item in raw["squares"]
-    )
-    return SosCertificate(
-        target=target,
-        squares=squares,
-        context_scale=rational(raw["scale"]),
-        host=load_h_expansion(m2),
-        name=raw.get("host", f"h{m2}"),
-    )
+    with reading("certs", f"h{m2}_sos.json"):
+        target = MultiPoly.from_json_dict(raw["target"])
+        if tuple(raw["ring"]) != target.vars:
+            raise ValueError(f"certificate ring {raw['ring']} does not match target {target.vars}")
+        squares = tuple(
+            (rational(item["lambda"]), MultiPoly.from_json_dict(item["poly"]))
+            for item in raw["squares"]
+        )
+        return SosCertificate(
+            target=target,
+            squares=squares,
+            context_scale=rational(raw["scale"]),
+            host=load_h_expansion(m2),
+            name=raw.get("host", f"h{m2}"),
+        )
 
 
 def verify_sos(cert: SosCertificate) -> CheckReport:

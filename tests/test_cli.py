@@ -371,6 +371,7 @@ class TestCommands:
         # no command has a width option
         ({"width": "1/10"}, "check mri --m2 2 --m3 3 --x 1/4"),
         (None, "oracle compare --corr-steps 12"),
+        (None, "sos verify --all --jobs 2"),
     ])
     def test_option_the_command_lacks_is_usage_error(self, tmp_path, config, argv):
         argv = argv.split()
@@ -413,6 +414,40 @@ class TestCommands:
             assert code == 0
             assert report["run"]["command"] == command
             assert set(report["run"]) - {"command"} <= {a.dest for a in parser._actions}
+
+    @pytest.mark.parametrize("argv, damaged, damage", [
+        ("sos verify --m2 1", "h1_expansion.json",
+         lambda data: data | {"terms": data["terms"] + data["terms"][:1]}),
+        ("expand h --m2 2 --compare-bundled", "h2_expansion.json", None),
+        ("sos verify --m2 3", "h3_sos.json",
+         lambda data: {k: v for k, v in data.items() if k != "scale"}),
+    ], ids=["duplicate-monomial", "missing-file", "certificate-field"])
+    def test_damaged_bundled_file_is_internal_error(self, monkeypatch, capsys, argv,
+                                                    damaged, damage):
+        # a defect of the installed data is not the user's: exit 70, not 64
+        import gpiverify.bundled as bundled
+
+        read = bundled._read
+
+        def damaged_read(package_dir, name):
+            if name != damaged:
+                return read(package_dir, name)
+            if damage is None:
+                raise FileNotFoundError(2, "No such file or directory", name)
+            return damage(read(package_dir, name))
+
+        # the damaged file must be read afresh, and must not outlive the test
+        loaders = (bundled.load_h_expansion, bundled.load_certificate_dict)
+        for loader in loaders:
+            loader.cache_clear()
+        monkeypatch.setattr(bundled, "_read", damaged_read)
+        try:
+            assert main(argv.split() + ["--out", os.devnull]) == 70
+        finally:
+            for loader in loaders:
+                loader.cache_clear()
+        err = capsys.readouterr().err
+        assert f"certs/{damaged}" in err and "Traceback" not in err
 
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",

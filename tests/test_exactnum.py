@@ -120,9 +120,9 @@ class TestSignSqrt:
         # narrow the enclosure until its sign is decided: a + b sqrt(d) is
         # irrational, hence nonzero, unless d is a square or b = 0
         width = Fraction(1, 10)
-        while (sign := (a + b * sqrt_enclosure(d, width)).sign()) == "indeterminate":
+        while (sign := (a + b * sqrt_enclosure(d, width)).sign()) is None:
             width /= 2
-        assert sign_sqrt(a, b, d) == {"positive": 1, "negative": -1, "zero": 0}[sign]
+        assert sign_sqrt(a, b, d) == sign
 
 
 intervals = st.builds(
@@ -135,14 +135,14 @@ class TestInterval:
         a = RationalInterval(Fraction(1), Fraction(2))
         b = RationalInterval(Fraction(3), Fraction(4))
         assert a + b == RationalInterval(Fraction(4), Fraction(6))
-        assert RationalInterval(Fraction(1, 10), Fraction(1, 5)).sign() == "positive"
-        assert RationalInterval(Fraction(-1, 10), Fraction(1, 10)).sign() == "indeterminate"
+        assert RationalInterval(Fraction(1, 10), Fraction(1, 5)).sign() == 1
+        assert RationalInterval(Fraction(-1, 10), Fraction(1, 10)).sign() is None
 
     def test_boundary_zero_signs(self):
-        assert RationalInterval.point(0).sign() == "zero"
-        assert RationalInterval(Fraction(0), Fraction(1)).sign() == "indeterminate"
-        assert RationalInterval(Fraction(-1), Fraction(0)).sign() == "indeterminate"
-        assert RationalInterval(Fraction(-2), Fraction(-1)).sign() == "negative"
+        assert RationalInterval.point(0).sign() == 0
+        assert RationalInterval(Fraction(0), Fraction(1)).sign() is None
+        assert RationalInterval(Fraction(-1), Fraction(0)).sign() is None
+        assert RationalInterval(Fraction(-2), Fraction(-1)).sign() == -1
 
     def test_division_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):

@@ -18,10 +18,11 @@ from gpiverify.gausshyp import (
     hyp_value_at_one,
     pochhammer,
 )
-from gpiverify.polyring import poly_parse
+from gpiverify.polyring import MultiPoly
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
+z = MultiPoly.var("z")
 
 
 def oracle_coefficient(m2: int, m3: int, c: Fraction, j: int) -> Fraction:
@@ -39,9 +40,9 @@ def oracle_coefficient(m2: int, m3: int, c: Fraction, j: int) -> Fraction:
 class TestHypPoly:
     def test_two_term_series(self):
         # by hand: (-1)_1 (-1)_1 / ((1/2)_1 1!) = 1/(1/2) = 2
-        assert hyp_poly(1, 1, HALF) == poly_parse("1 + 2*z")
+        assert hyp_poly(1, 1, HALF) == 1 + 2 * z
         # (-1)_1 (-2)_1 / (1/2) = 2/(1/2) = 4; the j=2 term dies with (-1)_2 = 0
-        assert hyp_poly(1, 2, HALF) == poly_parse("1 + 4*z")
+        assert hyp_poly(1, 2, HALF) == 1 + 4 * z
 
     def test_at_zero(self):
         for m2, m3 in [(0, 0), (3, 7), (12, 12)]:
@@ -68,10 +69,9 @@ class TestHypPoly:
 
 class TestSymbolic:
     def test_examples(self):
-        assert hyp_poly_symbolic_m3(1, HALF) == poly_parse("1 + 2*m3*z", vars=("z", "m3"))
-        assert hyp_poly_symbolic_m3(1, THREE_HALVES) == poly_parse(
-            "1 + 2/3*m3*z", vars=("z", "m3")
-        )
+        m3 = MultiPoly.var("m3")
+        assert hyp_poly_symbolic_m3(1, HALF) == 1 + 2 * m3 * z
+        assert hyp_poly_symbolic_m3(1, THREE_HALVES) == 1 + Fraction(2, 3) * m3 * z
 
     def test_specialization_reproduces_numeric(self):
         for m2 in range(0, 8):

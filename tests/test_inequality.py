@@ -364,9 +364,9 @@ class TestCheckMri:
             else:
                 bound_iv = H_value(params, x * x, width) * abs(pair.cov)
             diff = bound_iv - lhs
-            if diff.sign() == "positive":
+            if diff.sign() == 1:
                 assert report.status == "holds"
-            elif diff.sign() == "negative":
+            elif diff.sign() == -1:
                 assert report.status == "fails"
 
     def test_scans_hold_for_other_large_pairs(self):
@@ -407,7 +407,7 @@ class TestG:
         params = make_params(8, 10)
         z = TRUNCATION_BOUND / 80 + Fraction(1, 50)
         iv = G_value(params, z, Fraction(1, 10**6))
-        assert iv.sign() == "negative"
+        assert iv.sign() == -1
 
     def test_interval_consistent_at_one(self):
         params = make_params(8, 8)
@@ -422,9 +422,9 @@ class TestG:
         points = scan("g-negative", params, grid_n=101).metadata["points"]
         for point in points:
             width = Fraction(1, 10**6)
-            while (sign := G_value(params, point["z"], width).sign()) == "indeterminate":
+            while (sign := G_value(params, point["z"], width).sign()) is None:
                 width /= 2
-            assert point["value"] == {"negative": 1, "positive": -1}[sign], point["z"]
+            assert point["value"] == -sign, point["z"]
 
 
 class TestDerivForms:

@@ -21,7 +21,7 @@ from gpiverify.moments import (
     wick_moment,
     wick_poly,
 )
-from gpiverify.polyring import poly_parse
+from gpiverify.polyring import MultiPoly
 
 HALF_CORR = GaussianPair.unit(Fraction(1, 2))
 
@@ -55,8 +55,9 @@ class TestWickOracle:
             assert wick_moment(p, q, pair) == 0
 
     def test_table_entries(self):
-        assert wick_poly(2, 2) == poly_parse("1 + 2*x^2")
-        assert wick_poly(3, 3) == poly_parse("9*x + 6*x^3")
+        x = MultiPoly.var("x")
+        assert wick_poly(2, 2) == 1 + 2 * x**2
+        assert wick_poly(3, 3) == 9 * x + 6 * x**3
 
     def test_high_power_needs_no_deep_recursion(self):
         # a recursive evaluation overflows the interpreter stack near p = 2000

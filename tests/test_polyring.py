@@ -1,4 +1,4 @@
-"""Sparse polynomial algebra tests: arithmetic, substitution, parsing."""
+"""Sparse polynomial algebra tests: arithmetic, substitution, JSON."""
 
 from fractions import Fraction
 
@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpiverify.polyring import (
-    MultiPoly,
-    PolyParseError,
-    falling_factorial,
-    poly_parse,
-    poly_serialize,
-)
+from gpiverify.polyring import MultiPoly, falling_factorial
 
+var = MultiPoly.var
 coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
 
 
@@ -29,29 +24,28 @@ def polys(draw, vars=("x", "y")):
 
 class TestArithmetic:
     def test_examples(self):
-        p = poly_parse("1 + 2*z")
-        assert p * p == poly_parse("1 + 4*z + 4*z^2")
-        assert poly_parse("1 + c^2") ** 3 == poly_parse("1 + 3*c^2 + 3*c^4 + c^6")
+        z, c = var("z"), var("c")
+        p = 1 + 2 * z
+        assert p * p == 1 + 4 * z + 4 * z**2
+        assert (1 + c**2) ** 3 == 1 + 3 * c**2 + 3 * c**4 + c**6
         assert (p - p).is_zero()
         assert (p - p).terms == {}
 
     def test_no_zero_coefficients_stored(self):
-        p = poly_parse("x + y", vars=("x", "y"))
-        q = poly_parse("x - y", vars=("x", "y"))
+        x, y = var("x"), var("y")
+        p, q = x + y, x - y
         prod = p * q  # x^2 - y^2; the xy terms cancel
         assert set(prod.terms) == {(2, 0), (0, 2)}
         assert all(c != 0 for c in prod.coefficients())
 
     def test_variable_alignment(self):
-        p = poly_parse("b^2")
-        q = poly_parse("c")
-        r = p + q
+        r = var("b") ** 2 + var("c")
         assert r.vars == ("b", "c")
         assert r.coeff({"b": 2}) == 1 and r.coeff({"c": 1}) == 1
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            poly_parse("x") ** -1
+            var("x") ** -1
 
     @given(p=polys(), q=polys(), r=polys())
     @settings(max_examples=60, deadline=None)
@@ -65,32 +59,31 @@ class TestArithmetic:
 
 class TestSubstitution:
     def test_examples(self):
-        m = poly_parse("m3^2")
-        assert m.substitute("m3", poly_parse("b^2 + 5")) == poly_parse("b^4 + 10*b^2 + 25")
-        x2 = poly_parse("x2")
-        assert x2.substitute("x2", poly_parse("a^2 + 8")) == poly_parse("a^2 + 8")
-        z = poly_parse("z")
-        assert z.substitute("z", 0).is_zero()
+        b, a = var("b"), var("a")
+        assert (var("m3") ** 2).substitute("m3", b**2 + 5) == b**4 + 10 * b**2 + 25
+        assert var("x2").substitute("x2", a**2 + 8) == a**2 + 8
+        assert var("z").substitute("z", 0).is_zero()
 
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
-            poly_parse("z").substitute("w", 1)
+            var("z").substitute("w", 1)
 
     def test_rational_substitution_examples(self):
-        c2 = poly_parse("c^2")
-        den = poly_parse("1 + c^2")
-        assert poly_parse("z").substitute_rational("z", c2, den, 1) == c2
-        assert poly_parse("1 - z").substitute_rational("z", c2, den, 1) == MultiPoly.const(1, ("c",))
-        assert poly_parse("z^2").substitute_rational("z", c2, den, 3) == poly_parse("c^4 * (1 + c^2)")
+        z, c = var("z"), var("c")
+        c2, den = c**2, 1 + c**2
+        assert z.substitute_rational("z", c2, den, 1) == c2
+        assert (1 - z).substitute_rational("z", c2, den, 1) == MultiPoly.const(1, ("c",))
+        assert (z**2).substitute_rational("z", c2, den, 3) == c**4 * (1 + c**2)
 
     def test_rational_substitution_insufficient_power(self):
+        c = var("c")
         with pytest.raises(ValueError):
-            poly_parse("z^2").substitute_rational("z", poly_parse("c^2"), poly_parse("1 + c^2"), 1)
+            (var("z") ** 2).substitute_rational("z", c**2, 1 + c**2, 1)
 
     @given(p=polys(), q=polys(vars=("y",)))
     @settings(max_examples=40, deadline=None)
     def test_substitution_is_ring_homomorphism(self, p, q):
-        other = poly_parse("1 + y", vars=("y",))
+        other = 1 + var("y")
         lhs = (p * other.in_ring(p.vars)).substitute("x", q)
         rhs = p.substitute("x", q) * other
         assert lhs == rhs, "subst(p*q) == subst(p)*subst(q)"
@@ -108,12 +101,14 @@ class TestSubstitution:
 class TestFallingFactorial:
     def test_examples(self):
         assert falling_factorial("m3", 0) == MultiPoly.const(1, ("m3",))
-        assert falling_factorial("m3", 2) == poly_parse("m3^2 - m3")
+        m3 = var("m3")
+        assert falling_factorial("m3", 2) == m3**2 - m3
 
     def test_shifted_product(self):
         # (x2-1)(x2-2)(x2-3) by shifting the variable before expanding
-        shifted = falling_factorial("t", 3).substitute("t", poly_parse("x2 - 1"))
-        expected = poly_parse("(x2-1)*(x2-2)*(x2-3)")
+        x2 = var("x2")
+        shifted = falling_factorial("t", 3).substitute("t", x2 - 1)
+        expected = (x2 - 1) * (x2 - 2) * (x2 - 3)
         assert shifted == expected
 
     def test_matches_integer_values(self):
@@ -125,14 +120,14 @@ class TestFallingFactorial:
 
 class TestEvalAndCoeff:
     def test_examples(self):
-        assert poly_parse("1 + 2*z").eval({"z": Fraction(1, 2)}) == 2
-        p = poly_parse("3/2*b^2*c", vars=("b", "c"))
+        assert (1 + 2 * var("z")).eval({"z": Fraction(1, 2)}) == 2
+        p = Fraction(3, 2) * var("b") ** 2 * var("c")
         assert p.coeff((2, 1)) == Fraction(3, 2)
         assert p.coeff((0, 0)) == 0
 
     def test_missing_assignment(self):
         with pytest.raises(ValueError):
-            poly_parse("x + y", vars=("x", "y")).eval({"x": 1})
+            (var("x") + var("y")).eval({"x": 1})
 
     @staticmethod
     def reference_eval(p, point):
@@ -171,59 +166,59 @@ class TestEvalAndCoeff:
     def test_eval_edge_cases(self):
         assert MultiPoly.zero(("z",)).eval({"z": Fraction(-7, 3)}) == 0
         assert MultiPoly.const(Fraction(5, 4)).eval({}) == Fraction(5, 4)
-        p = poly_parse("1/3 - 2/5*z^3 + 7*z^9")
+        p = Fraction(1, 3) - Fraction(2, 5) * var("z") ** 3 + 7 * var("z") ** 9
         assert p.eval({"z": 0}) == Fraction(1, 3)
         z = Fraction(-(10**25) - 1, 10**25)
         assert p.eval({"z": z}) == Fraction(1, 3) - Fraction(2, 5) * z**3 + 7 * z**9
 
     def test_derivative(self):
-        p = poly_parse("1 + 2*z + 5*z^3")
-        assert p.derivative("z") == poly_parse("2 + 15*z^2")
+        z = var("z")
+        assert (1 + 2 * z + 5 * z**3).derivative("z") == 2 + 15 * z**2
 
 
-class TestParseSerialize:
-    def test_expression_forms(self):
-        assert poly_parse("1 + 2*z") == poly_parse("1+2z", vars=("z",))
-        assert poly_parse("48 b^6 c^4", vars=("b", "c")).coeff((6, 4)) == 48
-        assert poly_parse("8 b^6 c^6/3", vars=("b", "c")).coeff((6, 6)) == Fraction(8, 3)
-        group = poly_parse("4924*(3377/39392*b^2*c^2 + c^2 - 35173/196960)^2", vars=("b", "c"))
-        assert group.degree("b") == 4
-
+class TestJson:
     def test_json_round_trip(self):
-        p = poly_parse("48*b^6*c^4 - 1557*c^2 + 180", vars=("b", "c"))
+        b, c = var("b"), var("c")
+        p = 48 * b**6 * c**4 - 1557 * c**2 + 180
         assert MultiPoly.from_json_dict(p.to_json_dict()) == p
         data = p.to_json_dict()
         assert data["vars"] == ["b", "c"]
         assert {"c": "180", "e": [0, 0]} in data["terms"]
 
-    def test_expr_round_trip(self):
-        cases = [
-            "1 + 2*z",
-            "-x^3 + 5/7*x*y - 2",
-            "0",
-            "b^2 - c^2",
-        ]
-        for text in cases:
-            p = poly_parse(text)
-            assert poly_parse(poly_serialize(p), vars=p.vars) == p
-
     def test_deterministic_serialization(self):
-        a = poly_parse("x*y + x^2 + y^2 + 1", vars=("x", "y"))
-        b = poly_parse("1 + y^2 + x^2 + x*y", vars=("x", "y"))
+        # equality ignores ring order, the JSON form does not: pin the ring
+        x, y = var("x"), var("y")
+        a = (x * y + x**2 + y**2 + 1).in_ring(("x", "y"))
+        b = (1 + y**2 + x**2 + x * y).in_ring(("x", "y"))
         assert a.to_json_dict() == b.to_json_dict()
-        assert poly_serialize(a) == poly_serialize(b)
 
-    def test_parse_errors(self):
-        with pytest.raises(PolyParseError):
-            poly_parse("1 +")
-        with pytest.raises(PolyParseError):
-            poly_parse("q + 1", vars=("z",))
-        with pytest.raises(PolyParseError):
-            poly_parse("x / y")
-        with pytest.raises(PolyParseError):
-            poly_parse("x ^ 1.5")
+    def test_duplicate_monomial_rejected(self):
+        data = {"vars": ["z"], "terms": [{"c": "1", "e": [2]}, {"c": "3", "e": [2]}]}
+        with pytest.raises(ValueError, match="duplicate monomial"):
+            MultiPoly.from_json_dict(data)
+        # a zero coefficient still claims its monomial
+        data["terms"][0]["c"] = "0"
+        with pytest.raises(ValueError, match="duplicate monomial"):
+            MultiPoly.from_json_dict(data)
+
+    def test_exponent_vector_must_match_ring(self):
+        with pytest.raises(ValueError, match="does not match ring"):
+            MultiPoly.from_json_dict({"vars": ["b", "c"], "terms": [{"c": "1", "e": [1]}]})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            MultiPoly.from_json_dict({"vars": ["z"], "terms": [{"c": "1", "e": [-1]}]})
+
+    def test_zero_coefficient_dropped(self):
+        data = {"vars": ["z"], "terms": [{"c": "0", "e": [3]}, {"c": "5/2", "e": [1]}]}
+        p = MultiPoly.from_json_dict(data)
+        assert p.terms == {(1,): Fraction(5, 2)}
+        assert p.to_json_dict()["terms"] == [{"c": "5/2", "e": [1]}]
 
     @given(p=polys())
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, p):
-        assert poly_parse(poly_serialize(p), vars=p.vars) == p
+        data = p.to_json_dict()
+        q = MultiPoly.from_json_dict(data)
+        assert q == p and q.vars == p.vars
+        assert q.to_json_dict() == data

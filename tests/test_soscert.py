@@ -8,7 +8,7 @@ import pytest
 
 from gpiverify.bundled import load_g_appendix, load_h_expansion
 from gpiverify.inequality import g_poly, h_poly
-from gpiverify.polyring import MultiPoly, poly_parse
+from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import (
     Mutation,
     SosCertificate,
@@ -20,17 +20,19 @@ from gpiverify.soscert import (
     verify_sos,
 )
 
+a, b, c = (MultiPoly.var(v) for v in "abc")
+
 
 class TestVerifySos:
     def test_single_square(self):
         cert = SosCertificate(
-            target=poly_parse("b^2"), squares=((Fraction(1), poly_parse("b")),)
+            target=b**2, squares=((Fraction(1), b),)
         )
         assert verify_sos(cert).status == "verified"
 
     def test_deliberate_mismatch(self):
         cert = SosCertificate(
-            target=poly_parse("b^2 + 1"), squares=((Fraction(1), poly_parse("b")),)
+            target=b**2 + 1, squares=((Fraction(1), b),)
         )
         rep = verify_sos(cert)
         assert rep.status == "residual_nonzero"
@@ -39,7 +41,7 @@ class TestVerifySos:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             SosCertificate(
-                target=poly_parse("b^2"), squares=((Fraction(-1), poly_parse("b")),)
+                target=b**2, squares=((Fraction(-1), b),)
             )
 
     def test_reordering_invariance(self):
@@ -136,7 +138,7 @@ class TestNonnegCoeffs:
         assert verify_nonneg_coeffs(load_g_appendix(), "g-appendix").status == "verified"
 
     def test_negative_witnessed(self):
-        rep = verify_nonneg_coeffs(poly_parse("b^2 - c^2"), "demo")
+        rep = verify_nonneg_coeffs(b**2 - c**2, "demo")
         assert rep.status == "coefficient_negative"
         assert rep.witnesses[0]["monomial"] == [0, 2]
 
@@ -159,15 +161,15 @@ class TestAppendixData:
 
 class TestProportionalityScalar:
     def test_proportional_pair(self):
-        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        q = 2 * a**2 * b + Fraction(3, 5) * c - 7
         assert proportionality_scalar(q.scale(Fraction(9, 4)), q) == Fraction(9, 4)
         assert proportionality_scalar(g_poly(), load_g_appendix()) == 960751264112640000
 
     def test_one_coefficient_off(self):
-        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        q = 2 * a**2 * b + Fraction(3, 5) * c - 7
         p = q.scale(3) + MultiPoly(q.vars, {(0, 0, 1): Fraction(1)})
         assert proportionality_scalar(p, q) is None
 
     def test_negative_scalar(self):
-        q = poly_parse("2*a^2*b + 3/5*c - 7")
+        q = 2 * a**2 * b + Fraction(3, 5) * c - 7
         assert proportionality_scalar(-q, q) is None
