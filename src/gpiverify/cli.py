@@ -14,12 +14,12 @@ definition of the commands, their handlers and their options' defaults and range
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
-error; 70 internal error (a bundled data file cannot be read or parsed); 74
-report I/O error.  The JSON report is written to --out (stdout by
-default) on exits 0..2; its ``run`` block holds the command and the resolved
-value of each of its options.  Wall-clock timing is recorded only with
---timing so that exact-arithmetic reports are byte-identical across runs and
-parallelism degrees.
+error; 70 internal error (a bundled data file cannot be read or parsed, or
+an internal identity check failed); 74 report I/O error.  The JSON report is
+written to --out (stdout by default) on exits 0..2; its ``run`` block holds
+the command and the resolved value of each of its options.  Wall-clock
+timing is recorded only with --timing so that exact-arithmetic reports are
+byte-identical across runs and parallelism degrees.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 
@@ -222,6 +221,8 @@ def _pool_map(fn, items, jobs: int) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # slow to import; only a pool needs it
+
     chunksize = -(-len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
@@ -555,7 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
-    except BundledDataError as exc:
+    except (BundledDataError, AssertionError) as exc:
+        # a damaged data file or a failed internal identity: a defect of the
+        # program, never of the caller's input
         print(f"gpiverify: internal error: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     except _IOFailure as exc:

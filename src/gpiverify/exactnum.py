@@ -10,12 +10,11 @@ brackets the root between rational endpoints to any requested width.
 A sign is an integer 1, -1 or 0, from :func:`sign_sqrt` and from
 :meth:`RationalInterval.sign` (None when the interval does not decide it).
 
-All values are immutable and all operations pure.
+No operation mutates a value; all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -41,7 +40,7 @@ def rational(value: RationalLike) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def sign_sqrt(a: Fraction, b: Fraction, d: Fraction) -> int:
+def sign_sqrt(a: Fraction | int, b: Fraction | int, d: Fraction | int) -> int:
     """Sign of a + b sqrt(d), decided exactly.  Requires d >= 0.
 
     This is the workhorse for every inequality whose one irrational
@@ -63,7 +62,6 @@ def _isqrt_is_exact(n: int) -> tuple[int, bool]:
     return r, r * r == n
 
 
-@dataclass(frozen=True)
 class RationalInterval:
     """Closed interval with exact rational endpoints, ``lo <= hi``.
 
@@ -72,12 +70,24 @@ class RationalInterval:
     the inputs is contained in the result.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalInterval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"RationalInterval({self.lo!r}, {self.hi!r})"
 
     @staticmethod
     def point(q: RationalLike) -> "RationalInterval":

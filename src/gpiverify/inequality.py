@@ -26,10 +26,9 @@ accompanies an MRI verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .exactnum import (
     RationalInterval,
@@ -98,8 +97,7 @@ def in_coverage_set(m2: int, m3: int) -> bool:
     return lo >= 3
 
 
-@dataclass(frozen=True)
-class GpiParams:
+class GpiParams(NamedTuple):
     """Exact parameter bundle for an exponent pair (m2, m3), both >= 1."""
 
     m2: int
@@ -128,8 +126,7 @@ def make_params(m2: int, m3: int) -> GpiParams:
     return GpiParams(m2, m3, r, t, in_coverage_set(m2, m3))
 
 
-@dataclass(frozen=True)
-class RealGpiParams:
+class RealGpiParams(NamedTuple):
     """Float parameter bundle for real exponents y2, y3 > 0."""
 
     y2: float
@@ -148,8 +145,7 @@ def make_real_params(y2: float, y3: float) -> RealGpiParams:
     return RealGpiParams(y2, y3, r, t)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """Coefficients of the quadratic (1-z) y^2 + 2 beta y + gamma whose
     positivity at the hypergeometric ratio y restates the target inequality.
 
@@ -684,9 +680,15 @@ def _scan_point(predicate: str, params: GpiParams, z: Fraction):
     the value is positive."""
     alpha, beta, d = margin_polys(predicate, params)
     point = {"z": z}
-    value = alpha.eval(point)
-    if beta:
-        value = sign_sqrt(value, beta.eval(point), d.eval(point))
+    if not beta:
+        value = alpha.eval(point)
+    else:
+        # with alpha = a/da, beta = b/db, D = n/dn and positive denominators,
+        # alpha + beta sqrt(D) has the sign of a db dn + b da sqrt(n dn)
+        a, da = alpha.eval_unreduced(point)
+        b, db = beta.eval_unreduced(point)
+        n, dn = d.eval_unreduced(point)
+        value = sign_sqrt(a * db * dn, b * da, n * dn)
     return (HOLDS if value > 0 else FAILS), value
 
 

@@ -15,10 +15,10 @@ independent statistical oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .exactnum import RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
@@ -44,7 +44,6 @@ __all__ = [
 MC_METHOD = "numpy.random.Generator(PCG64(seed)).standard_normal (ziggurat)"
 
 
-@dataclass(frozen=True)
 class GaussianPair:
     """Centered bivariate Gaussian law: variances and covariance, all rational.
 
@@ -52,14 +51,12 @@ class GaussianPair:
     permitted.
     """
 
-    var2: Fraction
-    var3: Fraction
-    cov: Fraction
+    __slots__ = ("var2", "var3", "cov")
 
-    def __post_init__(self):
-        object.__setattr__(self, "var2", rational(self.var2))
-        object.__setattr__(self, "var3", rational(self.var3))
-        object.__setattr__(self, "cov", rational(self.cov))
+    def __init__(self, var2: RationalLike, var3: RationalLike, cov: RationalLike):
+        self.var2 = rational(var2)
+        self.var3 = rational(var3)
+        self.cov = rational(cov)
         if self.var2 <= 0 or self.var3 <= 0:
             raise ValueError("variances must be positive")
         if self.cov * self.cov > self.var2 * self.var3:
@@ -75,16 +72,15 @@ class GaussianPair:
         return self.cov * self.cov / (self.var2 * self.var3)
 
 
-@dataclass(frozen=True)
 class TripleSpec:
     """(X1, X2, X3) with X1 = X2 + a*X3 over a unit-variance pair."""
 
-    pair: GaussianPair
-    a: Fraction
+    __slots__ = ("pair", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", rational(self.a))
-        if self.pair.var2 != 1 or self.pair.var3 != 1:
+    def __init__(self, pair: GaussianPair, a: RationalLike):
+        self.pair = pair
+        self.a = rational(a)
+        if pair.var2 != 1 or pair.var3 != 1:
             raise ValueError("TripleSpec requires a unit-variance pair")
 
     @property
@@ -271,8 +267,7 @@ def mixed_abs_moment_real(kind: str, y2: float, y3: float, pair: GaussianPair) -
     raise ValueError(f"unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MomentExponents:
+class MomentExponents(NamedTuple):
     """Exponent request for the Monte Carlo oracle: E[g(X2) h(X3)] with
     g(x) = |x|^p (* sign x when signed2), similarly for h."""
 

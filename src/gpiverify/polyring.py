@@ -14,7 +14,8 @@ after construction; no stored coefficient is ever zero.
 Evaluation at a rational point runs over the integers: each polynomial keeps,
 once built, the common denominator of its coefficients and the integer
 numerators over it, and the value is assembled from integer powers of each
-variable's numerator and denominator and reduced once at the end.
+variable's numerator and denominator and reduced once at the end, or not
+at all when only its sign matters (:meth:`MultiPoly.eval_unreduced`).
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -322,11 +323,18 @@ class MultiPoly:
         return form
 
     def eval(self, point: Mapping[str, RationalLike]) -> Fraction:
-        """Exact value at a rational point assigning every variable.
+        """Exact value at a rational point assigning every variable: the
+        quotient of :meth:`eval_unreduced`, reduced once."""
+        return Fraction(*self.eval_unreduced(point))
+
+    def eval_unreduced(self, point: Mapping[str, RationalLike]) -> tuple[int, int]:
+        """(numerator, denominator) of the value at a rational point, not
+        reduced; the denominator is positive, so a caller that needs only a
+        sign or a comparison can skip the gcd.
 
         With each variable at n/d and of degree k, the value is
-        sum(c*L * prod n^e d^(k-e)) / (L * prod d^k), one integer sum reduced
-        once instead of one Fraction reduction per term.
+        sum(c*L * prod n^e d^(k-e)) / (L * prod d^k): one integer sum instead
+        of one Fraction reduction per term.
         """
         missing = [v for v in self.vars if v not in point]
         if missing:
@@ -340,7 +348,7 @@ class MultiPoly:
                 weights.append(weights[-1] // d * n)
             nums = list(map(mul, nums, map(weights.__getitem__, exps)))
             den *= weights[0]
-        return Fraction(sum(nums), den)
+        return sum(nums), den
 
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.vars:
@@ -369,12 +377,15 @@ class MultiPoly:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "MultiPoly":
-        """Inverse of :meth:`to_json_dict`.  A repeated exponent vector is an
-        error; zero coefficients are dropped by the constructor."""
+        """Inverse of :meth:`to_json_dict`.  An exponent that is not a JSON
+        integer (a fraction, a boolean, a string) and a repeated exponent
+        vector are errors; zero coefficients are dropped by the constructor."""
         vars = tuple(data["vars"])
         terms: dict[Exponents, Fraction] = {}
         for item in data["terms"]:
-            exps = tuple(int(e) for e in item["e"])
+            exps = tuple(item["e"])
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"exponent vector {item['e']!r} holds a non-integer")
             if exps in terms:
                 raise ValueError(f"duplicate monomial {exps} in polynomial data")
             terms[exps] = rational(item["c"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -38,7 +37,6 @@ def jsonable(value: Any) -> Any:
     return value
 
 
-@dataclass
 class CheckReport:
     """Verdict of one check, with enough detail to audit it.
 
@@ -48,12 +46,23 @@ class CheckReport:
     difference when verification fails.
     """
 
-    name: str
-    status: str
-    margin: Any = None
-    witnesses: list = field(default_factory=list)
-    residual: Any = None
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "margin", "witnesses", "residual", "metadata")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        margin: Any = None,
+        witnesses: list | None = None,
+        residual: Any = None,
+        metadata: dict | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.margin = margin
+        self.witnesses = [] if witnesses is None else witnesses
+        self.residual = residual
+        self.metadata = {} if metadata is None else metadata
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"name": self.name, "status": self.status}

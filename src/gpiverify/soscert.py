@@ -13,8 +13,8 @@ the host polynomial on all of R^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bundled import load_certificate_dict, load_h_expansion, reading
 from .exactnum import rational
@@ -27,7 +27,6 @@ from .report import (
 )
 
 
-@dataclass(frozen=True)
 class SosCertificate:
     """Target polynomial with its weighted list of squares.
 
@@ -36,16 +35,24 @@ class SosCertificate:
     bracket the target is, when bundled alongside.
     """
 
-    target: MultiPoly
-    squares: tuple[tuple[Fraction, MultiPoly], ...]
-    context_scale: Fraction = Fraction(1)
-    host: MultiPoly | None = None
-    name: str = "certificate"
+    __slots__ = ("target", "squares", "context_scale", "host", "name")
 
-    def __post_init__(self):
-        for lam, _ in self.squares:
+    def __init__(
+        self,
+        target: MultiPoly,
+        squares: tuple[tuple[Fraction, MultiPoly], ...],
+        context_scale: Fraction = Fraction(1),
+        host: MultiPoly | None = None,
+        name: str = "certificate",
+    ):
+        for lam, _ in squares:
             if lam <= 0:
                 raise ValueError(f"malformed certificate: weight {lam} is not positive")
+        self.target = target
+        self.squares = squares
+        self.context_scale = context_scale
+        self.host = host
+        self.name = name
 
     def reconstruction(self) -> MultiPoly:
         total = MultiPoly.zero(self.target.vars)
@@ -167,8 +174,7 @@ def verify_bracket_positivity(m2: int) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(NamedTuple):
     """Description of a single certificate perturbation (for soundness tests)."""
 
     kind: str  # "lambda" | "square" | "target"

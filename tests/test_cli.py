@@ -120,6 +120,23 @@ class TestExitCodes:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("argv", ["params show --m2 1 --m3 1",
+                                      "scan hfri --m2 2 --m3 3 --grid 5"])
+    def test_failed_identity_is_internal_error(self, argv, monkeypatch, capsys):
+        # a failed internal identity is a defect of the program: exit 70
+        # with one line on stderr, never a usage error or a traceback
+        import gpiverify.cli as cli_mod
+
+        def broken_params(m2, m3):
+            raise AssertionError(f"parameter identity 1/r^2 < t < 1/r failed for ({m2},{m3})")
+
+        monkeypatch.setattr(cli_mod, "make_params", broken_params)
+        assert main(argv.split()) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gpiverify: internal error: parameter identity")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_io_error_is_74(self):
         code = main(
             ["params", "show", "--m2", "1", "--m3", "1",
@@ -147,6 +164,15 @@ class TestReportSchema:
             ["params", "show", "--m2", "1", "--m3", "1", "--timing"], tmp_path
         )
         assert isinstance(report["timing"], float)
+
+    def test_reports_do_not_share_containers(self):
+        from gpiverify.report import CheckReport
+
+        first, second = CheckReport("a", "holds"), CheckReport("b", "holds")
+        first.witnesses.append({"z": 1})
+        first.metadata["k"] = 1
+        assert second.witnesses == [] and second.metadata == {}
+        assert second.to_json_dict() == {"name": "b", "status": "holds"}
 
     def test_empty_failures_summary(self, tmp_path):
         _, report = invoke(["sos", "verify", "--all"], tmp_path)
@@ -421,7 +447,12 @@ class TestCommands:
         ("expand h --m2 2 --compare-bundled", "h2_expansion.json", None),
         ("sos verify --m2 3", "h3_sos.json",
          lambda data: {k: v for k, v in data.items() if k != "scale"}),
-    ], ids=["duplicate-monomial", "missing-file", "certificate-field"])
+        # int() would truncate e + 1/2 to e, so the polynomial would not change
+        ("expand h --m2 4 --compare-bundled", "h4_expansion.json",
+         lambda data: data | {"terms": [{"c": data["terms"][0]["c"],
+                                         "e": [e + 0.5 for e in data["terms"][0]["e"]]}]
+                              + data["terms"][1:]}),
+    ], ids=["duplicate-monomial", "missing-file", "certificate-field", "fractional-exponent"])
     def test_damaged_bundled_file_is_internal_error(self, monkeypatch, capsys, argv,
                                                     damaged, damage):
         # a defect of the installed data is not the user's: exit 70, not 64
@@ -501,7 +532,8 @@ class TestDeterminism:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
+        # _pool_map imports the pool class only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
         items = list(range(-50, 51))
         assert cli_mod._pool_map(abs, items, 5000) == [abs(i) for i in items]
@@ -518,11 +550,15 @@ class TestDeterminism:
         assert code == 0 and report["run"]["jobs"] == 64
         assert started == [3, 2, 3]
 
-    def test_import_leaves_numpy_unloaded(self):
-        # numpy serves only the Monte Carlo oracle and is imported there
-        code = "import sys, gpiverify.cli; sys.exit('numpy' in sys.modules)"
+    def test_import_loads_only_what_every_command_needs(self):
+        # numpy serves only the Monte Carlo oracle and the process pool only
+        # scan --jobs N; each is imported where it is used.  dataclasses (and
+        # the inspect it pulls in) is not used at all
+        unwanted = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+        code = f"import sys, gpiverify.cli; print([m for m in {unwanted!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_stdout_report(self):
         proc = subprocess.run(

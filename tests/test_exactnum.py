@@ -148,6 +148,13 @@ class TestInterval:
         with pytest.raises(ZeroDivisionError):
             RationalInterval.point(1) / RationalInterval(Fraction(-1), Fraction(1))
 
+    def test_equality_and_hash(self):
+        a = RationalInterval(Fraction(1, 2), Fraction(3, 4))
+        b = RationalInterval.point(Fraction(1, 2)) + RationalInterval(Fraction(0), Fraction(1, 4))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RationalInterval(Fraction(1, 2), Fraction(1))
+        assert a != (Fraction(1, 2), Fraction(3, 4))
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             RationalInterval(Fraction(1), Fraction(0))

@@ -40,6 +40,17 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             TripleSpec(GaussianPair(Fraction(2), Fraction(1), Fraction(0)), Fraction(1))
 
+    def test_values_coerced_to_fractions(self):
+        pair = GaussianPair("9/4", 4, "3/2")
+        assert (pair.var2, pair.var3, pair.cov) == (Fraction(9, 4), 4, Fraction(3, 2))
+        assert all(type(v) is Fraction for v in (pair.var2, pair.var3, pair.cov))
+        spec = TripleSpec(HALF_CORR, "-1/3")
+        assert type(spec.a) is Fraction and spec.a == Fraction(-1, 3)
+        with pytest.raises(TypeError):
+            GaussianPair(1.0, 1, 0)
+        with pytest.raises(TypeError):
+            TripleSpec(HALF_CORR, 0.5)
+
 
 class TestWickOracle:
     def test_hand_recursion_values(self):

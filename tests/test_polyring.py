@@ -205,6 +205,15 @@ class TestJson:
         with pytest.raises(ValueError, match="does not match ring"):
             MultiPoly.from_json_dict({"vars": ["b", "c"], "terms": [{"c": "1", "e": [1]}]})
 
+    def test_non_integer_exponent_rejected(self):
+        # int() would read 1.5 and true both as z^1
+        for e in (1.5, True, 2.0, "1"):
+            with pytest.raises(ValueError, match="non-integer"):
+                MultiPoly.from_json_dict({"vars": ["z"], "terms": [{"c": "1", "e": [e]}]})
+        data = {"vars": ["z"], "terms": [{"c": "1", "e": [1.5]}, {"c": "2", "e": [True]}]}
+        with pytest.raises(ValueError, match="non-integer"):
+            MultiPoly.from_json_dict(data)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
             MultiPoly.from_json_dict({"vars": ["z"], "terms": [{"c": "1", "e": [-1]}]})

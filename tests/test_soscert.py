@@ -39,10 +39,11 @@ class TestVerifySos:
         assert rep.residual == MultiPoly.const(1, ("b",))
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            SosCertificate(
-                target=b**2, squares=((Fraction(-1), b),)
-            )
+        for weight in (Fraction(-1), Fraction(0)):
+            with pytest.raises(ValueError, match="not positive"):
+                SosCertificate(
+                    target=b**2, squares=((Fraction(1), b), (weight, b))
+                )
 
     def test_reordering_invariance(self):
         cert = load_certificate(1)
