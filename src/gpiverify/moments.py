@@ -287,35 +287,55 @@ def mc_moment(
     """Monte Carlo estimate (mean, stderr) of the requested product moment.
 
     Draws n correlated Gaussian pairs from a PCG64 stream seeded with ``seed``
-    (method recorded in MC_METHOD); deterministic for fixed (n, seed).
+    (method recorded in MC_METHOD); deterministic for fixed (n, seed, chunk).
+    Each chunk of up to ``chunk`` pairs draws its z1 values, then its z2
+    values, so ``chunk`` fixes how the two draws interleave in the stream:
+    changing it changes the sample.  The work runs in place in three
+    float64 buffers of min(n, chunk) entries, allocated once per call.
     """
     import numpy as np  # only this oracle needs numpy; keep it off the import path
 
     if n < 1:
         raise ValueError("n must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    p, q, signed2, signed3 = exponents
     rng = np.random.default_rng(seed)
     s2 = math.sqrt(float(pair.var2))
     cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
     cond_scale = math.sqrt(cond_scale) if cond_scale > 0 else 0.0
     slope = float(pair.cov / pair.var2)
+    size = min(chunk, n)
+    x2_buf, x3_buf, w_buf = (np.empty(size) for _ in range(3))
     total = 0.0
     total_sq = 0.0
     remaining = n
     while remaining > 0:
         m = min(chunk, remaining)
-        z1 = rng.standard_normal(m)
-        z2 = rng.standard_normal(m)
-        x2 = s2 * z1
-        x3 = slope * x2 + cond_scale * z2
-        g = np.abs(x2) ** exponents.p
-        if exponents.signed2:
-            g = g * np.sign(x2)
-        h = np.abs(x3) ** exponents.q
-        if exponents.signed3:
-            h = h * np.sign(x3)
-        vals = g * h
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        x2, x3, w = x2_buf[:m], x3_buf[:m], w_buf[:m]
+        rng.standard_normal(out=x2)  # z1
+        rng.standard_normal(out=x3)  # z2
+        x2 *= s2
+        x3 *= cond_scale
+        np.multiply(x2, slope, out=w)
+        x3 += w  # x3 = slope x2 + cond_scale z2
+        # in-place ** takes the path of ``abs(x) ** p``, numpy's scalar fast
+        # paths included (sqrt for 0.5, square for 2): the values are equal
+        np.abs(x2, out=w)
+        w **= p
+        if signed2:
+            np.sign(x2, out=x2)
+            w *= x2  # w = g(x2)
+        if signed3:
+            np.sign(x3, out=x2)
+        np.abs(x3, out=x3)
+        x3 **= q
+        if signed3:
+            x3 *= x2  # x3 = h(x3)
+        w *= x3
+        total += float(w.sum())
+        w *= w
+        total_sq += float(w.sum())
         remaining -= m
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)

@@ -16,6 +16,8 @@ once built, the common denominator of its coefficients and the integer
 numerators over it, and the value is assembled from integer powers of each
 variable's numerator and denominator and reduced once at the end, or not
 at all when only its sign matters (:meth:`MultiPoly.eval_unreduced`).
+Products run on the same integer numerators: each pair of terms contributes
+one integer product, and each result term is reduced to a Fraction once.
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, mul
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import RationalLike, rational
 
@@ -206,16 +208,19 @@ class MultiPoly:
         a, b = self._aligned(other)
         if len(a.terms) < len(b.terms):
             a, b = b, a
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                new = terms.get(key, Fraction(0)) + ca * cb
-                if new == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
-        return MultiPoly(a.vars, terms)
+        # with a = sum(na_i x^ea_i) / La and b likewise, the product is
+        # sum(na_i nb_j x^(ea_i + eb_j)) / (La Lb): integers until the end
+        den_a, nums_a = _numerators(a.terms.values())
+        den_b, nums_b = _numerators(b.terms.values())
+        b_terms = list(zip(b.terms, nums_b))
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        for ea, na in zip(a.terms, nums_a):
+            for eb, nb in b_terms:
+                key = tuple(map(add, ea, eb))
+                acc[key] = get(key, 0) + na * nb
+        den = den_a * den_b
+        return MultiPoly(a.vars, {e: Fraction(n, den) for e, n in acc.items()})
 
     __rmul__ = __mul__
 
@@ -315,8 +320,7 @@ class MultiPoly:
         variable."""
         form = self._int_form
         if form is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+            den, nums = _numerators(self.terms.values())
             columns = [(max(exps), exps) for exps in zip(*self.terms)]
             form = (den, nums, columns)
             object.__setattr__(self, "_int_form", form)
@@ -393,6 +397,13 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {len(self.terms)} terms)"
+
+
+def _numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(L, [c*L for each c]): the common denominator and the integer
+    numerators over it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _as_poly(value: "MultiPoly | RationalLike", vars: Sequence[str]) -> MultiPoly:

@@ -2,8 +2,10 @@
 scaling laws, and the floating-point real-exponent path against Monte Carlo."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gpiverify.moments import (
@@ -244,3 +246,89 @@ class TestMonteCarlo:
         closed = mixed_abs_moment_real("plain", 1.3, 2.7, pair)
         mean, err = mc_moment(MomentExponents(1.3, 2.7), pair, 4 * 10**5, seed=7)
         assert abs(closed - mean) <= 4 * err
+
+    def test_nonpositive_chunk_rejected(self):
+        # chunk=0 used to loop forever: each round drew 0 pairs
+        for chunk in (0, -1):
+            with pytest.raises(ValueError, match="chunk"):
+                mc_moment(MomentExponents(1.0, 0.0), HALF_CORR, 10, seed=0, chunk=chunk)
+
+
+def allocating_mc_moment(exponents, pair, n, seed, chunk):
+    """The estimator written with one fresh array per step, the reference
+    the buffered mc_moment must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    s2 = math.sqrt(float(pair.var2))
+    cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
+    cond_scale = math.sqrt(cond_scale) if cond_scale > 0 else 0.0
+    slope = float(pair.cov / pair.var2)
+    total = total_sq = 0.0
+    remaining = n
+    while remaining > 0:
+        m = min(chunk, remaining)
+        z1 = rng.standard_normal(m)
+        z2 = rng.standard_normal(m)
+        x2 = s2 * z1
+        x3 = slope * x2 + cond_scale * z2
+        g = np.abs(x2) ** exponents.p
+        if exponents.signed2:
+            g = g * np.sign(x2)
+        h = np.abs(x3) ** exponents.q
+        if exponents.signed3:
+            h = h * np.sign(x3)
+        vals = g * h
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        remaining -= m
+    mean = total / n
+    return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+
+
+class TestMonteCarloBuffers:
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1, 0), (2, 3), (1.3, 2.7), (1.5, 4), (0, 2)])
+    def test_bit_identical_to_allocating_formula(self, p, q):
+        pairs = [HALF_CORR, GaussianPair.unit(Fraction(-3, 10)), GaussianPair(2, 3, 1)]
+        for signed2 in (False, True):
+            for signed3 in (False, True):
+                exps = MomentExponents(p, q, signed2, signed3)
+                for pair in pairs:
+                    # a partial chunk, one full chunk, and several chunks
+                    for n in (999, 1000, 2500):
+                        expected = allocating_mc_moment(exps, pair, n, 11, chunk=1000)
+                        assert mc_moment(exps, pair, n, 11, chunk=1000) == expected
+
+    def test_default_oracle_draws_match_allocating_formula(self):
+        # the six draws of `oracle compare --real` at the default chunk, one
+        # pair past it, so the run ends in a partial second chunk
+        half, neg = HALF_CORR, GaussianPair.unit(Fraction(-3, 10))
+        cases = [
+            (MomentExponents(1.0, 0.0), half),
+            (MomentExponents(2.5, 0.0), half),
+            (MomentExponents(1.3, 2.7), half),
+            (MomentExponents(1.5, 4.0), half),
+            (MomentExponents(2.0, 3.0, True, True), half),
+            (MomentExponents(2.0, 3.0), neg),
+        ]
+        n = 10**6 + 1
+        for seed, (exps, pair) in enumerate(cases):
+            expected = allocating_mc_moment(exps, pair, n, seed, chunk=10**6)
+            assert mc_moment(exps, pair, n, seed) == expected
+
+    def test_peak_memory_is_three_buffers(self):
+        # numpy reports its array data to tracemalloc; warm up so that lazy
+        # set-up inside numpy stays out of the measured peak
+        exps, n = MomentExponents(2.0, 3.0, True, True), 10**5
+        mc_moment(exps, HALF_CORR, 100, 0)
+        outer = tracemalloc.is_tracing()  # e.g. under -X tracemalloc
+        if outer:
+            tracemalloc.reset_peak()
+        else:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            mc_moment(exps, HALF_CORR, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peak - before <= 3.25 * 8 * n

@@ -1,5 +1,6 @@
 """Sparse polynomial algebra tests: arithmetic, substitution, JSON."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,50 @@ class TestArithmetic:
         assert (p + q) + r == p + (q + r)
         assert p * (q + r) == p * q + p * r
         assert all(c != 0 for c in (p * q).coefficients())
+
+    @staticmethod
+    def reference_mul(p, q):
+        """Product as one Fraction per pair of terms, over the union ring."""
+        ring = MultiPoly.union_ring(p, q)
+        a, b = p.in_ring(ring), q.in_ring(ring)
+        terms = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                terms[key] = terms.get(key, Fraction(0)) + ca * cb
+        return ring, {k: c for k, c in terms.items() if c != 0}
+
+    @given(
+        data=st.data(),
+        rings=st.sampled_from(
+            [(("x", "y"), ("x", "y")), (("x", "y"), ("y", "z")), (("z",), ("x", "y")),
+             (("x",), ()), ((), ())]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_per_pair_fractions(self, data, rings):
+        p, q = data.draw(polys(rings[0])), data.draw(polys(rings[1]))
+        if data.draw(st.booleans()):
+            q = q + p.scale(data.draw(coeffs))  # shared monomials: products can cancel
+        saved = copy.deepcopy([p._integer_form(), q._integer_form()])
+        prod = p * q
+        ring, expected = self.reference_mul(p, q)
+        assert prod.vars == ring
+        assert prod.terms == expected
+        assert all(type(c) is Fraction and c != 0 for c in prod.coefficients())
+        assert all(len(e) == len(ring) for e in prod.terms)
+        assert [p._int_form, q._int_form] == saved  # operands' caches untouched
+        fresh = MultiPoly(p.vars, p.terms)
+        fresh * q
+        assert fresh._int_form is None  # a product caches nothing on its operands
+
+    def test_mul_cancellation_leaves_no_key(self):
+        x = var("x")
+        prod = (x + 1) * (x - 1)
+        assert prod.terms == {(2,): 1, (0,): -1}
+        half = Fraction(1, 2) * x + Fraction(1, 3)
+        prod = half * (half - Fraction(2, 3))
+        assert prod.terms == {(2,): Fraction(1, 4), (0,): Fraction(-1, 9)}
 
 
 class TestSubstitution:
