@@ -249,7 +249,7 @@ def _cmd_expand_h(args: argparse.Namespace) -> list[dict]:
     report = CheckReport(
         name=f"expand:h{args.m2}",
         status=VERIFIED,
-        metadata={"terms": len(poly.terms), "degree_b": poly.degree("b"),
+        metadata={"terms": len(poly.nums), "degree_b": poly.degree("b"),
                   "degree_c": poly.degree("c"), "polynomial": poly.to_json_dict()},
     )
     out = [report.to_json_dict()]
@@ -271,10 +271,10 @@ def _cmd_expand_g(args: argparse.Namespace) -> list[dict]:
     _maybe_write_poly(args, poly)
     checks = [verify_nonneg_coeffs(poly, "g").to_json_dict()]
     meta = {
-        "terms": len(poly.terms),
+        "terms": len(poly.nums),
         "degrees": {v: poly.degree(v) for v in poly.vars},
         "even_exponents_only": all(
-            all(e % 2 == 0 for e in exps) for exps in poly.terms
+            all(e % 2 == 0 for e in exps) for exps in poly.nums
         ),
     }
     if args.compare_appendix:

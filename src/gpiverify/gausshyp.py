@@ -58,7 +58,7 @@ def hyp_poly(m2: int, m3: int, c: RationalLike = HALF) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def hyp_poly_symbolic_m3(m2: int, c: RationalLike = HALF, m3_var: str = "m3") -> MultiPoly:
+def hyp_poly_symbolic_m3(m2: int, c: RationalLike = HALF) -> MultiPoly:
     """F(-m2, -m3; c; z) with m3 kept symbolic: a polynomial in (z, m3).
 
     The z^j coefficient is m2!/(m2-j)! * ff(m3, j) / ((c)_j * j!) where ff is
@@ -68,7 +68,7 @@ def hyp_poly_symbolic_m3(m2: int, c: RationalLike = HALF, m3_var: str = "m3") ->
     if m2 < 0:
         raise ValueError("hyp_poly_symbolic_m3 requires m2 >= 0")
     c = rational(c)
-    ring = ("z", m3_var)
+    ring = ("z", "m3")
     z = MultiPoly.var("z", ring)
     result = MultiPoly.zero(ring)
     m2_falling = 1
@@ -76,7 +76,7 @@ def hyp_poly_symbolic_m3(m2: int, c: RationalLike = HALF, m3_var: str = "m3") ->
         if j > 0:
             m2_falling *= m2 - j + 1
         scale = Fraction(m2_falling) / (pochhammer(c, j) * pochhammer(1, j))
-        coeff = falling_factorial(m3_var, j).in_ring(ring).scale(scale)
+        coeff = falling_factorial("m3", j, ring).scale(scale)
         result = result + coeff * z**j
     return result
 

@@ -128,7 +128,7 @@ def closed_form_poly(m2: int, m3: int, odd: bool) -> MultiPoly:
         raise ValueError("exponent indices must be >= 0")
     f = hyp_poly(m2, m3, THREE_HALVES if odd else HALF)
     scale = double_factorial_odd(m2 + odd) * double_factorial_odd(m3 + odd)
-    return MultiPoly(("x",), {(2 * j + odd,): c * scale for (j,), c in f.terms.items()})
+    return MultiPoly(("x",), {(2 * j + odd,): n * scale for (j,), n in f.nums.items()}, f.den)
 
 
 def _moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
@@ -175,6 +175,7 @@ def triple_even_moment(spec: TripleSpec, m2: int, m3: int) -> Fraction:
 # ----------------------------------------------------------------------
 
 SERIES_TOL = 1e-12
+SERIES_CAP = 10_000_000  # terms
 CORR_CAP = 0.999
 
 
@@ -184,12 +185,21 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
     Terminates when a geometric tail bound certifies the remainder below
     ``tol``; if either of a, b is a nonpositive integer the series is finite
     and summed exactly.  A partial sum that leaves the float range raises
-    ValueError.
+    ValueError, and so does an infinite series whose tail bound cannot apply
+    within SERIES_CAP terms (|z| too close to 1).
     """
     if not abs(z) < 1:
         raise ValueError("series evaluation requires |z| < 1")
     if c <= 0 and c == int(c):
         raise ValueError("c must not be a nonpositive integer")
+    series = f"the series F({a}, {b}; {c}; {z})"
+    if not any(p <= 0 and p == int(p) for p in (a, b)):
+        # q = |z| (1 + |a|/j)(1 + |b|/j) < 1 only past the positive root of
+        # (1 - |z|) j^2 - |z| (|a| + |b|) j - |z| |ab|
+        w, s = abs(z), abs(a) + abs(b)
+        root = (w * s + math.sqrt((w * s) ** 2 + 4 * (1 - w) * w * abs(a * b))) / (2 * (1 - w))
+        if root >= SERIES_CAP:
+            raise ValueError(f"{series} needs more than {SERIES_CAP} terms: |z| is too close to 1")
     term = 1.0
     total = 1.0
     j = 0
@@ -203,13 +213,13 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
             return total
         total += term
         if not math.isfinite(total):
-            raise ValueError(f"the series F({a}, {b}; {c}; {z}) overflows the float range")
+            raise ValueError(f"{series} overflows the float range")
         if j > settle:
             q = abs(z) * (1.0 + abs(a) / j) * (1.0 + abs(b) / j)
             if q < 1.0 and abs(term) * q / (1.0 - q) < tol:
                 return total
-        if j > 10_000_000:  # pragma: no cover - safety stop
-            raise RuntimeError("hypergeometric series failed to converge")
+        if j > SERIES_CAP:
+            raise ValueError(f"{series} did not converge within {SERIES_CAP} terms")
 
 
 def abs_moment_real(y: float) -> float:

@@ -1,23 +1,22 @@
 """Sparse multivariate polynomial algebra over exact rationals.
 
-A :class:`MultiPoly` stores a tuple of variable names and a map from exponent
-vectors to nonzero rational coefficients.  It is the universal carrier for the
-symbolic objects of the verification pipeline: hypergeometric polynomials,
+A :class:`MultiPoly` is sum(nums[e] x^e) / den: a tuple of variable names, a
+positive int denominator and a map from exponent vectors to nonzero int
+numerators, always in lowest terms.  That is the one stored form.  Sums,
+products, scaling, substitution and derivatives all run on the integers, and
+:attr:`MultiPoly.terms` is a read-only view with one Fraction per monomial.
+It carries every symbolic object of the pipeline: hypergeometric polynomials,
 cleared-denominator inequality polynomials, positivity certificates and their
 squares.
 
 Operations on polynomials over different rings first align both operands to
 the union variable list (left operand's order first, then the right operand's
-new variables), so callers can freely mix rings.  All values are immutable
-after construction; no stored coefficient is ever zero.
+new variables), so callers can freely mix rings.  All values are immutable.
 
-Evaluation at a rational point runs over the integers: each polynomial keeps,
-once built, the common denominator of its coefficients and the integer
-numerators over it, and the value is assembled from integer powers of each
-variable's numerator and denominator and reduced once at the end, or not
-at all when only its sign matters (:meth:`MultiPoly.eval_unreduced`).
-Products run on the same integer numerators: each pair of terms contributes
-one integer product, and each result term is reduced to a Fraction once.
+Evaluation at a rational point sums integer powers of each variable's
+numerator and denominator and reduces once at the end, or not at all when
+only its sign matters (:meth:`MultiPoly.eval_unreduced`).  Its per-variable
+exponent columns are the one field built lazily; they hold no coefficients.
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -26,9 +25,10 @@ JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import RationalLike, rational
 
@@ -36,33 +36,55 @@ Exponents = tuple[int, ...]
 
 
 class MultiPoly:
-    """Polynomial in canonical sparse form: ``{exponent vector: coefficient}``.
+    """sum(nums[e] x^e) / den over the ring ``vars``: ``den`` is a positive int,
+    every key has ``len(vars)`` entries, every numerator is a nonzero int and
+    gcd(den, *nums) = 1.  Polynomials over different rings compare equal when
+    they agree after variable alignment."""
 
-    Exponent vectors always have exactly ``len(vars)`` entries; trailing zeros
-    are significant for equality of the stored keys but two polynomials over
-    different rings compare equal when they agree after variable alignment.
-    """
+    __slots__ = ("vars", "den", "nums", "_columns")
 
-    __slots__ = ("vars", "terms", "_int_form")
-
-    def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            nv = len(self.vars)
-            for exps, coeff in terms.items():
-                if len(exps) != nv:
-                    raise ValueError(f"exponent vector {exps} does not match ring {self.vars}")
-                if any(e < 0 for e in exps):
+    def __init__(self, vars: Sequence[str], terms: Mapping | None = None, den: int = 1):
+        """sum(terms[e] x^e) / den, for any rational coefficients: zero terms
+        are dropped and the result is put in lowest terms."""
+        vars = tuple(vars)
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"denominator {den!r} is not a positive int")
+        coeffs = {tuple(e): c if type(c) is int else rational(c) for e, c in (terms or {}).items()}
+        flat = [*chain.from_iterable(coeffs)]  # every key checked at once, then the culprit found
+        if {*map(len, coeffs)} - {len(vars)} or {*map(type, flat)} - {int} or min(flat, default=0) < 0:
+            for exps in coeffs:
+                if len(exps) != len(vars):
+                    raise ValueError(f"exponent vector {exps} does not match ring {vars}")
+                if not all(type(e) is int for e in exps):
+                    raise ValueError(f"exponent vector {exps} holds a non-integer")
+                if min(exps, default=0) < 0:
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = rational(coeff)
-                if coeff != 0:
-                    clean[tuple(exps)] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_int_form", None)
+        # over the common denominator of the coefficients: integers only
+        common = lcm(*(c.denominator for c in coeffs.values() if type(c) is not int))
+        nums = {
+            e: c * common if type(c) is int else c.numerator * (common // c.denominator)
+            for e, c in coeffs.items()
+            if c
+        }
+        den *= common
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """``{exponent vector: coefficient}``, one reduced Fraction per
+        monomial; a fresh dict on each access."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -74,10 +96,7 @@ class MultiPoly:
 
     @staticmethod
     def const(value: RationalLike, vars: Sequence[str] = ()) -> "MultiPoly":
-        value = rational(value)
         vars = tuple(vars)
-        if value == 0:
-            return MultiPoly(vars, {})
         return MultiPoly(vars, {(0,) * len(vars): value})
 
     @staticmethod
@@ -86,31 +105,27 @@ class MultiPoly:
         if name not in vars:
             raise ValueError(f"variable {name!r} not in ring {vars}")
         exps = tuple(1 if v == name else 0 for v in vars)
-        return MultiPoly(vars, {exps: Fraction(1)})
+        return MultiPoly(vars, {exps: 1})
 
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.nums), default=-1)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=-1)
 
     def coeff(self, exps: Sequence[int] | Mapping[str, int]) -> Fraction:
         """Coefficient of a monomial (0 if absent).
@@ -127,10 +142,10 @@ class MultiPoly:
             key = tuple(exps)
             if len(key) != len(self.vars):
                 raise ValueError("exponent vector length mismatch")
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.coeff((0,) * len(self.vars))
 
     def iter_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in graded-lexicographic order of the ring's variable order."""
@@ -151,15 +166,9 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in vars]
         if missing:
             raise ValueError(f"target ring {vars} lacks variables {missing}")
-        index = [vars.index(v) for v in self.vars]
-        terms: dict[Exponents, Fraction] = {}
-        nv = len(vars)
-        for exps, coeff in self.terms.items():
-            new = [0] * nv
-            for pos, e in zip(index, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(vars, terms)
+        pick = [self.vars.index(v) if v in self.vars else -1 for v in vars]  # -1: a padded 0
+        nums = {tuple([*e, 0][i] for i in pick): n for e, n in self.nums.items()}
+        return MultiPoly(vars, nums, self.den)
 
     @staticmethod
     def union_ring(a: "MultiPoly", b: "MultiPoly") -> tuple[str, ...]:
@@ -180,21 +189,13 @@ class MultiPoly:
     # ------------------------------------------------------------------
 
     def __add__(self, other: "MultiPoly | RationalLike") -> "MultiPoly":
-        other = _as_poly(other, self.vars)
-        a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            new = terms.get(exps, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = new
-        return MultiPoly(a.vars, terms)
+        a, b = self._aligned(_as_poly(other, self.vars))
+        return MultiPoly(a.vars, *_sum_over_lcm((a, b)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.vars, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly | RationalLike") -> "MultiPoly":
         return self + (-_as_poly(other, self.vars))
@@ -204,31 +205,28 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly | RationalLike") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            return self.scale(rational(other))
+            return self.scale(other)
         a, b = self._aligned(other)
-        if len(a.terms) < len(b.terms):
+        if len(a.nums) < len(b.nums):
             a, b = b, a
-        # with a = sum(na_i x^ea_i) / La and b likewise, the product is
-        # sum(na_i nb_j x^(ea_i + eb_j)) / (La Lb): integers until the end
-        den_a, nums_a = _numerators(a.terms.values())
-        den_b, nums_b = _numerators(b.terms.values())
-        b_terms = list(zip(b.terms, nums_b))
+        # sum(na_i x^ea_i) / La times sum(nb_j x^eb_j) / Lb is
+        # sum(na_i nb_j x^(ea_i + eb_j)) / (La Lb)
+        b_terms = list(b.nums.items())
         acc: dict[Exponents, int] = {}
         get = acc.get
-        for ea, na in zip(a.terms, nums_a):
+        for ea, na in a.nums.items():
             for eb, nb in b_terms:
                 key = tuple(map(add, ea, eb))
                 acc[key] = get(key, 0) + na * nb
-        den = den_a * den_b
-        return MultiPoly(a.vars, {e: Fraction(n, den) for e, n in acc.items()})
+        return MultiPoly(a.vars, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, c: RationalLike) -> "MultiPoly":
         c = rational(c)
-        if c == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        k = c.numerator
+        nums = {e: n * k for e, n in self.nums.items()}
+        return MultiPoly(self.vars, nums, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
@@ -249,15 +247,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:
         # equality ignores unused ring variables, so hash a ring-free form
         canonical = frozenset(
-            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), coeff)
-            for exps, coeff in self.terms.items()
+            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), n)
+            for exps, n in self.nums.items()
         )
-        return hash(canonical)
+        return hash((self.den, canonical))
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -297,34 +295,21 @@ class MultiPoly:
                     ring.append(v)
         ring = tuple(ring)
         i = self.vars.index(var)
-        by_power: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            rest = exps[:i] + exps[i + 1 :]
-            by_power.setdefault(exps[i], {})[rest] = coeff
+        by_power: dict[int, dict[Exponents, int]] = {}
+        for exps, n in self.nums.items():
+            by_power.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = n
         num_pows: dict[int, MultiPoly] = {0: MultiPoly.const(1, ring)}
         den_pows: dict[int, MultiPoly] = {0: MultiPoly.const(1, ring)}
         num_r, den_r = num.in_ring(ring), den.in_ring(ring)
         for k in range(1, clear_power + 1):
             num_pows[k] = num_pows[k - 1] * num_r
             den_pows[k] = den_pows[k - 1] * den_r
-        result = MultiPoly.zero(ring)
-        for k, rest_terms in by_power.items():
-            part = MultiPoly(rest_vars, rest_terms).in_ring(ring)
-            result = result + part * (num_pows[k] * den_pows[clear_power - k])
-        return result
-
-    def _integer_form(self) -> tuple[int, list[int], list[tuple[int, tuple[int, ...]]]]:
-        """(L, numerators, columns), built on first use: L is the common
-        denominator of the coefficients, numerators[i] is c*L for the i-th
-        term, and columns[j] is (degree, exponent of each term) for the j-th
-        variable."""
-        form = self._int_form
-        if form is None:
-            den, nums = _numerators(self.terms.values())
-            columns = [(max(exps), exps) for exps in zip(*self.terms)]
-            form = (den, nums, columns)
-            object.__setattr__(self, "_int_form", form)
-        return form
+        parts = [
+            MultiPoly(rest_vars, rest, self.den).in_ring(ring)
+            * (num_pows[k] * den_pows[clear_power - k])
+            for k, rest in by_power.items()
+        ]
+        return MultiPoly(ring, *_sum_over_lcm(parts))
 
     def eval(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point assigning every variable: the
@@ -337,14 +322,19 @@ class MultiPoly:
         sign or a comparison can skip the gcd.
 
         With each variable at n/d and of degree k, the value is
-        sum(c*L * prod n^e d^(k-e)) / (L * prod d^k): one integer sum instead
-        of one Fraction reduction per term.
+        sum(nums[e] * prod n^e d^(k-e)) / (den * prod d^k): one integer sum
+        instead of one Fraction reduction per term.
         """
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"missing assignments for {missing}")
         values = [rational(point[v]) for v in self.vars]
-        den, nums, columns = self._integer_form()
+        columns = self._columns
+        if columns is None:
+            # columns[j] = (degree, exponent of each term) of the j-th variable
+            columns = [(max(exps), exps) for exps in zip(*self.nums)]
+            object.__setattr__(self, "_columns", columns)
+        nums, den = self.nums.values(), self.den
         for value, (k, exps) in zip(values, columns):
             n, d = value.numerator, value.denominator
             weights = [d**k]  # weights[e] = n^e d^(k-e)
@@ -358,14 +348,8 @@ class MultiPoly:
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        return MultiPoly(self.vars, terms)
+        nums = {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in self.nums.items() if e[i]}
+        return MultiPoly(self.vars, nums, self.den)
 
     # ------------------------------------------------------------------
     # serialization
@@ -381,35 +365,40 @@ class MultiPoly:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "MultiPoly":
-        """Inverse of :meth:`to_json_dict`.  An exponent that is not a JSON
-        integer (a fraction, a boolean, a string) and a repeated exponent
-        vector are errors; zero coefficients are dropped by the constructor."""
+        """Inverse of :meth:`to_json_dict`.  A repeated exponent vector is an
+        error, and so (in the constructor) is an exponent that is not a JSON
+        integer (a fraction, a boolean, a string); zero coefficients are
+        dropped."""
         vars = tuple(data["vars"])
         terms: dict[Exponents, Fraction] = {}
         for item in data["terms"]:
             exps = tuple(item["e"])
-            if any(type(e) is not int for e in exps):
-                raise ValueError(f"exponent vector {item['e']!r} holds a non-integer")
             if exps in terms:
                 raise ValueError(f"duplicate monomial {exps} in polynomial data")
             terms[exps] = rational(item["c"])
         return MultiPoly(vars, terms)
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.vars!r}, {len(self.terms)} terms)"
+        return f"MultiPoly({self.vars!r}, {len(self.nums)} terms)"
 
 
-def _numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
-    """(L, [c*L for each c]): the common denominator and the integer
-    numerators over it."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+def _sum_over_lcm(polys: Sequence[MultiPoly]) -> tuple[dict[Exponents, int], int]:
+    """(numerators, denominator) of the sum of polynomials over one ring, put
+    over the lcm of their denominators; not reduced."""
+    den = lcm(*(p.den for p in polys))
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for p in polys:
+        k = den // p.den
+        for e, n in p.nums.items():
+            acc[e] = get(e, 0) + n * k
+    return acc, den
 
 
 def _as_poly(value: "MultiPoly | RationalLike", vars: Sequence[str]) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
-    return MultiPoly.const(rational(value), vars)
+    return MultiPoly.const(value, vars)
 
 
 def falling_factorial(var: str, j: int, vars: Sequence[str] | None = None) -> MultiPoly:
@@ -422,4 +411,3 @@ def falling_factorial(var: str, j: int, vars: Sequence[str] | None = None) -> Mu
     for i in range(j):
         result = result * (x - i)
     return result
-

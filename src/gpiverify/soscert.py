@@ -107,7 +107,7 @@ def verify_sos(cert: SosCertificate) -> CheckReport:
             {"monomial": list(exps), "value": coeff}
             for exps, coeff in list(residual.iter_terms())[:16]
         ],
-        metadata={"residual_terms": len(residual.terms)},
+        metadata={"residual_terms": len(residual.nums)},
     )
 
 
@@ -118,7 +118,7 @@ def verify_nonneg_coeffs(p: MultiPoly, name: str = "polynomial") -> CheckReport:
         return CheckReport(
             name=f"nonneg:{name}",
             status=VERIFIED,
-            metadata={"terms": len(p.terms), "min_coeff": min(p.coefficients(), default=Fraction(0))},
+            metadata={"terms": len(p.nums), "min_coeff": min(p.coefficients(), default=Fraction(0))},
         )
     return CheckReport(
         name=f"nonneg:{name}",
@@ -132,13 +132,13 @@ def proportionality_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
     """The positive rational c with p = c q, or None if there is none."""
     ring = MultiPoly.union_ring(p, q)
     p, q = p.in_ring(ring), q.in_ring(ring)
-    if p.is_zero() or len(p.terms) != len(q.terms):
+    if p.is_zero() or len(p.nums) != len(q.nums):
         return None
-    exps, coeff = next(iter(p.terms.items()))
+    exps = next(iter(p.nums))
     ref = q.coeff(exps)
     if ref == 0:
         return None
-    scalar = coeff / ref
+    scalar = p.coeff(exps) / ref
     return scalar if scalar > 0 and p == q.scale(scalar) else None
 
 

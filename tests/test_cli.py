@@ -113,6 +113,25 @@ class TestExitCodes:
         assert main(argv.split() + ["--out", os.devnull]) == 64
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "check mri --y2 2.5 --y3 3.5 --x 0.99999999",
+        "check gpi-real --y2 2.5 --y3 3.5 --a 1 --x 0.99999999",
+    ])
+    def test_series_too_slow_is_usage(self, argv):
+        # x^2 this close to 1 needs ~10^8 series terms: refused before the
+        # sum starts, not after 10^7 terms with a traceback
+        proc = subprocess.run([sys.executable, "-m", "gpiverify.cli", *argv.split()],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 64 and proc.stdout == ""
+        assert proc.stderr.startswith("gpiverify: error: the series F(")
+        assert "needs more than 10000000 terms: |z| is too close to 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", ["check mri --y2 2.5 --y3 3.5 --x 0.9999",
+                                      "check gpi-real --y2 2.5 --y3 3.5 --a 1 --x 0.9999"])
+    def test_series_near_one_still_sums(self, argv):
+        assert main(argv.split() + ["--out", os.devnull]) == 0
+
     def test_domain_violation_is_usage(self, tmp_path):
         code = main(
             ["check", "hfri", "--m2", "1", "--m3", "1", "--z", "1",

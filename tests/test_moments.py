@@ -199,6 +199,17 @@ class TestRealExponentPath:
         with pytest.raises(ValueError):
             gauss_hyp_real(-1.5, -2.5, 0.5, 1.0)
 
+    def test_series_too_slow_refused_up_front(self):
+        # the ratio bound stays >= 1 for ~1.5 * 10^8 terms at this z: refused
+        # before summing (the stop inside the sum says "did not converge")
+        with pytest.raises(ValueError, match="needs more than 10000000 terms"):
+            gauss_hyp_real(-1.25, -1.75, 0.5, 0.99999998)
+        # a terminating series at the same z is summed as before
+        from gpiverify.gausshyp import hyp_poly
+
+        exact = hyp_poly(3, 5, Fraction(1, 2)).eval({"z": Fraction(99999998, 10**8)})
+        assert abs(gauss_hyp_real(-3.0, -5.0, 0.5, 0.99999998) - float(exact)) < 1e-9
+
     def test_series_matches_terminating_polynomial(self):
         from gpiverify.gausshyp import hyp_poly
 

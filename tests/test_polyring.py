@@ -1,7 +1,7 @@
 """Sparse polynomial algebra tests: arithmetic, substitution, JSON."""
 
-import copy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -81,17 +81,12 @@ class TestArithmetic:
         p, q = data.draw(polys(rings[0])), data.draw(polys(rings[1]))
         if data.draw(st.booleans()):
             q = q + p.scale(data.draw(coeffs))  # shared monomials: products can cancel
-        saved = copy.deepcopy([p._integer_form(), q._integer_form()])
         prod = p * q
         ring, expected = self.reference_mul(p, q)
         assert prod.vars == ring
         assert prod.terms == expected
         assert all(type(c) is Fraction and c != 0 for c in prod.coefficients())
         assert all(len(e) == len(ring) for e in prod.terms)
-        assert [p._int_form, q._int_form] == saved  # operands' caches untouched
-        fresh = MultiPoly(p.vars, p.terms)
-        fresh * q
-        assert fresh._int_form is None  # a product caches nothing on its operands
 
     def test_mul_cancellation_leaves_no_key(self):
         x = var("x")
@@ -100,6 +95,166 @@ class TestArithmetic:
         half = Fraction(1, 2) * x + Fraction(1, 3)
         prod = half * (half - Fraction(2, 3))
         assert prod.terms == {(2,): Fraction(1, 4), (0,): Fraction(-1, 9)}
+
+
+MIXED_RINGS = st.sampled_from(
+    [(("x", "y"), ("x", "y")), (("x", "y"), ("y", "z")), (("z",), ("x", "y")),
+     (("x",), ()), ((), ())]
+)
+
+
+def assert_one_form(p):
+    """The one stored form: a positive int denominator in lowest terms with
+    the numerators, no zero numerator, and keys of the ring's length."""
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert all(len(e) == len(p.vars) for e in p.nums)
+
+
+def ring_of(*rings):
+    """Union of rings, in first-appearance order (the order ops align to)."""
+    out = []
+    for ring in rings:
+        out += [v for v in ring if v not in out]
+    return tuple(out)
+
+
+def fraction_terms(p, ring):
+    """p's coefficients over ``ring``, one Fraction per term."""
+    out = {}
+    for exps, c in p.terms.items():
+        key = [0] * len(ring)
+        for v, e in zip(p.vars, exps):
+            key[ring.index(v)] = e
+        out[tuple(key)] = c
+    return out
+
+
+def ref_add(*term_maps):
+    """Per-term Fraction sum of coefficient maps over one ring."""
+    total = {}
+    for terms in term_maps:
+        for e, c in terms.items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return {e: c for e, c in total.items() if c != 0}
+
+
+def ref_mul(ta, tb):
+    """Per-pair Fraction product of coefficient maps over one ring."""
+    return ref_add(*({tuple(x + y for x, y in zip(ea, eb)): ca * cb} for ea, ca in ta.items()
+                     for eb, cb in tb.items()))
+
+
+class TestOneFormat:
+    """Each operation against a per-term Fraction reference, over mixed rings."""
+
+    @given(data=st.data(), rings=MIXED_RINGS)
+    @settings(max_examples=150, deadline=None)
+    def test_add_sub_neg_match_per_term_fractions(self, data, rings):
+        p, q = data.draw(polys(rings[0])), data.draw(polys(rings[1]))
+        if data.draw(st.booleans()):
+            q = q - p.scale(data.draw(coeffs))  # shared monomials: sums can cancel
+        ring = ring_of(p.vars, q.vars)
+        tp, tq = fraction_terms(p, ring), fraction_terms(q, ring)
+        for got, expected in (
+            (p + q, ref_add(tp, tq)),
+            (p - q, ref_add(tp, {e: -c for e, c in tq.items()})),
+            (-p, {e: -c for e, c in p.terms.items()}),
+            (p - p, {}),
+        ):
+            assert_one_form(got)
+            assert got.terms == expected
+        assert (p + q).vars == (p - q).vars == ring
+
+    @given(p=polys(), k=coeffs | st.integers(-(10**20), 10**20))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_matches_per_term_fractions(self, p, k):
+        got = p.scale(k)
+        assert_one_form(got)
+        assert got.terms == {e: c * k for e, c in p.terms.items() if c * k != 0}
+        assert (p * k).terms == (k * p).terms == got.terms
+
+    @given(p=polys(("x", "y", "z")), var=st.sampled_from(["x", "y", "z"]))
+    @settings(max_examples=100, deadline=None)
+    def test_derivative_matches_per_term_fractions(self, p, var):
+        i = p.vars.index(var)
+        expected = {}
+        for exps, c in p.terms.items():
+            if exps[i]:
+                expected[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c * exps[i]
+        got = p.derivative(var)
+        assert_one_form(got)
+        assert got.vars == p.vars and got.terms == expected
+
+    @given(p=polys(), ring=st.permutations(["w", "x", "y", "z"]))
+    @settings(max_examples=60, deadline=None)
+    def test_in_ring_matches_per_term_fractions(self, p, ring):
+        got = p.in_ring(ring)
+        assert_one_form(got)
+        assert got.vars == tuple(ring)
+        assert got.terms == fraction_terms(p, tuple(ring))
+        assert got == p
+        with pytest.raises(ValueError, match="lacks variables"):
+            p.in_ring(("x",))
+
+    @given(
+        data=st.data(),
+        var_=st.sampled_from(["x", "y"]),
+        rings=st.sampled_from([(("y",), ()), (("x", "w"), ("w",)), ((), ("y", "w"))]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_rational_matches_per_term_fractions(self, data, var_, rings):
+        p = data.draw(polys())
+        num, den = data.draw(polys(rings[0])), data.draw(polys(rings[1]))
+        clear = max(p.degree(var_), 0) + data.draw(st.integers(0, 2))
+        got = p.substitute_rational(var_, num, den, clear)
+        ring = ring_of([v for v in p.vars if v != var_], num.vars, den.vars)
+        tn, td = fraction_terms(num, ring), fraction_terms(den, ring)
+        one = {(0,) * len(ring): Fraction(1)}
+        num_pows, den_pows = [one], [one]
+        for _ in range(clear):
+            num_pows.append(ref_mul(num_pows[-1], tn))
+            den_pows.append(ref_mul(den_pows[-1], td))
+        i = p.vars.index(var_)
+        parts = []
+        for exps, c in p.terms.items():
+            rest = [0] * len(ring)
+            for v, e in zip(p.vars, exps):
+                if v != var_:
+                    rest[ring.index(v)] = e
+            factor = ref_mul(num_pows[exps[i]], den_pows[clear - exps[i]])
+            parts.append(ref_mul({tuple(rest): c}, factor))
+        assert_one_form(got)
+        assert got.vars == ring
+        assert got.terms == ref_add(*parts)
+
+
+class TestEqualityAndHash:
+    @given(p=polys(), ring=st.permutations(["w", "x", "y", "z"]))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_ignores_unused_ring_variables(self, p, ring):
+        assert hash(p) == hash(p.in_ring(ring))
+
+    def test_den_argument_is_reduced(self):
+        p = MultiPoly(("x",), {(1,): 2, (0,): 4}, 6)
+        q = MultiPoly(("x",), {(1,): Fraction(1, 3), (0,): Fraction(2, 3)})
+        assert p == q and p.den == q.den == 3 and p.nums == {(1,): 1, (0,): 2}
+        assert hash(p) == hash(q)
+        assert_one_form(p)
+        assert MultiPoly(("x",), {(1,): 0}, 6).den == 1  # zero: den 1, no terms
+        assert MultiPoly(("x",), {(1,): 1}, 2) != MultiPoly(("x",), {(1,): 1})  # same nums
+
+    def test_den_must_be_positive_int(self):
+        for den in (0, -1, 1.5, True, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="not a positive int"):
+                MultiPoly(("x",), {(1,): 1}, den)
+
+    def test_constructor_checks_every_key(self):
+        for key, match in (((1, 0), "does not match ring"), ((-1,), "negative exponent"),
+                           ((1.0,), "non-integer"), ((True,), "non-integer")):
+            with pytest.raises(ValueError, match=match):
+                MultiPoly(("x",), {key: 1})
 
 
 class TestSubstitution:
