@@ -136,9 +136,9 @@ def _moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
     homogeneity x^k becomes Cov^k Var2^((p-k)/2) Var3^((q-k)/2), and pairing
     parity makes p - k and q - k even in every nonzero term."""
     total = Fraction(0)
-    for (k,), c in poly.terms.items():
-        total += c * pair.cov**k * pair.var2 ** ((p - k) // 2) * pair.var3 ** ((q - k) // 2)
-    return total
+    for (k,), n in poly.nums.items():
+        total += n * pair.cov**k * pair.var2 ** ((p - k) // 2) * pair.var3 ** ((q - k) // 2)
+    return total / poly.den
 
 
 def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
@@ -186,7 +186,7 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
     ``tol``; if either of a, b is a nonpositive integer the series is finite
     and summed exactly.  A partial sum that leaves the float range raises
     ValueError, and so does an infinite series whose tail bound cannot apply
-    within SERIES_CAP terms (|z| too close to 1).
+    within SERIES_CAP terms (|z| too close to 1, or |a|, |b| too large).
     """
     if not abs(z) < 1:
         raise ValueError("series evaluation requires |z| < 1")
@@ -199,7 +199,10 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
         w, s = abs(z), abs(a) + abs(b)
         root = (w * s + math.sqrt((w * s) ** 2 + 4 * (1 - w) * w * abs(a * b))) / (2 * (1 - w))
         if root >= SERIES_CAP:
-            raise ValueError(f"{series} needs more than {SERIES_CAP} terms: |z| is too close to 1")
+            raise ValueError(
+                f"{series} needs about {root:.3g} terms before its tail bound applies,"
+                f" more than {SERIES_CAP}: |z| is too close to 1 or |a|, |b| too large"
+            )
     term = 1.0
     total = 1.0
     j = 0

@@ -25,7 +25,6 @@ JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,22 +49,16 @@ class MultiPoly:
         if type(den) is not int or den <= 0:
             raise ValueError(f"denominator {den!r} is not a positive int")
         coeffs = {tuple(e): c if type(c) is int else rational(c) for e, c in (terms or {}).items()}
-        flat = [*chain.from_iterable(coeffs)]  # every key checked at once, then the culprit found
-        if {*map(len, coeffs)} - {len(vars)} or {*map(type, flat)} - {int} or min(flat, default=0) < 0:
-            for exps in coeffs:
-                if len(exps) != len(vars):
-                    raise ValueError(f"exponent vector {exps} does not match ring {vars}")
-                if not all(type(e) is int for e in exps):
-                    raise ValueError(f"exponent vector {exps} holds a non-integer")
-                if min(exps, default=0) < 0:
-                    raise ValueError(f"negative exponent in {exps}")
+        for exps in coeffs:
+            if len(exps) != len(vars):
+                raise ValueError(f"exponent vector {exps} does not match ring {vars}")
+            if not all(type(e) is int for e in exps):
+                raise ValueError(f"exponent vector {exps} holds a non-integer")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
         # over the common denominator of the coefficients: integers only
-        common = lcm(*(c.denominator for c in coeffs.values() if type(c) is not int))
-        nums = {
-            e: c * common if type(c) is int else c.numerator * (common // c.denominator)
-            for e, c in coeffs.items()
-            if c
-        }
+        common = lcm(*(c.denominator for c in coeffs.values()))
+        nums = {e: c.numerator * (common // c.denominator) for e, c in coeffs.items() if c}
         den *= common
         g = gcd(den, *nums.values())
         if g > 1:
@@ -166,8 +159,14 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in vars]
         if missing:
             raise ValueError(f"target ring {vars} lacks variables {missing}")
-        pick = [self.vars.index(v) if v in self.vars else -1 for v in vars]  # -1: a padded 0
-        nums = {tuple([*e, 0][i] for i in pick): n for e, n in self.nums.items()}
+        index = [vars.index(v) for v in self.vars]
+        nums: dict[Exponents, int] = {}
+        nv = len(vars)
+        for exps, n in self.nums.items():
+            new = [0] * nv
+            for pos, e in zip(index, exps):
+                new[pos] = e
+            nums[tuple(new)] = n
         return MultiPoly(vars, nums, self.den)
 
     @staticmethod

@@ -202,8 +202,11 @@ class TestRealExponentPath:
     def test_series_too_slow_refused_up_front(self):
         # the ratio bound stays >= 1 for ~1.5 * 10^8 terms at this z: refused
         # before summing (the stop inside the sum says "did not converge")
-        with pytest.raises(ValueError, match="needs more than 10000000 terms"):
+        with pytest.raises(ValueError, match=r"needs about 1\.5e\+08 terms .* more than 10000000"):
             gauss_hyp_real(-1.25, -1.75, 0.5, 0.99999998)
+        # large |a|, |b| push the root past the cap at a small z as well
+        with pytest.raises(ValueError, match=r"needs about 5e\+07 terms .* more than 10000000"):
+            gauss_hyp_real(-50000000.5, -50000000.5, 0.5, 0.25)
         # a terminating series at the same z is summed as before
         from gpiverify.gausshyp import hyp_poly
 
