@@ -11,14 +11,14 @@ __version__ = "1.0.0"
 
 from .exactnum import RationalInterval, rational, sqrt_enclosure
 from .polyring import MultiPoly
-from .moments import GaussianPair, even_moment, odd_moment, wick_moment
+from .moments import GaussianPair, even_moment, odd_moment
 from .inequality import (
     GpiParams,
     check_gpi,
     check_mri,
+    check_point,
     g_poly,
     h_poly,
-    hfri_check,
     make_params,
     scan,
 )
@@ -33,10 +33,10 @@ __all__ = [
     "__version__",
     "check_gpi",
     "check_mri",
+    "check_point",
     "even_moment",
     "g_poly",
     "h_poly",
-    "hfri_check",
     "load_certificate",
     "make_params",
     "odd_moment",
@@ -44,5 +44,4 @@ __all__ = [
     "scan",
     "sqrt_enclosure",
     "verify_sos",
-    "wick_moment",
 ]

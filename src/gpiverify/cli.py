@@ -14,12 +14,13 @@ definition of the commands, their handlers and their options' defaults and range
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
-error; 70 internal error (a bundled data file cannot be read or parsed, or
-an internal identity check failed); 74 report I/O error.  The JSON report is
-written to --out (stdout by default) on exits 0..2; its ``run`` block holds
-the command and the resolved value of each of its options.  Wall-clock
-timing is recorded only with --timing so that exact-arithmetic reports are
-byte-identical across runs and parallelism degrees.
+error; 70 internal error (a bundled data file cannot be read or parsed, an
+internal identity check failed, or a KeyError, which no input can cause); 74
+report I/O error.  The JSON report is written to --out (stdout by default)
+on exits 0..2; its ``run`` block holds the command and the resolved value of
+each of its options.  Wall-clock timing is recorded only with --timing so
+that exact-arithmetic reports are byte-identical across runs and
+parallelism degrees.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -48,11 +49,11 @@ from .inequality import (
     check_gpi_real,
     check_mri,
     check_mri_real,
+    check_point,
     find_mri_real_violation,
     find_mri_violation,
     g_poly,
     h_poly,
-    hfri_check,
     make_params,
     make_real_params,
     scan,
@@ -356,7 +357,7 @@ def _cmd_check_mri(args: argparse.Namespace) -> list[dict]:
 
 def _cmd_check_hfri(args: argparse.Namespace) -> list[dict]:
     params = make_params(args.m2, args.m3)
-    return [hfri_check(params, rational(args.z)).to_json_dict()]
+    return [check_point("hfri", params, rational(args.z)).to_json_dict()]
 
 
 def _cmd_check_gpi_real(args: argparse.Namespace) -> list[dict]:
@@ -521,7 +522,7 @@ def run(argv: list[str]) -> tuple[int, dict]:
     start = time.monotonic()
     try:
         checks = args.handler(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(str(exc)) from exc
     statuses = [c["status"] for c in checks]
     summary = {
@@ -556,15 +557,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
-    except (BundledDataError, AssertionError) as exc:
-        # a damaged data file or a failed internal identity: a defect of the
-        # program, never of the caller's input
+    except (BundledDataError, AssertionError, KeyError) as exc:
+        # a damaged data file, a failed internal identity or a missing key:
+        # a defect of the program, never of the caller's input
         print(f"gpiverify: internal error: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     except _IOFailure as exc:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    text = json.dumps(jsonable(report), indent=2) + "\n"
+    text = json.dumps(report, indent=2) + "\n"
     out = report["run"]["out"]
     if out:
         try:

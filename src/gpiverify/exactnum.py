@@ -94,16 +94,6 @@ class RationalInterval:
         q = rational(q)
         return RationalInterval(q, q)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
-    def encloses(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
         o = _coerce(other)
         return RationalInterval(self.lo + o.lo, self.hi + o.hi)
@@ -115,9 +105,6 @@ class RationalInterval:
 
     def __sub__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
         o = _coerce(other)
@@ -132,17 +119,6 @@ class RationalInterval:
             raise ZeroDivisionError("division by an interval containing zero")
         quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return RationalInterval(min(quotients), max(quotients))
-
-    def __rtruediv__(self, other: "Fraction | int") -> "RationalInterval":
-        return _coerce(other) / self
-
-    def square(self) -> "RationalInterval":
-        """Tight enclosure of {x^2 : x in self} (tighter than self * self)."""
-        if self.lo >= 0:
-            return RationalInterval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return RationalInterval(self.hi * self.hi, self.lo * self.lo)
-        return RationalInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
     def sign(self) -> int | None:
         """Sign of every point of the interval, 1, -1 or 0 like

@@ -1,4 +1,4 @@
-"""Terminating Gauss hypergeometric polynomials and their contiguous relations.
+"""Terminating Gauss hypergeometric polynomials.
 
 ``F(-m2, -m3; c; z)`` with nonnegative integers m2, m3 is the finite sum
 
@@ -7,9 +7,9 @@
 with exactly positive rational coefficients.  This module builds those
 polynomials exactly, in two flavours: both parameters numeric, or the second
 parameter kept as a polynomial indeterminate (needed when it is later replaced
-by a polynomial expression).  It also evaluates F at z = 1 in closed form and
-assembles the four classical contiguous relations as residual polynomials that
-must vanish identically.
+by a polynomial expression).  It also evaluates F at z = 1 in closed form.  The
+four classical contiguous relations, which the tests check as polynomial
+identities over hyp_poly, are written out in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ from .polyring import MultiPoly, falling_factorial
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
-
-#: relation identifiers accepted by :func:`contiguous_residual`.  The first
-#: (derivative) relation has two names for compatibility with its classical
-#: numbering; the remaining three follow the order the relations are usually
-#: quoted in.
-RELATIONS = ("derivative", "rel21", "rel31", "rel37", "rel38")
-
 
 def pochhammer(x: RationalLike, j: int) -> Fraction:
     """Rising factorial x (x+1) ... (x+j-1), exact; j = 0 gives 1."""
@@ -88,79 +81,3 @@ def hyp_value_at_one(m2: int, m3: int, c: RationalLike = HALF) -> Fraction:
         raise ValueError("hyp_value_at_one requires m2, m3 >= 0")
     c = rational(c)
     return pochhammer(c + m3, m2) / pochhammer(c, m2)
-
-
-def _instance(m2: int, m3: int, c: Fraction) -> MultiPoly:
-    if m2 < 0 or m3 < 0:
-        raise ValueError(
-            f"non-terminating instance F({-m2}, {-m3}; {c}; z): first parameters"
-            " must be nonpositive integers"
-        )
-    return hyp_poly(m2, m3, c)
-
-
-def contiguous_residual(
-    relation: str, m2: int, m3: int, c: RationalLike = HALF
-) -> MultiPoly:
-    """LHS - RHS of one contiguous relation, assembled from hyp_poly instances.
-
-    With F = F(a, b; c; z), a = -m2, b = -m3, the four relations are
-
-        derivative / rel21:  z F' = a [F(a+1) - F]
-        rel31:  [c - 2a - (b - a) z] F + a (1 - z) F(a+1) - (c - a) F(a-1) = 0
-        rel37:  (b - a)(1 - z) F - (c - a) F(a-1) + (c - b) F(b-1) = 0
-        rel38:  c (1 - z) F - c F(a-1) + (c - b) z F(c+1) = 0
-
-    The derivative relation is returned multiplied through by z.  Terms whose
-    scalar coefficient vanishes (e.g. a = 0) are dropped before their F
-    instance is built, since those instances may not terminate.
-    """
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
-    c = rational(c)
-    a = Fraction(-m2)
-    b = Fraction(-m3)
-    ring = ("z",)
-    z = MultiPoly.var("z", ring)
-    one = MultiPoly.const(1, ring)
-    F = _instance(m2, m3, c)
-
-    def term(coeff: MultiPoly | Fraction, kind: str) -> MultiPoly:
-        """coeff * F(shifted); skips building the instance when coeff == 0."""
-        if isinstance(coeff, Fraction):
-            if coeff == 0:
-                return MultiPoly.zero(ring)
-            coeff = MultiPoly.const(coeff, ring)
-        elif coeff.is_zero():
-            return MultiPoly.zero(ring)
-        shifted = {
-            "F": lambda: F,
-            "a+1": lambda: _instance(m2 - 1, m3, c),
-            "a-1": lambda: _instance(m2 + 1, m3, c),
-            "b-1": lambda: _instance(m2, m3 + 1, c),
-            "c+1": lambda: _instance(m2, m3, c + 1),
-        }[kind]()
-        return coeff * shifted
-
-    if relation in ("derivative", "rel21"):
-        lhs = z * F.derivative("z")
-        rhs = term(a, "a+1") - term(a, "F")
-        return lhs - rhs
-    if relation == "rel31":
-        return (
-            term(MultiPoly.const(c - 2 * a, ring) - z.scale(b - a), "F")
-            + term((one - z).scale(a), "a+1")
-            - term(c - a, "a-1")
-        )
-    if relation == "rel37":
-        return (
-            term((one - z).scale(b - a), "F")
-            - term(c - a, "a-1")
-            + term(c - b, "b-1")
-        )
-    # rel38
-    return (
-        term((one - z).scale(c), "F")
-        - term(c, "a-1")
-        + term(z.scale(c - b), "c+1")
-    )

@@ -12,15 +12,16 @@ This module materializes, with exact rational arithmetic wherever possible:
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
 * exact checks of the product inequality (GPI) and the moment-ratio
-  inequality (MRI), and grid scans of the inequality predicates.
+  inequality (MRI), and the inequality predicates at one point (check_point)
+  or on a grid (scan).
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
 are polynomials in z built once per (predicate, params) (margin_polys; beta
 is 0 for the HFRI polynomial S).  At a rational z the sign is decided by
-comparing alpha^2 with beta^2 D (sign_sqrt).  Interval enclosures (H_value,
-G_value) remain as independent references and as the margin that
-accompanies an MRI verdict.
+comparing alpha^2 with beta^2 D (sign_sqrt).  The interval enclosure H_value
+gives the margin that accompanies an MRI verdict; the enclosure of G that
+the tests compare the g-negative signs against lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -145,41 +146,6 @@ def make_real_params(y2: float, y3: float) -> RealGpiParams:
     return RealGpiParams(y2, y3, r, t)
 
 
-class QuadraticForm(NamedTuple):
-    """Coefficients of the quadratic (1-z) y^2 + 2 beta y + gamma whose
-    positivity at the hypergeometric ratio y restates the target inequality.
-
-    Construction validates the exact discriminant identity
-    beta^2 - (1-z) gamma = ((m3-m2)(1-rz)/(r-1))^2 + (r-1) z.
-    """
-
-    beta: Fraction
-    gamma: Fraction
-    leading: Fraction  # = 1 - z
-
-    @staticmethod
-    def build(params: GpiParams, z: RationalLike) -> "QuadraticForm":
-        z = rational(z)
-        r = params.r
-        rm1 = r - 1
-        beta = -params.msum * (1 - r * z) / rm1
-        gamma = (1 - r * r * z) / rm1
-        lhs = beta * beta - (1 - z) * gamma
-        rhs = ((params.m3 - params.m2) * (1 - r * z) / rm1) ** 2 + rm1 * z
-        if lhs != rhs:
-            raise AssertionError(f"discriminant identity failed at z={z}")
-        return QuadraticForm(beta, gamma, 1 - z)
-
-    def reciprocal_bound_interval(self, width: RationalLike = DEFAULT_WIDTH) -> RationalInterval:
-        """Enclosure of (-beta + sqrt(beta^2 - (1-z) gamma)) / (1-z), an
-        independent route to 1/H(z); requires z < 1."""
-        if self.leading == 0:
-            raise ValueError("undefined at z = 1")
-        disc = self.beta * self.beta - self.leading * self.gamma
-        root = sqrt_enclosure(disc, rational(width) * abs(self.leading))
-        return (root - self.beta) / RationalInterval.point(self.leading)
-
-
 # ----------------------------------------------------------------------
 # the bound function H
 # ----------------------------------------------------------------------
@@ -230,24 +196,6 @@ def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> in
     z = rational(z)
     _check_h_domain(params, z)
     return sign_sqrt(_h_excess(params, z, rational(threshold)), 1, h_radicand(params, z))
-
-
-def h_lower_bound_check(params: GpiParams, z: RationalLike, which: str) -> CheckReport:
-    """Exact check of the two lower bounds for H on its split domain:
-    H > 1/2 on (1/r^2, 1/r] and H > 1/7 on (1/r, min(B/(m2 m3), 1)] with
-    B = 11/4 (the ``h-half`` and ``h-seventh`` scan predicates)."""
-    predicate = f"h-{which}"
-    if predicate not in H_THRESHOLDS:
-        raise ValueError(f"which must be 'half' or 'seventh', got {which!r}")
-    z = check_domain(predicate, params, z)
-    status, sign = _scan_point(predicate, params, z)
-    return CheckReport(
-        name=f"{predicate}:m2={params.m2},m3={params.m3},z={z}",
-        status=status,
-        margin=None,
-        witnesses=[{"z": z, "threshold": H_THRESHOLDS[predicate], "sign": sign}],
-        metadata={"method": "exact radical comparison"},
-    )
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +321,7 @@ def g_poly() -> MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# exact checks: GPI, MRI, HFRI
+# exact checks: GPI and MRI
 # ----------------------------------------------------------------------
 
 
@@ -472,39 +420,9 @@ def find_mri_violation(
     )
 
 
-def hfri_check(params: GpiParams, z: RationalLike) -> CheckReport:
-    """Hypergeometric ratio inequality at one point, via exact positivity of
-    the cleared-denominator polynomial S(z) (the ``hfri`` scan predicate)."""
-    z = check_domain("hfri", params, z)
-    status, value = _scan_point("hfri", params, z)
-    return CheckReport(
-        name=f"hfri:m2={params.m2},m3={params.m3},z={z}",
-        status=status,
-        margin=value,
-        metadata={"method": "exact rational"},
-    )
-
-
 # ----------------------------------------------------------------------
 # the difference function G for the large-parameter case
 # ----------------------------------------------------------------------
-
-
-def G_value(
-    params: GpiParams, z: RationalLike, width: RationalLike = DEFAULT_WIDTH
-) -> RationalInterval:
-    """Enclosure of G(z) = F(-m2-1, -m3; 1/2; z)
-    - [(1-z) + (2 m3 + 1) z H(z)] F(-m2, -m3; 1/2; z)."""
-    z = rational(z)
-    _check_h_domain(params, z)
-    width = rational(width)
-    m2, m3 = params.m2, params.m3
-    f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": z})
-    f1 = hyp_poly(m2, m3, HALF).eval({"z": z})
-    scale = (2 * m3 + 1) * z * f1
-    h_iv = H_value(params, z, width / scale)
-    bracket = RationalInterval.point(1 - z) + h_iv * ((2 * m3 + 1) * z)
-    return RationalInterval.point(f_big) - bracket * f1
 
 
 def G_at_one(params: GpiParams) -> Fraction:
@@ -690,6 +608,19 @@ def _scan_point(predicate: str, params: GpiParams, z: Fraction):
         n, dn = d.eval_unreduced(point)
         value = sign_sqrt(a * db * dn, b * da, n * dn)
     return (HOLDS if value > 0 else FAILS), value
+
+
+def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckReport:
+    """A scan predicate at one point of its domain (ValueError outside it);
+    the margin is the scan point's value."""
+    z = check_domain(predicate, params, z)
+    status, value = _scan_point(predicate, params, z)
+    return CheckReport(
+        name=f"{predicate}:m2={params.m2},m3={params.m3},z={z}",
+        status=status,
+        margin=value,
+        metadata={"method": "exact rational"},
+    )
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "double_factorial_odd",
     "even_moment",
     "odd_moment",
-    "wick_moment",
     "wick_poly",
     "closed_form_poly",
     "triple_even_moment",
@@ -149,11 +148,6 @@ def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
 def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
     """E[X2^(2 m2 + 1) X3^(2 m3 + 1)], exact; sign equals the sign of Cov."""
     return _moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
-
-
-def wick_moment(p: int, q: int, pair: GaussianPair) -> Fraction:
-    """E[X2^p X3^q] by the pairing recursion; independent of hyp_poly."""
-    return _moment_at(wick_poly(p, q), p, q, pair)
 
 
 def triple_even_moment(spec: TripleSpec, m2: int, m3: int) -> Fraction:

@@ -14,8 +14,6 @@ the host polynomial on all of R^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
-
 from .bundled import load_certificate_dict, load_h_expansion, reading
 from .exactnum import rational
 from .polyring import MultiPoly
@@ -172,32 +170,3 @@ def verify_bracket_positivity(m2: int) -> CheckReport:
             "strictness": sos_report.metadata.get("strictness"),
         },
     )
-
-
-class Mutation(NamedTuple):
-    """Description of a single certificate perturbation (for soundness tests)."""
-
-    kind: str  # "lambda" | "square" | "target"
-    index: int = 0
-    monomial: tuple[int, ...] = ()
-
-
-def mutate_certificate(cert: SosCertificate, mutation: Mutation) -> SosCertificate:
-    """Return a copy with one coefficient bumped by +1; must flip verify_sos."""
-    if mutation.kind == "lambda":
-        lam, p = cert.squares[mutation.index]
-        squares = list(cert.squares)
-        squares[mutation.index] = (lam + 1, p)
-        return SosCertificate(cert.target, tuple(squares), cert.context_scale, cert.host, cert.name)
-    if mutation.kind == "square":
-        lam, p = cert.squares[mutation.index]
-        bumped = p + MultiPoly(p.vars, {tuple(mutation.monomial): Fraction(1)})
-        squares = list(cert.squares)
-        squares[mutation.index] = (lam, bumped)
-        return SosCertificate(cert.target, tuple(squares), cert.context_scale, cert.host, cert.name)
-    if mutation.kind == "target":
-        bumped = cert.target + MultiPoly(
-            cert.target.vars, {tuple(mutation.monomial): Fraction(1)}
-        )
-        return SosCertificate(bumped, cert.squares, cert.context_scale, cert.host, cert.name)
-    raise ValueError(f"unknown mutation kind {mutation.kind!r}")

@@ -139,22 +139,26 @@ class TestExitCodes:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("error", [AssertionError, KeyError])
     @pytest.mark.parametrize("argv", ["params show --m2 1 --m3 1",
                                       "scan hfri --m2 2 --m3 3 --grid 5"])
-    def test_failed_identity_is_internal_error(self, argv, monkeypatch, capsys):
-        # a failed internal identity is a defect of the program: exit 70
-        # with one line on stderr, never a usage error or a traceback
+    def test_failed_identity_is_internal_error(self, argv, error, monkeypatch, capsys):
+        # a failed internal identity, or a KeyError (no input reaches one),
+        # is a defect of the program: exit 70 with one line on stderr, never
+        # a usage error or a traceback
         import gpiverify.cli as cli_mod
 
+        raised = []
+
         def broken_params(m2, m3):
-            raise AssertionError(f"parameter identity 1/r^2 < t < 1/r failed for ({m2},{m3})")
+            raised.append(error(f"parameter identity 1/r^2 < t < 1/r failed for ({m2},{m3})"))
+            raise raised[-1]
 
         monkeypatch.setattr(cli_mod, "make_params", broken_params)
         assert main(argv.split()) == 70
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("gpiverify: internal error: parameter identity")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"gpiverify: internal error: {raised[0]}\n"  # one line, no traceback
 
     def test_io_error_is_74(self):
         code = main(

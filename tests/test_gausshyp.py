@@ -10,15 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from gpiverify.gausshyp import (
-    RELATIONS,
-    contiguous_residual,
-    hyp_poly,
-    hyp_poly_symbolic_m3,
-    hyp_value_at_one,
-    pochhammer,
-)
+from gpiverify.gausshyp import hyp_poly, hyp_poly_symbolic_m3, hyp_value_at_one, pochhammer
 from gpiverify.polyring import MultiPoly
+from reference import relation_31, relation_37, relation_38, relation_derivative
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -114,22 +108,17 @@ class TestContiguousRelations:
     def test_hand_checked_derivative_case(self):
         # m2 = m3 = 1, c = 1/2: F = 1 + 2z, F' = 2, F(a+1) = 1, a = -1
         # z*F' - a[F(a+1) - F] = 2z - (-1)(1 - 1 - 2z) = 2z - 2z = 0
-        assert contiguous_residual("derivative", 1, 1, HALF).is_zero()
+        assert relation_derivative(1, 1, HALF).is_zero()
 
     def test_rel38_case(self):
-        assert contiguous_residual("rel38", 2, 3, HALF).is_zero()
+        assert relation_38(2, 3, HALF).is_zero()
 
     def test_rel31_trivial_case(self):
-        assert contiguous_residual("rel31", 0, 0, HALF).is_zero()
+        assert relation_31(0, 0, HALF).is_zero()
 
     def test_all_relations_sweep(self):
-        for rel in RELATIONS:
+        for rel in (relation_derivative, relation_31, relation_37, relation_38):
             for m2 in range(0, 8):
                 for m3 in range(m2, 8):
                     for c in (HALF, THREE_HALVES):
-                        res = contiguous_residual(rel, m2, m3, c)
-                        assert res.is_zero(), (rel, m2, m3, c)
-
-    def test_unknown_relation(self):
-        with pytest.raises(ValueError):
-            contiguous_residual("rel99", 1, 1, HALF)
+                        assert rel(m2, m3, c).is_zero(), (rel.__name__, m2, m3, c)

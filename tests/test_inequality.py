@@ -14,10 +14,8 @@ from gpiverify.exactnum import RationalInterval
 from gpiverify.inequality import (
     SCAN_PREDICATES,
     G_at_one,
-    G_value,
     H_at_one,
     H_value,
-    QuadraticForm,
     S_poly,
     TRUNCATION_BOUND,
     check_domain,
@@ -25,15 +23,14 @@ from gpiverify.inequality import (
     check_gpi_real,
     check_mri,
     check_mri_real,
+    check_point,
     default_scan_range,
     f_truncated_poly,
     find_mri_real_violation,
     find_mri_violation,
     g_poly,
     h_compare,
-    h_lower_bound_check,
     h_poly,
-    hfri_check,
     in_coverage_set,
     make_params,
     make_real_params,
@@ -43,6 +40,7 @@ from gpiverify.inequality import (
 )
 from gpiverify.inequality import _scan_point
 from gpiverify.moments import GaussianPair
+from reference import G_value, quadratic_form_residuals
 
 
 class TestParams:
@@ -78,23 +76,13 @@ class TestParams:
 
 
 class TestQuadraticForm:
-    def test_identity_on_random_triples(self):
-        rng = random.Random(20240801)
-        for _ in range(100):
-            m2 = rng.randint(1, 12)
-            m3 = rng.randint(m2, 14)
-            z = Fraction(rng.randint(1, 999), 1000)
-            QuadraticForm.build(make_params(m2, m3), z)  # raises on mismatch
-
-    def test_reciprocal_route_agrees_with_h(self):
-        # (-beta + sqrt(disc))/(1-z) encloses 1/H(z): the product with H is 1
-        params = make_params(2, 3)
-        for z in (Fraction(1, 3), Fraction(3, 5), Fraction(9, 10)):
-            qf = QuadraticForm.build(params, z)
-            inv = qf.reciprocal_bound_interval(Fraction(1, 10**9))
-            h = H_value(params, z, Fraction(1, 10**9))
-            product = inv * h
-            assert product.lo <= 1 <= product.hi
+    def test_identities_hold_for_every_z(self):
+        # the discriminant identity, and 1/H as a root of the quadratic, as
+        # polynomial identities in z for every pair up to 15
+        for m2 in range(1, 16):
+            for m3 in range(1, 16):
+                residuals = quadratic_form_residuals(make_params(m2, m3))
+                assert all(p.is_zero() for p in residuals), (m2, m3)
 
 
 class TestH:
@@ -113,7 +101,7 @@ class TestH:
         params = make_params(3, 7)
         z = Fraction(1, 5)
         iv = H_value(params, z, Fraction(1, 10**9))
-        assert iv.width <= Fraction(1, 10**9)
+        assert iv.hi - iv.lo <= Fraction(1, 10**9)
         r = float(params.r)
         d = (3 - 7) ** 2 * (r * 0.2 - 1) ** 2 + (r - 1) ** 3 * 0.2
         h_float = (11 * (r * 0.2 - 1) + math.sqrt(d)) / (r * r * 0.2 - 1)
@@ -138,24 +126,29 @@ class TestH:
 
 class TestLemmaBounds:
     def test_exact_checks(self):
+        # at the closed upper ends, which are also the scans' last points
         params = make_params(8, 8)
-        assert h_lower_bound_check(params, 1 / params.r, "half").status == "holds"
-        assert (
-            h_lower_bound_check(params, TRUNCATION_BOUND / 64, "seventh").status
-            == "holds"
-        )
+        for predicate, z in (("h-half", 1 / params.r), ("h-seventh", TRUNCATION_BOUND / 64)):
+            rep = check_point(predicate, params, z)
+            last = scan(predicate, params, grid_n=3).metadata["points"][-1]
+            assert last["z"] == z
+            assert (rep.status, rep.margin) == ("holds", last["value"]) == ("holds", 1)
 
     def test_small_params_hold_too(self):
         params = make_params(1, 1)
         z = Fraction(1, 100) + Fraction(1, 1000)  # slightly above 1/r^2
-        assert h_lower_bound_check(params, z, "half").status == "holds"
+        rep = check_point("h-half", params, z)
+        assert rep.status == "holds"
+        assert rep.margin == _scan_point("h-half", params, z)[1] == 1
 
     def test_domain_enforced(self):
         params = make_params(8, 8)
-        with pytest.raises(ValueError):
-            h_lower_bound_check(params, Fraction(1, 2), "half")
-        with pytest.raises(ValueError):
-            h_lower_bound_check(params, 1 / (params.r * 2), "seventh")
+        with pytest.raises(ValueError, match="outside the h-half domain"):
+            check_point("h-half", params, Fraction(1, 2))
+        with pytest.raises(ValueError, match="outside the h-seventh domain"):
+            check_point("h-seventh", params, 1 / (params.r * 2))
+        with pytest.raises(ValueError, match="unknown predicate"):
+            check_point("h-third", params, Fraction(1, 2))
 
 
 class TestSPoly:
@@ -378,17 +371,19 @@ class TestCheckMri:
 
 class TestHfri:
     def test_examples(self):
-        assert hfri_check(make_params(1, 5), Fraction(1, 2)).status == "holds"
-        assert hfri_check(make_params(3, 3), Fraction(999, 1000)).status == "holds"
+        assert check_point("hfri", make_params(1, 5), Fraction(1, 2)).status == "holds"
+        assert check_point("hfri", make_params(3, 3), Fraction(999, 1000)).status == "holds"
 
     def test_boundary_excluded(self):
         with pytest.raises(ValueError):
-            hfri_check(make_params(1, 1), Fraction(1))
+            check_point("hfri", make_params(1, 1), Fraction(1))
 
     def test_exact_zero_fails(self):
         # S_{1,2}(3/4) = 0 exactly: the inequality is strict
-        rep = hfri_check(make_params(1, 2), Fraction(3, 4))
+        rep = check_point("hfri", make_params(1, 2), Fraction(3, 4))
         assert (rep.status, rep.margin) == ("fails", 0)
+        assert rep.name == "hfri:m2=1,m3=2,z=3/4"
+        assert rep.metadata == {"method": "exact rational"}
 
 
 class TestG:
@@ -413,7 +408,7 @@ class TestG:
         params = make_params(8, 8)
         iv = G_value(params, Fraction(1), Fraction(1, 10**9))
         exact = G_at_one(params)
-        assert iv.contains(exact)
+        assert iv.lo <= exact <= iv.hi
 
     def test_exact_sign_matches_enclosure_on_scan(self):
         # the g-negative value is the exact sign of -G; G_value's enclosure,
@@ -534,7 +529,7 @@ class TestDomainTable:
         params = make_params(*pair)
         verdicts = set()
         for point in scan("hfri", params, grid_n=9).metadata["points"]:
-            rep = hfri_check(params, point["z"])
+            rep = check_point("hfri", params, point["z"])
             assert (rep.status, rep.margin) == (point["verdict"], point["value"])
             verdicts.add(rep.status)
         # S_{1,1} < 0 near z = 1, so both verdicts are compared
@@ -544,9 +539,9 @@ class TestDomainTable:
     def test_lower_bound_check_agrees_with_scan(self, which):
         params = make_params(8, 8)
         for point in scan(f"h-{which}", params, grid_n=7).metadata["points"]:
-            rep = h_lower_bound_check(params, point["z"], which)
+            rep = check_point(f"h-{which}", params, point["z"])
             assert rep.status == point["verdict"]
-            assert rep.witnesses[0]["sign"] == point["value"]
+            assert rep.margin == point["value"]
 
 
 class TestRealPath:

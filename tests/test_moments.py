@@ -20,10 +20,10 @@ from gpiverify.moments import (
     mixed_abs_moment_real,
     odd_moment,
     triple_even_moment,
-    wick_moment,
     wick_poly,
 )
 from gpiverify.polyring import MultiPoly
+from reference import wick_moment
 
 HALF_CORR = GaussianPair.unit(Fraction(1, 2))
 

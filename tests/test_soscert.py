@@ -10,15 +10,14 @@ from gpiverify.bundled import load_g_appendix, load_h_expansion
 from gpiverify.inequality import g_poly, h_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import (
-    Mutation,
     SosCertificate,
     load_certificate,
-    mutate_certificate,
     proportionality_scalar,
     verify_bracket_positivity,
     verify_nonneg_coeffs,
     verify_sos,
 )
+from reference import Mutation, mutate_certificate
 
 a, b, c = (MultiPoly.var(v) for v in "abc")
 
