@@ -15,12 +15,12 @@ definition of the commands, their handlers and their options' defaults and range
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
 error; 70 internal error (a bundled data file cannot be read or parsed, an
-internal identity check failed, or a KeyError, which no input can cause); 74
-report I/O error.  The JSON report is written to --out (stdout by default)
-on exits 0..2; its ``run`` block holds the command and the resolved value of
-each of its options.  Wall-clock timing is recorded only with --timing so
-that exact-arithmetic reports are byte-identical across runs and
-parallelism degrees.
+internal identity check failed, a KeyError, which no input can cause, or a
+scan pool worker died); 74 report I/O error.  The JSON report is written to
+--out (stdout by default) on exits 0..2; its ``run`` block holds the command
+and the resolved value of each of its options.  Wall-clock timing is
+recorded only with --timing so that exact-arithmetic reports are
+byte-identical across runs and parallelism degrees.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -212,21 +212,93 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------------
 
 
+class PoolWorkerError(Exception):
+    """A pool worker ended without returning its share's results."""
+
+
+def _run_share(fn, share: list) -> tuple:
+    """``(results, None)`` for ``[fn(item) for item in share]``, or ``(i, exc)``
+    when item i is the first whose call raises exc."""
+    results = []
+    for item in share:
+        try:
+            results.append(fn(item))
+        except Exception as exc:  # re-raised by _pool_map, in the parent
+            return len(results), exc
+    return results, None
+
+
 def _pool_map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, over ``jobs`` worker processes when
-    jobs > 1, but never more workers than items or CPUs.  Workers take
-    contiguous chunks of about n / (4 workers) items, which keeps pickling and
-    task hand-off cheap while leaving a few chunks per worker to even out the load;
-    results come back in item order."""
+    """``[fn(item) for item in items]``, over up to ``jobs`` processes, this one
+    included, but never more than items or CPUs.
+
+    Share k is ``items[k::workers]``, so a cost gradient along the items is
+    spread evenly.  Forked children compute shares 1.. and send back their
+    results pickled, one pipe each, while this process computes share 0;
+    ``fn`` and the items are inherited through the fork, never pickled (the
+    CLI starts no threads, so forking is safe; a spawned worker would
+    re-import the package, which costs more than a scan's points).  When
+    calls raise, the exception of the lowest-index failing item is raised, as
+    serial ``map`` would.  A child that ends without a complete result raises
+    PoolWorkerError.  Every child is reaped on every path."""
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor  # slow to import; only a pool needs it
+    import pickle  # only a pool needs it
 
-    chunksize = -(-len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    children = []  # (pid, read end of its pipe) for shares 1..
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # never unwind into the caller's frames: their cleanup, and the
+                # stdio buffers inherited from the parent, belong to the parent
+                status = 1
+                try:
+                    # an inherited read end would keep a sibling's pipe open
+                    # after the parent closed it on a failure path
+                    for fd in [read_end] + [r for _, r in children]:
+                        os.close(fd)
+                    data = pickle.dumps(_run_share(fn, items[k::workers]), pickle.HIGHEST_PROTOCOL)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, read_end))
+            os.close(write_end)
+        outcomes = [_run_share(fn, items[0::workers])]
+        payloads = []
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # read ends first: a child blocked on a full pipe then gets EPIPE and exits
+        for _, read_end in children:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (pid, _), status, payload in zip(children, statuses, payloads):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise PoolWorkerError(f"pool worker {pid} {how} before returning its results")
+        try:
+            outcomes.append(pickle.loads(payload))
+        except Exception as exc:  # EOF or a truncated pickle: whatever loads raises
+            raise PoolWorkerError(f"pool worker {pid} returned an incomplete result "
+                                  f"({len(payload)} bytes): {exc!r}") from exc
+    results = [None] * len(items)
+    failures = []
+    for k, (value, exc) in enumerate(outcomes):
+        if exc is None:
+            results[k::workers] = value
+        else:
+            failures.append((k + value * workers, exc))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +629,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
-    except (BundledDataError, AssertionError, KeyError) as exc:
-        # a damaged data file, a failed internal identity or a missing key:
-        # a defect of the program, never of the caller's input
-        print(f"gpiverify: internal error: {exc}", file=sys.stderr)
+    except (BundledDataError, AssertionError, KeyError, PoolWorkerError) as exc:
+        # a damaged data file, a failed internal identity, a missing key or a
+        # pool worker that died: never a fault of the caller's input.  A
+        # BundledDataError names its file; the others are named by their type
+        detail = exc if isinstance(exc, BundledDataError) else f"{type(exc).__name__}: {exc}"
+        print(f"gpiverify: internal error: {detail}", file=sys.stderr)
         return EXIT_SOFTWARE
     except _IOFailure as exc:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import pickle
+import re
+import signal
 import subprocess
 import sys
 
@@ -20,6 +23,30 @@ def invoke(argv, tmp_path, name="report.json"):
     code = main(argv + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked during the test (os.fork is wrapped)."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test if it leaves a child process running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # "1e5" and "1e200" reach the float overflow of the real-exponent path; a
@@ -158,7 +185,8 @@ class TestExitCodes:
         assert main(argv.split()) == 70
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"gpiverify: internal error: {raised[0]}\n"  # one line, no traceback
+        # one line, no traceback, and the exception named by its type
+        assert err == f"gpiverify: internal error: {error.__name__}: {raised[0]}\n"
 
     def test_io_error_is_74(self):
         code = main(
@@ -519,7 +547,7 @@ class TestDeterminism:
         second = (tmp_path / "r.json").read_bytes()
         assert first == second
 
-    def test_checks_identical_across_jobs(self, tmp_path):
+    def test_checks_identical_across_jobs(self, tmp_path, reaped):
         base = ["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "15"]
         _, serial = invoke(base + ["--jobs", "1"], tmp_path, "serial.json")
         _, parallel = invoke(base + ["--jobs", "3"], tmp_path, "parallel.json")
@@ -528,7 +556,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("predicate", ["g-negative", "hfri", "h-half", "h-seventh",
                                            "h-deriv", "h-deriv-reduced"])
-    def test_interval_scan_identical_across_jobs(self, tmp_path, predicate):
+    def test_interval_scan_identical_across_jobs(self, tmp_path, predicate, reaped):
         m2, m3 = ("2", "3") if predicate == "hfri" else ("8", "8")
         base = ["scan", predicate, "--m2", m2, "--m3", m3, "--grid", "21"]
         _, serial = invoke(base + ["--jobs", "1"], tmp_path, "serial.json")
@@ -537,51 +565,47 @@ class TestDeterminism:
         assert serial["summary"] == parallel["summary"] == {"pass": 1, "fail": 0,
                                                             "indeterminate": 0}
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_cpu_count(self, monkeypatch, forks, reaped):
         import gpiverify.cli as cli_mod
 
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        # _pool_map imports the pool class only when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         items = list(range(-50, 51))
         assert cli_mod._pool_map(abs, items, 5000) == [abs(i) for i in items]
+        assert len(forks) == 2  # this process computes the third share
         assert cli_mod._pool_map(abs, items[:2], 5000) == [50, 49]
-        assert started == [3, 2]
+        assert len(forks) == 3
         # one CPU: no pool at all
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert cli_mod._pool_map(abs, items, 8) == [abs(i) for i in items]
-        assert started == [3, 2]
+        assert len(forks) == 3
         # the report echoes the --jobs asked for, not the workers started
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         code, report = cli_mod.run(["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "5",
                                     "--jobs", "64"])
         assert code == 0 and report["run"]["jobs"] == 64
-        assert started == [3, 2, 3]
+        assert len(forks) == 5
 
     def test_import_loads_only_what_every_command_needs(self):
-        # numpy serves only the Monte Carlo oracle and the process pool only
+        # numpy serves only the Monte Carlo oracle and pickle only the pool of
         # scan --jobs N; each is imported where it is used.  dataclasses (and
-        # the inspect it pulls in) is not used at all
-        unwanted = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+        # the inspect it pulls in) is not used at all, nor is the standard
+        # library's process pool, even by a scan that starts a pool
+        unwanted = ("numpy", "pickle", "concurrent.futures", "multiprocessing", "dataclasses",
+                    "inspect")
         code = f"import sys, gpiverify.cli; print([m for m in {unwanted!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        pools = ("concurrent.futures", "multiprocessing")
+        code = ("import os, sys\n"
+                "from gpiverify import cli\n"
+                "os.cpu_count = lambda: 2\n"
+                "code, _ = cli.run('scan h-deriv --m2 8 --m3 8 --grid 21 --jobs 2'.split())\n"
+                "print(code, 'pickle' in sys.modules,"
+                f" [m for m in {pools!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 True []"  # a pool ran, and needed neither
 
     def test_stdout_report(self):
         proc = subprocess.run(
@@ -592,3 +616,128 @@ class TestDeterminism:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["schema"] == 1
+
+
+def _raising_at(*bad):
+    """i -> i * i, except that each item in ``bad`` raises: ValueError when
+    even, KeyError when odd."""
+
+    def fn(i):
+        if i in bad:
+            raise (ValueError, KeyError)[i % 2](f"item {i}")
+        return i * i
+
+    return fn
+
+
+def _in_child(action):
+    """i -> i, except that in a forked child each call first runs ``action``."""
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            action()
+        return i
+
+    return fn
+
+
+class TestPool:
+    """_pool_map over 3 processes: share k of range(10) is items k, k + 3, ...;
+    this process computes share 0 and two forked children the others."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    # failing items: in a child's share, in two children's shares, in this
+    # process's share after a lower one in a child's, and the reverse
+    @pytest.mark.parametrize("bad", [(4,), (5, 7), (1, 3), (2, 6), (0, 1)])
+    def test_failure_is_the_serial_one(self, bad, forks, reaped):
+        from gpiverify.cli import _pool_map
+
+        fn = _raising_at(*bad)
+        with pytest.raises(Exception) as serial:
+            [fn(i) for i in range(10)]
+        with pytest.raises(Exception) as pooled:
+            _pool_map(fn, range(10), 3)
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value)
+        assert f"item {min(bad)}" in str(pooled.value)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("action, message", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"was killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(0), "returned an incomplete result (0 bytes)"),
+    ], ids=["exit-3", "sigkill", "exit-0"])
+    def test_dead_child_is_pool_worker_error(self, action, message, reaped):
+        from gpiverify.cli import PoolWorkerError, _pool_map
+
+        with pytest.raises(PoolWorkerError, match=f"pool worker [0-9]+ {re.escape(message)}"):
+            _pool_map(_in_child(action), range(10), 3)
+
+    def test_truncated_result_is_pool_worker_error(self, monkeypatch, reaped):
+        from gpiverify.cli import PoolWorkerError, _pool_map
+
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-2])
+        with pytest.raises(PoolWorkerError, match="returned an incomplete result"):
+            _pool_map(abs, range(10), 3)
+
+    def test_dead_worker_exits_70(self, monkeypatch, capsys, reaped):
+        # a scan whose pool worker dies is an internal error, not a failed check
+        import gpiverify.inequality as inequality
+
+        point = inequality._scan_point
+        die = _in_child(lambda: os._exit(9))
+
+        def dying_point(predicate, params, z):
+            return point(predicate, params, die(z))
+
+        monkeypatch.setattr(inequality, "_scan_point", dying_point)
+        assert main("scan h-deriv --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch("gpiverify: internal error: PoolWorkerError: pool worker [0-9]+ "
+                            "exited with status 9 before returning its results\n", err)
+
+    @pytest.mark.parametrize("error", ["ValueError", "KeyboardInterrupt"])
+    def test_no_deadlock_when_this_share_raises(self, error):
+        # each child's result (about 300 KB) overfills its pipe while this
+        # process's share raises; a KeyboardInterrupt abandons the results
+        code = ("import os\n"
+                "from gpiverify import cli\n"
+                "os.cpu_count = lambda: 3\n"
+                "parent = os.getpid()\n"
+                "def fn(i):\n"
+                "    if os.getpid() == parent and i == 3:\n"
+                f"        raise {error}('share 0')\n"
+                "    return 'x' * 100_000\n"
+                "try:\n"
+                "    cli._pool_map(fn, range(10), 3)\n"
+                f"except {error} as exc:\n"
+                "    print('raised', exc)\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    print('reaped')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised share 0\nreaped\n"
+
+    def test_unflushed_stdout_written_once(self):
+        # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is set),
+        # so "before" is still in the buffer that each child inherits
+        code = ("import os\n"
+                "from gpiverify import cli\n"
+                "os.cpu_count = lambda: 3\n"
+                "print('before')\n"
+                "print(cli._pool_map(abs, range(-5, 5), 3))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"before\n{[abs(i) for i in range(-5, 5)]}\n"
