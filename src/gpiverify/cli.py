@@ -15,8 +15,8 @@ definition of the commands, their handlers and their options' defaults and range
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 usage
 error; 70 internal error (a bundled data file cannot be read or parsed, an
-internal identity check failed, a KeyError, which no input can cause, or a
-scan pool worker died); 74 report I/O error.  The JSON report is written to
+internal identity check failed, a KeyError or ZeroDivisionError, which no
+input can cause, or a scan pool worker died); 74 report I/O error.  The JSON report is written to
 --out (stdout by default) on exits 0..2; its ``run`` block holds the command
 and the resolved value of each of its options.  Wall-clock timing is
 recorded only with --timing so that exact-arithmetic reports are
@@ -594,7 +594,7 @@ def run(argv: list[str]) -> tuple[int, dict]:
     start = time.monotonic()
     try:
         checks = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     statuses = [c["status"] for c in checks]
     summary = {
@@ -629,10 +629,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
-    except (BundledDataError, AssertionError, KeyError, PoolWorkerError) as exc:
-        # a damaged data file, a failed internal identity, a missing key or a
-        # pool worker that died: never a fault of the caller's input.  A
-        # BundledDataError names its file; the others are named by their type
+    except (BundledDataError, AssertionError, KeyError, ZeroDivisionError, PoolWorkerError) as exc:
+        # a damaged data file, a failed internal identity, a missing key, a
+        # division by zero or a pool worker that died: never a fault of the
+        # caller's input.  A BundledDataError names its file; the others are
+        # named by their type
         detail = exc if isinstance(exc, BundledDataError) else f"{type(exc).__name__}: {exc}"
         print(f"gpiverify: internal error: {detail}", file=sys.stderr)
         return EXIT_SOFTWARE

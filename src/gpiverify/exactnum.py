@@ -37,7 +37,11 @@ def rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("refusing float input; pass a string, int or Fraction")
-    return Fraction(str(value).strip())
+    text = str(value).strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def sign_sqrt(a: Fraction | int, b: Fraction | int, d: Fraction | int) -> int:

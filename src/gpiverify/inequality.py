@@ -38,7 +38,7 @@ from .exactnum import (
     sign_sqrt,
     sqrt_enclosure,
 )
-from .gausshyp import HALF, THREE_HALVES, hyp_poly, hyp_poly_symbolic_m3, hyp_value_at_one
+from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .moments import (
     GaussianPair,
     TripleSpec,
@@ -215,6 +215,15 @@ def _s_combination(f1, f2, z, r, msum, one=1) -> MultiPoly:
     )
 
 
+def _s_poly(m2: int, m3: int | MultiPoly) -> MultiPoly:
+    """S for an int m3 (a polynomial in z) or a polynomial m3 (a polynomial in
+    z and m3's variables that specializes to S at every integer m3 >= 1)."""
+    return _s_combination(
+        hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES), MultiPoly.var("z"),
+        (2 * m2 + 1) * (2 * m3 + 1) + 1, m3 + (m2 + 1),
+    )
+
+
 @lru_cache(maxsize=None)
 def S_poly(params: GpiParams) -> MultiPoly:
     """Cleared-denominator positivity polynomial in z, degree 2 m2 + 1:
@@ -225,22 +234,7 @@ def S_poly(params: GpiParams) -> MultiPoly:
     positivity on (1/r^2, 1) is equivalent to the ratio inequality
     f1/f2 > 1/H there.
     """
-    m2, m3 = params.m2, params.m3
-    return _s_combination(
-        hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES), MultiPoly.var("z"),
-        params.r, params.msum,
-    )
-
-
-@lru_cache(maxsize=None)
-def s_poly_symbolic(m2: int) -> MultiPoly:
-    """S with the second exponent kept symbolic: a polynomial in (z, m3)."""
-    ring = ("z", "m3")
-    m3v = MultiPoly.var("m3", ring)
-    return _s_combination(
-        hyp_poly_symbolic_m3(m2, HALF), hyp_poly_symbolic_m3(m2, THREE_HALVES),
-        MultiPoly.var("z", ring), (m3v * 2 + 1) * (2 * m2 + 1) + 1, m3v + (m2 + 1),
-    )
+    return _s_poly(params.m2, params.m3)
 
 
 def h_offset(m2: int) -> int:
@@ -261,9 +255,8 @@ def h_poly(m2: int) -> MultiPoly:
     """
     if not 1 <= m2 <= 7:
         raise ValueError("h_poly is defined for m2 in 1..7")
-    s = s_poly_symbolic(m2)
     b = MultiPoly.var("b")
-    s_b = s.substitute("m3", b * b + h_offset(m2))
+    s_b = _s_poly(m2, b * b + h_offset(m2))
     c = MultiPoly.var("c")
     c2 = c * c
     return s_b.substitute_rational("z", c2, c2 + 1, 2 * m2 + 1).in_ring(("b", "c"))
@@ -357,15 +350,13 @@ def mri_ratio(params: GpiParams, pair: GaussianPair) -> Fraction:
     )
 
 
-def check_mri(
-    params: GpiParams, pair: GaussianPair, width: RationalLike = DEFAULT_WIDTH
-) -> CheckReport:
+def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     """Moment-ratio inequality check, decided exactly.
 
     The bound is |Cov| when Corr^2 <= t and H(Corr^2) |Cov| otherwise; the
     branch test and the comparison are exact (radical isolated and squared),
     so the verdict is never indeterminate.  An interval enclosure of
-    lhs - bound at the requested width accompanies the verdict.
+    lhs - bound, with H enclosed to DEFAULT_WIDTH, accompanies the verdict.
     """
     lhs = mri_ratio(params, pair)
     z = pair.corr_sq
@@ -383,7 +374,7 @@ def check_mri(
         sign = h_compare(params, z, q)
         status = HOLDS if sign >= 0 else FAILS
         equality = sign == 0
-        h_iv = H_value(params, z, width)
+        h_iv = H_value(params, z)
         enclosure = RationalInterval.point(lhs) - h_iv * abs_cov
         branch = "ratio-bound"
     return CheckReport(
@@ -428,9 +419,8 @@ def find_mri_violation(
 def G_at_one(params: GpiParams) -> Fraction:
     """G(1), exact: F(-m2-1, -m3; 1/2; 1) - (2 m3 + 1) H(1) F(-m2, -m3; 1/2; 1)."""
     m2, m3 = params.m2, params.m3
-    return hyp_value_at_one(m2 + 1, m3, HALF) - (2 * m3 + 1) * H_at_one(
-        params
-    ) * hyp_value_at_one(m2, m3, HALF)
+    f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": 1})
+    return f_big - (2 * m3 + 1) * H_at_one(params) * hyp_poly(m2, m3, HALF).eval({"z": 1})
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ positive int denominator and a map from exponent vectors to nonzero int
 numerators, always in lowest terms.  That is the one stored form.  Sums,
 products, scaling, substitution and derivatives all run on the integers, and
 :attr:`MultiPoly.terms` is a read-only view with one Fraction per monomial.
-It carries every symbolic object of the pipeline: hypergeometric polynomials,
+It carries every symbolic object of the pipeline: hypergeometric polynomials
+(in z, or in z and b when the index m3 is itself a polynomial in b),
 cleared-denominator inequality polynomials, positivity certificates and their
 squares.
 
@@ -399,14 +400,3 @@ def _as_poly(value: "MultiPoly | RationalLike", vars: Sequence[str]) -> MultiPol
         return value
     return MultiPoly.const(value, vars)
 
-
-def falling_factorial(var: str, j: int, vars: Sequence[str] | None = None) -> MultiPoly:
-    """var * (var-1) * ... * (var-j+1) as a polynomial; j = 0 gives 1."""
-    if j < 0:
-        raise ValueError("falling factorial requires j >= 0")
-    ring = (var,) if vars is None else tuple(vars)
-    x = MultiPoly.var(var, ring)
-    result = MultiPoly.const(1, ring)
-    for i in range(j):
-        result = result * (x - i)
-    return result

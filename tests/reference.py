@@ -1,9 +1,10 @@
 """Independent references that the tests compare the package against.
 
 No command runs these, so they live beside the tests: the interval enclosure
-of G, the four contiguous relations of F, the moments of the pairing
-recursion at a pair, and single-coefficient certificate mutations.  Import
-them with ``from reference import ...`` (pytest puts ``tests/`` on the path).
+of G, the four contiguous relations of F and its Chu-Vandermonde value at
+z = 1, the moments of the pairing recursion at a pair, and single-coefficient
+certificate mutations.  Import them with ``from reference import ...``
+(pytest puts ``tests/`` on the path).
 """
 
 from fractions import Fraction
@@ -114,6 +115,22 @@ def relation_38(m2: int, m3: int, c: Fraction) -> MultiPoly:
         - c * hyp_poly(m2 + 1, m3, c)
         + (c - b) * _Z * hyp_poly(m2, m3, c + 1)
     )
+
+
+def pochhammer(x: RationalLike, j: int) -> Fraction:
+    """Rising factorial x (x+1) ... (x+j-1), exact; j = 0 gives 1."""
+    x = rational(x)
+    result = Fraction(1)
+    for i in range(j):
+        result *= x + i
+    return result
+
+
+def hyp_value_at_one(m2: int, m3: int, c: RationalLike) -> Fraction:
+    """F(-m2, -m3; c; 1) by the Chu-Vandermonde closed form
+    (c + m3)_{m2} / (c)_{m2}; independent of hyp_poly."""
+    c = rational(c)
+    return pochhammer(c + m3, m2) / pochhammer(c, m2)
 
 
 # ----------------------------------------------------------------------

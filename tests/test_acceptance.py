@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from gpiverify.bundled import load_g_appendix, load_h_expansion
 from gpiverify.exactnum import RationalInterval
-from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly, hyp_value_at_one
+from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly
 from gpiverify.inequality import (
     G_at_one,
     H_at_one,
@@ -44,6 +44,7 @@ from gpiverify.moments import (
 from gpiverify.soscert import load_certificate, verify_bracket_positivity, verify_sos
 from reference import (
     Mutation,
+    hyp_value_at_one,
     mutate_certificate,
     quadratic_form_residuals,
     relation_31,

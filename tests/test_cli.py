@@ -7,13 +7,16 @@ import re
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpiverify.cli import _build_parser, _resolve_config, _UsageError, main, run
+from gpiverify.gausshyp import HALF
 from gpiverify.polyring import MultiPoly
+from reference import hyp_value_at_one
 
 REQUIRED_REPORT_KEYS = {"schema", "tool", "run", "checks", "summary", "timing"}
 
@@ -166,13 +169,24 @@ class TestExitCodes:
         )
         assert code == 64
 
-    @pytest.mark.parametrize("error", [AssertionError, KeyError])
+    @pytest.mark.parametrize("argv", [
+        "check hfri --m2 1 --m3 5 --z 1/0",
+        "scan hfri --m2 1 --m3 5 --z-lo 1/0",
+        "check gpi --m2 1 --m3 1 --a 1/0 --x 1/2",
+    ])
+    def test_zero_denominator_is_usage(self, argv, capsys):
+        assert main(argv.split() + ["--out", os.devnull]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("gpiverify: error: '1/0' has a zero denominator\n")
+        assert "Fraction(1, 0)" not in err
+
+    @pytest.mark.parametrize("error", [AssertionError, KeyError, ZeroDivisionError])
     @pytest.mark.parametrize("argv", ["params show --m2 1 --m3 1",
                                       "scan hfri --m2 2 --m3 3 --grid 5"])
     def test_failed_identity_is_internal_error(self, argv, error, monkeypatch, capsys):
-        # a failed internal identity, or a KeyError (no input reaches one),
-        # is a defect of the program: exit 70 with one line on stderr, never
-        # a usage error or a traceback
+        # a failed internal identity, a KeyError or a ZeroDivisionError (no
+        # input reaches either) is a defect of the program: exit 70 with one
+        # line on stderr, never a usage error or a traceback
         import gpiverify.cli as cli_mod
 
         raised = []
@@ -244,6 +258,19 @@ class TestCommands:
         )
         assert code == 0
         assert report["checks"][0]["witnesses"][0]["corr_sq"] == "1/4"
+
+    @pytest.mark.parametrize("m2,m3", [(1, 1), (2, 3), (30, 31)])
+    def test_params_show_g_at_one_matches_closed_form(self, tmp_path, m2, m3):
+        # G(1) = F(-m2-1, -m3; 1/2; 1) - (2 m3 + 1) H(1) F(-m2, -m3; 1/2; 1)
+        # with H(1) = 2 (m2 + m3 + 1)/(r + 1), F(1) by Chu-Vandermonde
+        code, report = invoke(["params", "show", "--m2", str(m2), "--m3", str(m3)], tmp_path)
+        assert code == 0
+        r = (2 * m2 + 1) * (2 * m3 + 1) + 1
+        h_at_one = Fraction(2 * (m2 + m3 + 1), r + 1)
+        expected = hyp_value_at_one(m2 + 1, m3, HALF) - (
+            (2 * m3 + 1) * h_at_one * hyp_value_at_one(m2, m3, HALF)
+        )
+        assert Fraction(report["checks"][0]["metadata"]["G_at_1"]) == expected
 
     def test_mri_x_conflicts_with_variances(self):
         assert main(["check", "mri", "--m2", "3", "--m3", "3",

@@ -35,6 +35,10 @@ class TestRational:
         with pytest.raises(TypeError):
             rational(0.1)
 
+    def test_zero_denominator_named(self):
+        with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+            rational(" 1/0")
+
     def test_exact_arithmetic_examples(self):
         assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
         assert Fraction(11, 4) * Fraction(4, 11) == 1

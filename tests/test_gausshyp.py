@@ -10,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from gpiverify.gausshyp import hyp_poly, hyp_poly_symbolic_m3, hyp_value_at_one, pochhammer
+from gpiverify.gausshyp import hyp_poly
 from gpiverify.polyring import MultiPoly
-from reference import relation_31, relation_37, relation_38, relation_derivative
+from reference import (
+    hyp_value_at_one,
+    pochhammer,
+    relation_31,
+    relation_37,
+    relation_38,
+    relation_derivative,
+)
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -60,31 +67,55 @@ class TestHypPoly:
         for m2, m3 in [(1, 4), (2, 7), (3, 3)]:
             assert hyp_poly(m2, m3, HALF) == hyp_poly(m3, m2, HALF)
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            hyp_poly(2, -1, HALF)
+        with pytest.raises(ValueError):
+            hyp_poly(-1, 2, HALF)
+        with pytest.raises(ValueError):
+            hyp_poly(-1, MultiPoly.var("m3"), HALF)
+
 
 class TestSymbolic:
-    def test_examples(self):
-        m3 = MultiPoly.var("m3")
-        assert hyp_poly_symbolic_m3(1, HALF) == 1 + 2 * m3 * z
-        assert hyp_poly_symbolic_m3(1, THREE_HALVES) == 1 + Fraction(2, 3) * m3 * z
+    """hyp_poly with m3 a polynomial (here the variable m3 itself)."""
 
-    def test_specialization_reproduces_numeric(self):
-        for m2 in range(0, 8):
-            sym = hyp_poly_symbolic_m3(m2, HALF)
-            for n in (m2, m2 + 1, m2 + 5, 12):
-                assert sym.substitute("m3", n) == hyp_poly(m2, n, HALF), (m2, n)
-        sym = hyp_poly_symbolic_m3(3, THREE_HALVES)
-        assert sym.substitute("m3", 6) == hyp_poly(3, 6, THREE_HALVES)
+    m3 = MultiPoly.var("m3")
+
+    def test_examples(self):
+        assert hyp_poly(1, self.m3, HALF) == 1 + 2 * self.m3 * z
+        assert hyp_poly(1, self.m3, THREE_HALVES) == 1 + Fraction(2, 3) * self.m3 * z
+        assert hyp_poly(0, self.m3, HALF) == 1
+
+    @pytest.mark.parametrize("c", [HALF, THREE_HALVES])
+    def test_specialization_reproduces_numeric(self, c):
+        # the z^j coefficient has degree j <= m2 in m3, so agreement at m2 + 1
+        # points proves the identity; the points include m3 < m2
+        for m2 in range(0, 9):
+            sym = hyp_poly(m2, self.m3, c)
+            for n in range(0, m2 + 2):
+                assert sym.substitute("m3", n) == hyp_poly(m2, n, c), (m2, n)
 
     def test_coefficient_degrees(self):
-        sym = hyp_poly_symbolic_m3(4, HALF)
+        sym = hyp_poly(4, self.m3, HALF)
+        assert sym.vars == ("z", "m3")
         assert sym.degree("z") == 4
         # the z^j coefficient has degree j in m3
         for exps, _ in sym.iter_terms():
             zj, m3j = exps
             assert m3j <= zj
+        assert all(sym.coeff((j, j)) for j in range(5))
+
+    def test_polynomial_index(self):
+        # m3 = b^2 + 3 specializes like m3 = n at b^2 = n - 3
+        b = MultiPoly.var("b")
+        sym = hyp_poly(3, b * b + 3, THREE_HALVES)
+        assert sym.vars == ("z", "b")
+        assert sym.substitute("b", 2) == hyp_poly(3, 7, THREE_HALVES)
 
 
 class TestValueAtOne:
+    """F at z = 1 against the Chu-Vandermonde closed form of tests/reference.py."""
+
     def test_examples(self):
         assert hyp_value_at_one(1, 1, HALF) == 3  # 1 + 2z at z = 1
         assert hyp_value_at_one(1, 1, THREE_HALVES) == Fraction(5, 3)

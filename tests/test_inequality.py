@@ -35,11 +35,11 @@ from gpiverify.inequality import (
     make_params,
     make_real_params,
     mri_ratio,
-    s_poly_symbolic,
     scan,
 )
-from gpiverify.inequality import _scan_point
+from gpiverify.inequality import _s_poly, _scan_point
 from gpiverify.moments import GaussianPair
+from gpiverify.polyring import MultiPoly
 from reference import G_value, quadratic_form_residuals
 
 
@@ -170,10 +170,12 @@ class TestSPoly:
         assert S_poly(make_params(1, 5)).eval({"z": 1}) > 0
 
     def test_symbolic_specialization(self):
+        # S built with a polynomial m3, specialized at every m3 (below m2 too)
+        m3v = MultiPoly.var("m3")
         for m2 in (1, 2, 3):
-            sym = s_poly_symbolic(m2)
-            for m3 in (m2, m2 + 3, 9):
-                assert sym.substitute("m3", m3) == S_poly(make_params(m2, m3))
+            sym = _s_poly(m2, m3v)
+            for m3 in range(1, 10):
+                assert sym.substitute("m3", m3) == S_poly(make_params(m2, m3)), (m2, m3)
 
 
 class TestHPoly:
@@ -350,7 +352,7 @@ class TestCheckMri:
             x = Fraction(rng.randint(1, 99), 100)
             params = make_params(m2, m3)
             pair = GaussianPair.unit(x)
-            report = check_mri(params, pair, width)
+            report = check_mri(params, pair)
             lhs = mri_ratio(params, pair)
             if x * x <= params.t:
                 bound_iv = RationalInterval.point(abs(pair.cov))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpiverify.polyring import MultiPoly, falling_factorial
+from gpiverify.polyring import MultiPoly
 
 var = MultiPoly.var
 coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
@@ -298,21 +298,30 @@ class TestSubstitution:
         assert p.substitute("x", q).eval(point) == p.eval({"x": q.eval(point), "y": py})
 
 
-class TestFallingFactorial:
+def falling(x: MultiPoly, j: int) -> MultiPoly:
+    """x (x-1) ... (x-j+1): the product of linear factors that hyp_poly's
+    recurrence builds for a polynomial index."""
+    result = MultiPoly.const(1, x.vars)
+    for i in range(j):
+        result = result * (x - i)
+    return result
+
+
+class TestLinearFactorProducts:
     def test_examples(self):
-        assert falling_factorial("m3", 0) == MultiPoly.const(1, ("m3",))
         m3 = var("m3")
-        assert falling_factorial("m3", 2) == m3**2 - m3
+        assert falling(m3, 0) == MultiPoly.const(1, ("m3",))
+        assert falling(m3, 2) == m3**2 - m3
 
     def test_shifted_product(self):
         # (x2-1)(x2-2)(x2-3) by shifting the variable before expanding
         x2 = var("x2")
-        shifted = falling_factorial("t", 3).substitute("t", x2 - 1)
+        shifted = falling(var("t"), 3).substitute("t", x2 - 1)
         expected = (x2 - 1) * (x2 - 2) * (x2 - 3)
         assert shifted == expected
 
     def test_matches_integer_values(self):
-        p = falling_factorial("n", 4)
+        p = falling(var("n"), 4)
         for n in range(10):
             brute = n * (n - 1) * (n - 2) * (n - 3)
             assert p.eval({"n": n}) == brute
