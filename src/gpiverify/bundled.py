@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
 
+from .exactnum import InputError
 from .polyring import MultiPoly
 
 
@@ -45,7 +46,7 @@ def _read(package_dir: str, name: str) -> dict:
 def load_h_expansion(m2: int) -> MultiPoly:
     """Bundled reference expansion of h_{m2}, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
-        raise ValueError("bundled h expansions exist for m2 in 1..7")
+        raise InputError("bundled h expansions exist for m2 in 1..7")
     name = f"h{m2}_expansion.json"
     with reading("certs", name):
         return MultiPoly.from_json_dict(_read("certs", name))
@@ -55,7 +56,7 @@ def load_h_expansion(m2: int) -> MultiPoly:
 def load_certificate_dict(m2: int) -> dict:
     """Raw certificate JSON for h_{m2}'s bracket, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
-        raise ValueError("bundled certificates exist for m2 in 1..7")
+        raise InputError("bundled certificates exist for m2 in 1..7")
     name = f"h{m2}_sos.json"
     with reading("certs", name):
         return _read("certs", name)

@@ -13,14 +13,12 @@ Every command also takes --out and --timing.  The parser is the one
 definition of the commands, their handlers and their options' defaults and ranges.
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
-real-exponent path too close to zero to trust (and nothing failed); 64 usage
-error; 70 internal error (a bundled data file cannot be read or parsed, an
-internal identity check failed, a KeyError or ZeroDivisionError, which no
-input can cause, or a scan pool worker died); 74 report I/O error.  The JSON report is written to
---out (stdout by default) on exits 0..2; its ``run`` block holds the command
-and the resolved value of each of its options.  Wall-clock timing is
-recorded only with --timing so that exact-arithmetic reports are
-byte-identical across runs and parallelism degrees.
+real-exponent path too close to zero to trust (and nothing failed); 64 bad
+input; 74 report I/O error; 70 anything else, which is a defect of the
+program.  The JSON report is written to --out (stdout by default) on exits
+0..2; its ``run`` block holds the command and the resolved value of each of
+its options.  Wall-clock timing is recorded only with --timing so that
+exact-arithmetic reports are byte-identical across runs and parallelism degrees.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -37,8 +35,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .bundled import BundledDataError, load_g_appendix, load_h_expansion
-from .exactnum import rational
+from .bundled import load_g_appendix, load_h_expansion
+from .exactnum import InputError, rational
 from .inequality import (
     SCAN_PREDICATES,
     TRUNCATION_BOUND,
@@ -80,17 +78,13 @@ EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError (exit 64) on usage errors.  The top-level parser
+    """Raises InputError (exit 64) on usage errors.  The top-level parser
     lists the parser of each command ("gpiverify sos verify", ...) in
     ``commands``."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _at_least(low: int):
@@ -103,6 +97,14 @@ def _at_least(low: int):
         return value
 
     return integer
+
+
+def _float(text: str) -> float:
+    """``float(text)``; an invalid text is an InputError with float's message."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -120,7 +122,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--jobs", type=_at_least(1), default=1,
                            help="worker processes (default %(default)s)")
         if seed:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_at_least(0), default=0,
                            help="seed for sampled checks (default %(default)s)")
         p.add_argument("--timing", action="store_true", help="record wall time in the report")
         p.set_defaults(handler=handler, parser=p)
@@ -302,47 +304,44 @@ def _pool_map(fn, items, jobs: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# command implementations (each returns a list of CheckReport or raw dicts)
+# command implementations (each returns a list of CheckReport)
 # ----------------------------------------------------------------------
 
 
-def _cmd_sos_verify(args: argparse.Namespace) -> list[dict]:
+def _cmd_sos_verify(args: argparse.Namespace) -> list[CheckReport]:
     if args.all and args.m2 is not None:
-        raise _UsageError("sos verify --all does not use --m2")
+        raise InputError("sos verify --all does not use --m2")
     if args.m2 is not None:
         indices = [args.m2]
     else:
         indices = list(range(1, 8))  # --all and the bare form verify everything
-    return [verify_bracket_positivity(m2).to_json_dict() for m2 in indices]
+    return [verify_bracket_positivity(m2) for m2 in indices]
 
 
-def _cmd_expand_h(args: argparse.Namespace) -> list[dict]:
+def _cmd_expand_h(args: argparse.Namespace) -> list[CheckReport]:
     poly = h_poly(args.m2)
     _maybe_write_poly(args, poly)
-    report = CheckReport(
+    out = [CheckReport(
         name=f"expand:h{args.m2}",
         status=VERIFIED,
         metadata={"terms": len(poly.nums), "degree_b": poly.degree("b"),
                   "degree_c": poly.degree("c"), "polynomial": poly.to_json_dict()},
-    )
-    out = [report.to_json_dict()]
+    )]
     if args.compare_bundled:
         bundled = load_h_expansion(args.m2)
         same = poly == bundled
-        out.append(
-            CheckReport(
-                name=f"expand:h{args.m2}:compare-bundled",
-                status=VERIFIED if same else RESIDUAL_NONZERO,
-                residual=None if same else poly - bundled,
-            ).to_json_dict()
-        )
+        out.append(CheckReport(
+            name=f"expand:h{args.m2}:compare-bundled",
+            status=VERIFIED if same else RESIDUAL_NONZERO,
+            residual=None if same else poly - bundled,
+        ))
     return out
 
 
-def _cmd_expand_g(args: argparse.Namespace) -> list[dict]:
+def _cmd_expand_g(args: argparse.Namespace) -> list[CheckReport]:
     poly = g_poly()
     _maybe_write_poly(args, poly)
-    checks = [verify_nonneg_coeffs(poly, "g").to_json_dict()]
+    checks = [verify_nonneg_coeffs(poly, "g")]
     meta = {
         "terms": len(poly.nums),
         "degrees": {v: poly.degree(v) for v in poly.vars},
@@ -356,21 +355,17 @@ def _cmd_expand_g(args: argparse.Namespace) -> list[dict]:
         meta["proportionality_scalar"] = scalar
         meta["bundled_constant"] = bundled.constant_term()
         meta["bundled_min_coeff"] = min(bundled.coefficients())
-        checks.append(
-            CheckReport(
-                name="expand:g:compare-appendix",
-                status=VERIFIED if scalar is not None else RESIDUAL_NONZERO,
-                metadata=meta,
-            ).to_json_dict()
-        )
+        checks.append(CheckReport(
+            name="expand:g:compare-appendix",
+            status=VERIFIED if scalar is not None else RESIDUAL_NONZERO,
+            metadata=meta,
+        ))
     else:
-        checks.append(
-            CheckReport(name="expand:g", status=VERIFIED, metadata=meta).to_json_dict()
-        )
+        checks.append(CheckReport(name="expand:g", status=VERIFIED, metadata=meta))
     return checks
 
 
-def _cmd_expand_s(args: argparse.Namespace) -> list[dict]:
+def _cmd_expand_s(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
     poly = S_poly(params)
     _maybe_write_poly(args, poly)
@@ -383,23 +378,23 @@ def _cmd_expand_s(args: argparse.Namespace) -> list[dict]:
                 "value_at_0": poly.eval({"z": 0}),
                 "polynomial": poly.to_json_dict(),
             },
-        ).to_json_dict()
+        )
     ]
 
 
-def _cmd_check_gpi(args: argparse.Namespace) -> list[dict]:
+def _cmd_check_gpi(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
-    return [check_gpi(params, rational(args.a), rational(args.x)).to_json_dict()]
+    return [check_gpi(params, rational(args.a), rational(args.x))]
 
 
-def _cmd_check_mri(args: argparse.Namespace) -> list[dict]:
+def _cmd_check_mri(args: argparse.Namespace) -> list[CheckReport]:
     """--m2/--m3 or --y2/--y3 (real exponents), then --find-violation or a
     point: --x, or --cov with --var2/--var3 for integers.  An option that
     the chosen form ignores is a usage error."""
     real = args.y2 is not None or args.y3 is not None
     indices = ("y2", "y3") if real else ("m2", "m3")
     if any(getattr(args, opt) is None for opt in indices):
-        raise _UsageError(f"check mri needs both --{indices[0]} and --{indices[1]}")
+        raise InputError(f"check mri needs both --{indices[0]} and --{indices[1]}")
     if args.find_violation:
         point = ()
     elif args.x is not None:
@@ -407,43 +402,43 @@ def _cmd_check_mri(args: argparse.Namespace) -> list[dict]:
     elif args.cov is not None and not real:
         point = ("cov", "var2", "var3")
     else:
-        raise _UsageError("check mri needs --x, --cov (with --m2/--m3), or --find-violation")
+        raise InputError("check mri needs --x, --cov (with --m2/--m3), or --find-violation")
     ignored = [f"--{opt}" for opt in ("m2", "m3", "y2", "y3", "x", "cov", "var2", "var3")
                if getattr(args, opt) is not None and opt not in indices + point]
     if ignored:
-        raise _UsageError(f"this form of check mri does not use {', '.join(ignored)}")
+        raise InputError(f"this form of check mri does not use {', '.join(ignored)}")
     if real:
         rp = make_real_params(args.y2, args.y3)
         if args.find_violation:
-            return [find_mri_real_violation(rp).to_json_dict()]
-        return [check_mri_real(rp, float(args.x)).to_json_dict()]
+            return [find_mri_real_violation(rp)]
+        return [check_mri_real(rp, _float(args.x))]
     params = make_params(args.m2, args.m3)
     if args.find_violation:
-        return [find_mri_violation(params).to_json_dict()]
+        return [find_mri_violation(params)]
     if args.x is not None:
         pair = GaussianPair.unit(rational(args.x))
     else:
         pair = GaussianPair(rational(args.var2 or 1), rational(args.var3 or 1), rational(args.cov))
-    return [check_mri(params, pair).to_json_dict()]
+    return [check_mri(params, pair)]
 
 
-def _cmd_check_hfri(args: argparse.Namespace) -> list[dict]:
+def _cmd_check_hfri(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
-    return [check_point("hfri", params, rational(args.z)).to_json_dict()]
+    return [check_point("hfri", params, rational(args.z))]
 
 
-def _cmd_check_gpi_real(args: argparse.Namespace) -> list[dict]:
+def _cmd_check_gpi_real(args: argparse.Namespace) -> list[CheckReport]:
     rp = make_real_params(args.y2, args.y3)
-    return [check_gpi_real(rp, float(args.a), float(args.x)).to_json_dict()]
+    return [check_gpi_real(rp, _float(args.a), _float(args.x))]
 
 
-def _cmd_scan(args: argparse.Namespace) -> list[dict]:
+def _cmd_scan(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
     return [scan(args.predicate, params, args.z_lo or None, args.z_hi or None, args.grid,
-                 map_fn=partial(_pool_map, jobs=args.jobs)).to_json_dict()]
+                 map_fn=partial(_pool_map, jobs=args.jobs))]
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> list[dict]:
+def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
     if args.real:
         return _cmd_oracle_compare_real(args)
     # each side is a polynomial in the correlation, so equality holds for every x
@@ -460,11 +455,11 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[dict]:
             status=HOLDS if not mismatches else FAILS,
             witnesses=mismatches[:16],
             metadata={"comparisons": len(cases)},
-        ).to_json_dict()
+        )
     ]
 
 
-def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[dict]:
+def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[CheckReport]:
     from .moments import MC_METHOD, MomentExponents, abs_moment_real, mc_moment, mixed_abs_moment_real
 
     half = GaussianPair.unit(Fraction(1, 2))
@@ -485,20 +480,18 @@ def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[dict]:
     for i, (label, closed, exps, pair) in enumerate(configs):
         mean, stderr = mc_moment(exps, pair, args.mc_n, args.seed + i)
         ok = abs(closed - mean) <= 4 * stderr
-        checks.append(
-            CheckReport(
-                name=f"oracle:real:{label}",
-                status=HOLDS if ok else FAILS,
-                margin=closed - mean,
-                witnesses=[{"closed_form": closed, "mc_mean": mean, "mc_stderr": stderr}],
-                metadata={"method": MC_METHOD, "seed": args.seed + i, "n": args.mc_n,
-                          "tolerance": "4 standard errors"},
-            ).to_json_dict()
-        )
+        checks.append(CheckReport(
+            name=f"oracle:real:{label}",
+            status=HOLDS if ok else FAILS,
+            margin=closed - mean,
+            witnesses=[{"closed_form": closed, "mc_mean": mean, "mc_stderr": stderr}],
+            metadata={"method": MC_METHOD, "seed": args.seed + i, "n": args.mc_n,
+                      "tolerance": "4 standard errors"},
+        ))
     return checks
 
 
-def _cmd_params_show(args: argparse.Namespace) -> list[dict]:
+def _cmd_params_show(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
     meta = {
         "m2": params.m2,
@@ -514,7 +507,7 @@ def _cmd_params_show(args: argparse.Namespace) -> list[dict]:
         "S_at_0": S_poly(params).eval({"z": 0}),
     }
     return [CheckReport(name=f"params:m2={args.m2},m3={args.m3}", status=HOLDS,
-                        metadata=meta).to_json_dict()]
+                        metadata=meta)]
 
 
 # ----------------------------------------------------------------------
@@ -524,16 +517,23 @@ def _cmd_params_show(args: argparse.Namespace) -> list[dict]:
 
 def _maybe_write_poly(args: argparse.Namespace, poly) -> None:
     if args.poly_out:
-        try:
-            with open(args.poly_out, "w", encoding="utf-8") as fh:
-                json.dump(poly.to_json_dict(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        _write(args.poly_out, json.dumps(poly.to_json_dict(), indent=1) + "\n")
 
 
 class _IOFailure(Exception):
     pass
+
+
+def _write(path: str | None, text: str) -> None:
+    """``text`` to the file at ``path``, or to stdout without one; OSError is _IOFailure."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise _IOFailure(str(exc)) from exc
 
 
 def _resolve_config(argv: list[str]) -> argparse.Namespace:
@@ -564,44 +564,46 @@ def _read_config(path: str, options: dict[str, argparse.Action], known: set[str]
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from exc
+        raise InputError(f"cannot read config file: {exc}") from exc
     except ValueError as exc:
-        raise _UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise _UsageError(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     converted = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
-            raise _UsageError(f"config file {path}: unknown option {key!r}")
+            raise InputError(f"config file {path}: unknown option {key!r}")
         action = options.get(dest)
         if action is None:
             continue
         flag = action.nargs == 0  # takes true or false; the others a string or a number
         invalid = f"config file {path}: invalid value {value!r} for {key!r}"
         if isinstance(value, bool) != flag or not isinstance(value, (str, int, float)):
-            raise _UsageError(invalid)
+            raise InputError(invalid)
         try:
             converted[dest] = value if flag else (action.type or str)(str(value))
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"{invalid}: argument {action.option_strings[0]}: {exc}") from exc
+            raise InputError(f"{invalid}: argument {action.option_strings[0]}: {exc}") from exc
     return converted
 
 
 def run(argv: list[str]) -> tuple[int, dict]:
-    """Execute one CLI invocation; returns (exit_code, report_dict)."""
+    """Execute one CLI invocation; returns (exit_code, report_dict), with each
+    check rendered as a dict."""
     args = _resolve_config(argv)
     start = time.monotonic()
-    try:
-        checks = args.handler(args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    statuses = [c["status"] for c in checks]
+    reports = args.handler(args)
     summary = {
-        "pass": sum(1 for s in statuses if s in PASS_STATUSES),
-        "fail": sum(1 for s in statuses if s in FAIL_STATUSES),
-        "indeterminate": sum(1 for s in statuses if s == INDETERMINATE),
+        "pass": sum(1 for c in reports if c.status in PASS_STATUSES),
+        "fail": sum(1 for c in reports if c.status in FAIL_STATUSES),
+        "indeterminate": sum(1 for c in reports if c.status == INDETERMINATE),
     }
+    try:
+        checks = [c.to_json_dict() for c in reports]
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise InputError(f"the exact report would hold a number of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     command = args.parser.prog.split(" ", 1)[1]  # prog is "gpiverify <command>"
     actions = [a for a in args.parser._actions if a.dest != "help"]
     report = {
@@ -625,32 +627,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         code, report = run(argv)
-    except _UsageError as exc:
+        _write(report["run"]["out"], json.dumps(report, indent=2) + "\n")
+    except InputError as exc:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
-    except (BundledDataError, AssertionError, KeyError, ZeroDivisionError, PoolWorkerError) as exc:
-        # a damaged data file, a failed internal identity, a missing key, a
-        # division by zero or a pool worker that died: never a fault of the
-        # caller's input.  A BundledDataError names its file; the others are
-        # named by their type
-        detail = exc if isinstance(exc, BundledDataError) else f"{type(exc).__name__}: {exc}"
-        print(f"gpiverify: internal error: {detail}", file=sys.stderr)
-        return EXIT_SOFTWARE
     except _IOFailure as exc:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    text = json.dumps(report, indent=2) + "\n"
-    out = report["run"]["out"]
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"gpiverify: i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:  # no input causes it: a defect of the program
+        print(f"gpiverify: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     return code
 
 

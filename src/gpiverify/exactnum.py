@@ -22,6 +22,11 @@ from typing import Union
 RationalLike = Union[Fraction, int, str]
 
 
+class InputError(ValueError):
+    """An invalid value from outside the program (an option, a config file),
+    raised where the value is checked; a usage error (exit 64) on the command line."""
+
+
 def rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from "p/q", "p" or decimal text such as "2.75".
 
@@ -41,7 +46,9 @@ def rational(value: RationalLike) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
+        raise InputError(f"{text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def sign_sqrt(a: Fraction | int, b: Fraction | int, d: Fraction | int) -> int:

@@ -32,6 +32,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .exactnum import (
+    InputError,
     RationalInterval,
     RationalLike,
     rational,
@@ -119,7 +120,7 @@ class GpiParams(NamedTuple):
 
 def make_params(m2: int, m3: int) -> GpiParams:
     if m2 < 1 or m3 < 1:
-        raise ValueError("make_params requires m2, m3 >= 1")
+        raise InputError("make_params requires m2, m3 >= 1")
     r = Fraction((2 * m2 + 1) * (2 * m3 + 1) + 1)
     t = 1 / (r + (1 + Fraction(1, 2 * m2)) * (1 + Fraction(1, 2 * m3)))
     if not (1 / (r * r) < t < 1 / r):
@@ -138,10 +139,10 @@ class RealGpiParams(NamedTuple):
 
 def make_real_params(y2: float, y3: float) -> RealGpiParams:
     if not (0 < y2 < math.inf and 0 < y3 < math.inf):  # also rejects NaN
-        raise ValueError("make_real_params requires finite y2, y3 > 0")
+        raise InputError("make_real_params requires finite y2, y3 > 0")
     r = (y2 + 1.0) * (y3 + 1.0) + 1.0
     if not math.isfinite(r):
-        raise ValueError("make_real_params requires a finite r = (y2 + 1)(y3 + 1) + 1")
+        raise InputError("make_real_params requires a finite r = (y2 + 1)(y3 + 1) + 1")
     t = 1.0 / (r + (1.0 + 1.0 / y2) * (1.0 + 1.0 / y3))
     return RealGpiParams(y2, y3, r, t)
 
@@ -254,7 +255,7 @@ def h_poly(m2: int) -> MultiPoly:
     Defined for 1 <= m2 <= 7 (the explicitly certified range).
     """
     if not 1 <= m2 <= 7:
-        raise ValueError("h_poly is defined for m2 in 1..7")
+        raise InputError("h_poly is defined for m2 in 1..7")
     b = MultiPoly.var("b")
     s_b = _s_poly(m2, b * b + h_offset(m2))
     c = MultiPoly.var("c")
@@ -329,7 +330,7 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
     """
     a, x = rational(a), rational(x)
     if abs(x) > 1:
-        raise ValueError("correlation x must satisfy |x| <= 1")
+        raise InputError("correlation x must satisfy |x| <= 1")
     spec = TripleSpec(GaussianPair.unit(x), a)
     lhs = triple_even_moment(spec, params.m2, params.m3)
     rhs = spec.var1 * double_factorial_odd(params.m2) * double_factorial_odd(params.m3)
@@ -507,11 +508,11 @@ def default_scan_range(
 
 def check_domain(predicate: str, params: GpiParams, z: RationalLike) -> Fraction:
     """``z`` as a Fraction if it lies in the predicate's domain (an open end
-    excludes its endpoint); ValueError otherwise."""
+    excludes its endpoint); InputError otherwise."""
     z = rational(z)
     lo, hi, lo_open, hi_open = default_scan_range(predicate, params)
     if (z <= lo if lo_open else z < lo) or (z >= hi if hi_open else z > hi):
-        raise ValueError(f"z={z} is outside the {_domain_text(predicate, params)}")
+        raise InputError(f"z={z} is outside the {_domain_text(predicate, params)}")
     return z
 
 
@@ -533,7 +534,7 @@ def scan(
     Grid points are z_lo + k (z_hi - z_lo)/(grid_n - 1); open endpoints are
     nudged inward by (z_hi - z_lo)/(10 grid_n), and the effective endpoints
     are recorded in the report.  Overrides of z_lo/z_hi may only narrow the
-    predicate's domain: an effective endpoint outside it raises ValueError,
+    predicate's domain: an effective endpoint outside it raises InputError,
     and so does a predicate whose domain is empty for the pair.
     ``map_fn(fn, zs)`` evaluates the points and must return the results in
     the order of ``zs``; a process pool may stand in for the default serial
@@ -543,14 +544,14 @@ def scan(
         raise ValueError("grid_n must be >= 2")
     d_lo, d_hi, lo_open, hi_open = default_scan_range(predicate, params)
     if not d_lo < d_hi:
-        raise ValueError(
+        raise InputError(
             f"every z is outside the {_domain_text(predicate, params)}, which is "
             f"empty for m2={params.m2}, m3={params.m3}"
         )
     z_lo = d_lo if z_lo is None else rational(z_lo)
     z_hi = d_hi if z_hi is None else rational(z_hi)
     if not z_lo < z_hi:
-        raise ValueError("need z_lo < z_hi")
+        raise InputError("need z_lo < z_hi")
     nudge = (z_hi - z_lo) / (10 * grid_n)
     lo_eff = check_domain(predicate, params, z_lo + nudge if lo_open else z_lo)
     hi_eff = check_domain(predicate, params, z_hi - nudge if hi_open else z_hi)
@@ -601,7 +602,7 @@ def _scan_point(predicate: str, params: GpiParams, z: Fraction):
 
 
 def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckReport:
-    """A scan predicate at one point of its domain (ValueError outside it);
+    """A scan predicate at one point of its domain (InputError outside it);
     the margin is the scan point's value."""
     z = check_domain(predicate, params, z)
     status, value = _scan_point(predicate, params, z)
@@ -620,9 +621,9 @@ def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckRepo
 
 def _real_margin_status(margin: float) -> str:
     """Verdict of a float margin: within REAL_MARGIN_GUARD of zero it is not
-    trusted and reads indeterminate; a non-finite margin raises ValueError."""
+    trusted and reads indeterminate; a non-finite margin raises InputError."""
     if not math.isfinite(margin):
-        raise ValueError(f"the float margin is {margin}: the inputs overflow the float range")
+        raise InputError(f"the float margin is {margin}: the inputs overflow the float range")
     if margin > REAL_MARGIN_GUARD:
         return HOLDS
     if margin < -REAL_MARGIN_GUARD:
@@ -642,9 +643,9 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
     zero are reported indeterminate rather than trusted.
     """
     if not abs(x) < 1:
-        raise ValueError("check_gpi_real requires |x| < 1")
+        raise InputError("check_gpi_real requires |x| < 1")
     if not math.isfinite(a):
-        raise ValueError("check_gpi_real requires a finite a")
+        raise InputError("check_gpi_real requires a finite a")
     y2, y3 = rp.y2, rp.y3
     z = x * x
     margin = (
@@ -684,10 +685,15 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         |x| F(-y2/2, -y3/2; 3/2; x^2) / F(-y2/2, -y3/2; 1/2; x^2)
         <=  |x|                 if x^2 <= t
         <=  H(x^2) |x|          otherwise
+
+    An x^2 in (t, 1/r^2], where H is undefined (small y2, y3), raises InputError.
     """
     if not abs(x) < 1:
-        raise ValueError("check_mri_real requires |x| < 1")
+        raise InputError("check_mri_real requires |x| < 1")
     z = x * x
+    if z > rp.t and not rp.r * rp.r * z - 1.0 > 0.0:  # the guard of h_real
+        raise InputError(f"x^2 = {z!r} is above t = {rp.t!r} but outside the ratio bound's "
+                         f"domain x^2 > 1/r^2 = {1.0 / (rp.r * rp.r)!r}")
     f1 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 0.5, z)
     f2 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 1.5, z)
     lhs = abs(x) * f2 / f1
@@ -695,7 +701,10 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         bound = abs(x)
         branch = "covariance"
     else:
-        bound = h_real(rp, z) * abs(x)
+        try:
+            bound = h_real(rp, z) * abs(x)
+        except OverflowError:  # a float power in H past the float range
+            raise InputError(f"the ratio bound H({z!r}) overflows the float range") from None
         branch = "ratio-bound"
     margin = bound - lhs
     return CheckReport(

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .exactnum import RationalLike, rational
+from .exactnum import InputError, RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .polyring import MultiPoly
 
@@ -57,9 +57,9 @@ class GaussianPair:
         self.var3 = rational(var3)
         self.cov = rational(cov)
         if self.var2 <= 0 or self.var3 <= 0:
-            raise ValueError("variances must be positive")
+            raise InputError("variances must be positive")
         if self.cov * self.cov > self.var2 * self.var3:
-            raise ValueError("covariance violates |corr| <= 1")
+            raise InputError("covariance violates |corr| <= 1")
 
     @staticmethod
     def unit(cov: RationalLike) -> "GaussianPair":
@@ -179,7 +179,7 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
     Terminates when a geometric tail bound certifies the remainder below
     ``tol``; if either of a, b is a nonpositive integer the series is finite
     and summed exactly.  A partial sum that leaves the float range raises
-    ValueError, and so does an infinite series whose tail bound cannot apply
+    InputError, and so does an infinite series whose tail bound cannot apply
     within SERIES_CAP terms (|z| too close to 1, or |a|, |b| too large).
     """
     if not abs(z) < 1:
@@ -193,7 +193,7 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
         w, s = abs(z), abs(a) + abs(b)
         root = (w * s + math.sqrt((w * s) ** 2 + 4 * (1 - w) * w * abs(a * b))) / (2 * (1 - w))
         if root >= SERIES_CAP:
-            raise ValueError(
+            raise InputError(
                 f"{series} needs about {root:.3g} terms before its tail bound applies,"
                 f" more than {SERIES_CAP}: |z| is too close to 1 or |a|, |b| too large"
             )
@@ -210,13 +210,13 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
             return total
         total += term
         if not math.isfinite(total):
-            raise ValueError(f"{series} overflows the float range")
+            raise InputError(f"{series} overflows the float range")
         if j > settle:
             q = abs(z) * (1.0 + abs(a) / j) * (1.0 + abs(b) / j)
             if q < 1.0 and abs(term) * q / (1.0 - q) < tol:
                 return total
         if j > SERIES_CAP:
-            raise ValueError(f"{series} did not converge within {SERIES_CAP} terms")
+            raise InputError(f"{series} did not converge within {SERIES_CAP} terms")
 
 
 def abs_moment_real(y: float) -> float:

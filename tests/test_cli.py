@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpiverify.cli import _build_parser, _resolve_config, _UsageError, main, run
+from gpiverify.cli import _build_parser, _resolve_config, main, run
+from gpiverify.exactnum import InputError
 from gpiverify.gausshyp import HALF
 from gpiverify.polyring import MultiPoly
 from reference import hyp_value_at_one
@@ -53,22 +54,35 @@ def reaped():
 
 
 # "1e5" and "1e200" reach the float overflow of the real-exponent path; a
-# bare large integer would not do, as --max-m would accept it and hang the test
+# bare large integer would not do, as --max-m would accept it and hang the
+# test.  As real exponents, "0.01" and "1e-320" put t below 1/r^2, so that
+# x^2 can fall where the ratio bound is undefined.
 ARGV_VALUES = ["-1", "0", "1", "2", "1/2", "0.5", "1e5", "1e200", "1/0", "abc", "nan", "inf",
-               ""]
-# starting values that keep an example cheap; a drawn value may override them
-CHEAP_OPTIONS = {"scan": ["--grid", "5"], "oracle compare": ["--max-m", "2", "--mc-n", "1000"]}
+               "", "0.01", "1e-320"]
+# values that every option of a type accepts at small indices ("0.5" and
+# "0.25" read as rationals and as floats, inside every z domain and |x| < 1)
+PLAUSIBLE = {int: ["1", "2"], float: ["0.5", "1", "2"], None: ["0.5", "0.25"]}
+# starting options, one list drawn per example, that keep an example cheap or
+# give check mri a complete form; a drawn value may override them
+START_OPTIONS = {
+    "scan": [["--grid", "5"]],
+    "oracle compare": [["--max-m", "2", "--mc-n", "1000"]],
+    "check mri": [["--m2", "2", "--m3", "3", "--x", "1/4"], ["--y2", "1", "--y3", "1", "--x", "0.5"],
+                  ["--m2", "2", "--m3", "2", "--find-violation"],
+                  ["--y2", "0.5", "--y3", "1", "--find-violation"]],
+}
 
 
 @st.composite
 def cli_argvs(draw):
-    """A command, its required options, then options mostly of that command,
-    each with a value from ARGV_VALUES (--jobs only 1 or 2).  Reports go to
-    os.devnull."""
+    """A command, its starting and required options, then options mostly of
+    that command, each with a plausible value seven times in eight and
+    otherwise one from ARGV_VALUES (--jobs only 1 or 2), so that many
+    examples reach a command handler.  Reports go to os.devnull."""
     commands = _build_parser().commands
     parser = draw(st.sampled_from(commands))
     command = parser.prog.split()[1:]
-    argv = command + CHEAP_OPTIONS.get(" ".join(command), [])
+    argv = command + draw(st.sampled_from(START_OPTIONS.get(" ".join(command), [[]])))
     argv += [draw(st.sampled_from(a.choices)) for a in parser._actions if not a.option_strings]
 
     def drawable(p):
@@ -77,17 +91,22 @@ def cli_argvs(draw):
 
     own = drawable(parser)
     foreign = {flag: a for p in commands for flag, a in drawable(p).items() if flag not in own}
-    flags = st.sampled_from(sorted(own) * 4 + sorted(foreign))
-    values = st.sampled_from(ARGV_VALUES)
-    # half the values of required options are plausible, so more examples
-    # get past the parser
-    for flag in [flag for flag, a in own.items() if a.required]:
-        argv += [flag, draw(st.sampled_from(["1", "2", "1/2"]) | values)]
-    for flag in draw(st.lists(flags, max_size=6)):
+    flags = st.sampled_from(sorted(own) * 8 + sorted(foreign))
+
+    def value(action):
+        # a weighted draw: one_of over repeated equal strategies is not weighted
+        if draw(st.integers(0, 7)):
+            return draw(st.sampled_from(PLAUSIBLE.get(action.type, ["1", "2"])))
+        return draw(st.sampled_from(ARGV_VALUES))
+
+    for flag, action in own.items():
+        if action.required:
+            argv += [flag, value(action)]
+    for flag in draw(st.lists(flags, max_size=3)):
         action = own.get(flag) or foreign[flag]
         argv.append(flag)
         if action.nargs != 0:
-            argv.append(draw(st.sampled_from(["1", "2"]) if flag == "--jobs" else values))
+            argv.append(draw(st.sampled_from(["1", "2"])) if flag == "--jobs" else value(action))
     return argv + ["--out", os.devnull]
 
 
@@ -109,11 +128,12 @@ class TestExitCodes:
         # lands there, so force one through a command handler to pin the
         # status -> summary -> exit-code plumbing
         import gpiverify.cli as cli_mod
+        from gpiverify.report import CheckReport
 
         monkeypatch.setitem(
             cli_mod.__dict__,
             "_cmd_params_show",
-            lambda cfg: [{"name": "forced", "status": "indeterminate"}],
+            lambda cfg: [CheckReport("forced", "indeterminate")],
         )
         code, report = invoke(["params", "show", "--m2", "1", "--m3", "1"], tmp_path)
         assert code == 2
@@ -137,6 +157,9 @@ class TestExitCodes:
         "check mri --y2 3000 --y3 3000 --find-violation",
         "check gpi-real --y2 1e5 --y3 1e5 --a 1 --x 0.9",
         "check gpi-real --y2 1 --y3 1 --a 1e200 --x 0.5",
+        # the series terminate; (r - 1)^3 in H overflows
+        "check mri --y2 1e200 --y3 2 --x 0.5",
+        "check mri --y2 1e200 --y3 2 --find-violation",
     ])
     def test_float_overflow_is_usage(self, argv, capsys):
         # a series partial sum or a margin past the float range
@@ -180,12 +203,50 @@ class TestExitCodes:
         assert err.startswith("gpiverify: error: '1/0' has a zero denominator\n")
         assert "Fraction(1, 0)" not in err
 
-    @pytest.mark.parametrize("error", [AssertionError, KeyError, ZeroDivisionError])
+    @pytest.mark.parametrize("argv", [
+        "check hfri --m2 1 --m3 5 --z abc",
+        "check gpi-real --y2 1 --y3 1 --a abc --x 0.5",
+    ])
+    def test_invalid_number_is_usage(self, argv, capsys):
+        assert main(argv.split() + ["--out", os.devnull]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("gpiverify: error: ") and "'abc'" in err.splitlines()[0]
+
+    @pytest.mark.parametrize("argv", [
+        "check mri --m2 8 --m3 8 --x 1e-320",
+        "check gpi --m2 8 --m3 8 --a 3 --x 1e-320",
+    ])
+    def test_report_past_the_digit_limit_is_usage(self, argv, capsys):
+        # the verdict is exact, but printing it would take numbers longer
+        # than the interpreter converts; the limit stays, as it bounds the time
+        assert main(argv.split()) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        limit = sys.get_int_max_str_digits()
+        assert err.splitlines()[0] == (f"gpiverify: error: the exact report would hold "
+                                       f"a number of more than {limit} digits")
+        assert sum(line.startswith("gpiverify:") for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, t, bound", [
+        ("check mri --y2 0.01 --y3 0.01 --x 0.1", "9.801019602029404e-05", "0.24504974939975122"),
+        ("check mri --y2 0.5 --y3 0.5 --x 0.3", "0.08163265306122448", "0.09467455621301775"),
+    ])
+    def test_real_ratio_bound_gap_is_usage(self, argv, t, bound, capsys):
+        # for small exponents t < 1/r^2, and H is undefined on (t, 1/r^2]
+        assert main(argv.split()) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"is above t = {t} but outside the ratio bound's domain x^2 > 1/r^2 = {bound}" \
+            in err.splitlines()[0]
+
+    @pytest.mark.parametrize("error", [AssertionError, KeyError, ZeroDivisionError, ValueError,
+                                       TypeError])
     @pytest.mark.parametrize("argv", ["params show --m2 1 --m3 1",
                                       "scan hfri --m2 2 --m3 3 --grid 5"])
     def test_failed_identity_is_internal_error(self, argv, error, monkeypatch, capsys):
-        # a failed internal identity, a KeyError or a ZeroDivisionError (no
-        # input reaches either) is a defect of the program: exit 70 with one
+        # any exception but InputError that no input causes (here a failed
+        # internal identity) is a defect of the program: exit 70 with one
         # line on stderr, never a usage error or a traceback
         import gpiverify.cli as cli_mod
 
@@ -202,12 +263,15 @@ class TestExitCodes:
         # one line, no traceback, and the exception named by its type
         assert err == f"gpiverify: internal error: {error.__name__}: {raised[0]}\n"
 
-    def test_io_error_is_74(self):
-        code = main(
-            ["params", "show", "--m2", "1", "--m3", "1",
-             "--out", "/nonexistent-dir/report.json"]
-        )
-        assert code == 74
+    @pytest.mark.parametrize("argv", [
+        "params show --m2 1 --m3 1 --out /nonexistent-dir/report.json",
+        "expand s --m2 1 --m3 5 --poly-out /nonexistent-dir/s.json",
+    ])
+    def test_io_error_is_74(self, argv, capsys):
+        assert main(argv.split()) == 74
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gpiverify: i/o error: ") and err.count("\n") == 1
 
 
 class TestReportSchema:
@@ -349,7 +413,7 @@ class TestCommands:
     def test_mri_ignored_config_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"var2": "2"}))
-        with pytest.raises(_UsageError, match="--var2"):
+        with pytest.raises(InputError, match="--var2"):
             run(["--config", str(cfg), "check", "mri", "--m2", "2", "--m3", "3", "--x", "1/4"])
 
     def test_oracle_compare_real_records_rng_method(self, tmp_path):
@@ -426,18 +490,20 @@ class TestCommands:
         "oracle compare --corr-steps -1",
         "oracle compare --corr-steps 0",
         "oracle compare --real --mc-n 0",
+        # numpy's generator takes only seeds >= 0
+        "oracle compare --real --seed -1",
     ], ids=lambda argv: "-".join(argv.split()[-2:]))
     def test_out_of_range_option_is_usage_error(self, argv):
         argv = argv.split()
         flag = argv[-2]
-        with pytest.raises(_UsageError, match=flag):
+        with pytest.raises(InputError, match=flag):
             _resolve_config(argv)
         assert main(argv) == 64
 
     def test_out_of_range_config_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"jobs": 0}))
-        with pytest.raises(_UsageError, match="--jobs"):
+        with pytest.raises(InputError, match="--jobs"):
             _resolve_config(["--config", str(cfg), "scan", "hfri", "--m2", "2", "--m3", "3"])
 
     @pytest.mark.parametrize("text, argv, match", [
@@ -454,7 +520,7 @@ class TestCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         argv = ["--config", str(cfg)] + argv.split()
-        with pytest.raises(_UsageError, match=match):
+        with pytest.raises(InputError, match=match):
             _resolve_config(argv)
         assert main(argv) == 64
         assert "Traceback" not in capsys.readouterr().err
@@ -556,7 +622,8 @@ class TestCommands:
             for loader in loaders:
                 loader.cache_clear()
         err = capsys.readouterr().err
-        assert f"certs/{damaged}" in err and "Traceback" not in err
+        assert err.startswith("gpiverify: internal error: BundledDataError: bundled file ")
+        assert f"certs/{damaged}" in err and err.count("\n") == 1
 
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",

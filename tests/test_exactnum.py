@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpiverify.exactnum import (
+    InputError,
     RationalInterval,
     rational,
     sign_sqrt,
@@ -36,8 +37,10 @@ class TestRational:
             rational(0.1)
 
     def test_zero_denominator_named(self):
-        with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+        with pytest.raises(InputError, match="^'1/0' has a zero denominator$"):
             rational(" 1/0")
+        with pytest.raises(InputError, match="^Invalid literal for Fraction: 'abc'$"):
+            rational("abc")
 
     def test_exact_arithmetic_examples(self):
         assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
