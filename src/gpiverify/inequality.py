@@ -11,9 +11,11 @@ This module materializes, with exact rational arithmetic wherever possible:
   m3 -> b^2 + offset and z -> c^2/(1+c^2);
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
-* exact checks of the product inequality (GPI) and the moment-ratio
-  inequality (MRI), and the inequality predicates at one point (check_point)
-  or on a grid (scan).
+* exact checks of the product inequality (GPI, from three bivariate
+  moments) and the moment-ratio inequality (MRI), with float counterparts
+  for real exponents; one search down a grid of correlations finds an MRI
+  violation on either path; and the inequality predicates at one point
+  (check_point) or on a grid (scan).
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
@@ -40,15 +42,7 @@ from .exactnum import (
     sqrt_enclosure,
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
-from .moments import (
-    GaussianPair,
-    TripleSpec,
-    double_factorial_odd,
-    even_moment,
-    gauss_hyp_real,
-    odd_moment,
-    triple_even_moment,
-)
+from .moments import GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment
 from .polyring import MultiPoly
 from .report import (
     FAILS,
@@ -324,6 +318,8 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
     unit-variance pair with correlation x:
 
         margin = E[X1^2 X2^(2m2) X3^(2m3)] - E[X1^2] E[X2^(2m2)] E[X3^(2m3)]
+               = a^2 E[X2^(2m2) X3^(2m3+2)] + E[X2^(2m2+2) X3^(2m3)]
+                 + 2a E[X2^(2m2+1) X3^(2m3+1)] - (a^2 + 1 + 2ax)(2m2-1)!! (2m3-1)!!
 
     Holds iff margin >= 0; equality (margin exactly 0) is reported in the
     metadata and occurs only in independent/degenerate configurations.
@@ -331,10 +327,13 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
     a, x = rational(a), rational(x)
     if abs(x) > 1:
         raise InputError("correlation x must satisfy |x| <= 1")
-    spec = TripleSpec(GaussianPair.unit(x), a)
-    lhs = triple_even_moment(spec, params.m2, params.m3)
-    rhs = spec.var1 * double_factorial_odd(params.m2) * double_factorial_odd(params.m3)
-    margin = lhs - rhs
+    m2, m3, pair = params.m2, params.m3, GaussianPair.unit(x)
+    lhs = (
+        a * a * even_moment(m2, m3 + 1, pair)
+        + even_moment(m2 + 1, m3, pair)
+        + 2 * a * odd_moment(m2, m3, pair)
+    )
+    margin = lhs - (a * a + 1 + 2 * a * x) * double_factorial_odd(m2) * double_factorial_odd(m3)
     status = HOLDS if margin >= 0 else FAILS
     return CheckReport(
         name=f"gpi:m2={params.m2},m3={params.m3},a={a},x={x}",
@@ -387,28 +386,34 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     )
 
 
-def find_mri_violation(
-    params: GpiParams, steps: int = 100
+def _first_violation(
+    name: str, steps: int, xs: Iterable, check: Callable[..., CheckReport]
 ) -> CheckReport:
+    """The first x of ``xs`` at which ``check(x)`` fails: a report that holds
+    with the witness {"x", "detail": the failing check's witnesses}, or one
+    that fails when no x does."""
+    for x in xs:
+        report = check(x)
+        if report.status == FAILS:
+            return CheckReport(
+                name=name,
+                status=HOLDS,
+                witnesses=[{"x": x, "detail": report.witnesses}],
+                metadata={"found": True, "grid_steps": steps},
+            )
+    return CheckReport(name=name, status=FAILS, metadata={"found": False, "grid_steps": steps})
+
+
+def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
     """Search correlations x = k/steps, scanning down from x = 1, for an
     exact MRI violation; the report carries the first witness found (or none).
 
     Scanning downward surfaces the full-correlation witness first where it
     exists (as for small index pairs)."""
-    for k in range(steps, 0, -1):
-        x = Fraction(k, steps)
-        report = check_mri(params, GaussianPair.unit(x))
-        if report.status == FAILS:
-            return CheckReport(
-                name=f"mri-violation:m2={params.m2},m3={params.m3}",
-                status=HOLDS,
-                witnesses=[{"x": x, "detail": report.witnesses}],
-                metadata={"found": True, "grid_steps": steps},
-            )
-    return CheckReport(
-        name=f"mri-violation:m2={params.m2},m3={params.m3}",
-        status=FAILS,
-        metadata={"found": False, "grid_steps": steps},
+    return _first_violation(
+        f"mri-violation:m2={params.m2},m3={params.m3}", steps,
+        (Fraction(k, steps) for k in range(steps, 0, -1)),
+        lambda x: check_mri(params, GaussianPair.unit(x)),
     )
 
 
@@ -718,19 +723,8 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
 
 def find_mri_real_violation(rp: RealGpiParams, steps: int = 100) -> CheckReport:
     """Search x = k/steps (k = steps-1..1, descending) for a real-exponent
-    ratio-bound violation."""
-    for k in range(steps - 1, 0, -1):
-        x = k / steps
-        report = check_mri_real(rp, x)
-        if report.status == FAILS:
-            return CheckReport(
-                name=f"mri-real-violation:y2={rp.y2},y3={rp.y3}",
-                status=HOLDS,
-                witnesses=[{"x": x, "margin": report.margin}],
-                metadata={"found": True, "grid_steps": steps},
-            )
-    return CheckReport(
-        name=f"mri-real-violation:y2={rp.y2},y3={rp.y3}",
-        status=FAILS,
-        metadata={"found": False, "grid_steps": steps},
+    ratio-bound violation, as find_mri_violation does on the exact path."""
+    return _first_violation(
+        f"mri-real-violation:y2={rp.y2},y3={rp.y3}", steps,
+        (k / steps for k in range(steps - 1, 0, -1)), partial(check_mri_real, rp),
     )

@@ -1,14 +1,16 @@
-"""Bivariate and trivariate Gaussian product moments.
+"""Bivariate Gaussian product moments.
 
 An integer-exponent moment of a unit-variance Gaussian pair is a polynomial
 in the correlation x, built exactly two independent ways: the closed forms
 (:func:`closed_form_poly`, from F(-m2, -m3; 1/2 or 3/2; x^2)) and the
 Stein/pairing recursion (:func:`wick_poly`).  Their agreement is a polynomial
 identity, so it holds at every correlation.  :func:`_moment_at` takes either
-to any pair by homogeneity, without square roots.
+to any pair by homogeneity, without square roots, through one
+:meth:`MultiPoly.eval`.
 
-Real (non-integer) exponents get a floating-point path built on the absolute
-moment closed forms, plus a seeded Monte Carlo estimator used as an
+A real-exponent moment E[g(X2) h(X3)] is named by one
+:class:`MomentExponents` request: :func:`real_moment` is its closed form in
+floating point, and :func:`mc_moment` its seeded Monte Carlo estimate, the
 independent statistical oracle.
 """
 
@@ -26,17 +28,14 @@ from .polyring import MultiPoly
 
 __all__ = [
     "GaussianPair",
-    "TripleSpec",
     "MomentExponents",
     "double_factorial_odd",
     "even_moment",
     "odd_moment",
     "wick_poly",
     "closed_form_poly",
-    "triple_even_moment",
     "gauss_hyp_real",
-    "abs_moment_real",
-    "mixed_abs_moment_real",
+    "real_moment",
     "mc_moment",
 ]
 
@@ -69,23 +68,6 @@ class GaussianPair:
     def corr_sq(self) -> Fraction:
         """Squared correlation, exactly rational."""
         return self.cov * self.cov / (self.var2 * self.var3)
-
-
-class TripleSpec:
-    """(X1, X2, X3) with X1 = X2 + a*X3 over a unit-variance pair."""
-
-    __slots__ = ("pair", "a")
-
-    def __init__(self, pair: GaussianPair, a: RationalLike):
-        self.pair = pair
-        self.a = rational(a)
-        if pair.var2 != 1 or pair.var3 != 1:
-            raise ValueError("TripleSpec requires a unit-variance pair")
-
-    @property
-    def var1(self) -> Fraction:
-        """E[X1^2] = a^2 + 1 + 2 a x."""
-        return self.a * self.a + 1 + 2 * self.a * self.pair.cov
 
 
 def double_factorial_odd(m: int) -> int:
@@ -133,11 +115,12 @@ def closed_form_poly(m2: int, m3: int, odd: bool) -> MultiPoly:
 def _moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
     """E[X2^p X3^q] at ``pair`` from its unit-variance polynomial in x: by
     homogeneity x^k becomes Cov^k Var2^((p-k)/2) Var3^((q-k)/2), and pairing
-    parity makes p - k and q - k even in every nonzero term."""
-    total = Fraction(0)
-    for (k,), n in poly.nums.items():
-        total += n * pair.cov**k * pair.var2 ** ((p - k) // 2) * pair.var3 ** ((q - k) // 2)
-    return total / poly.den
+    parity makes p - k and q - k even in every nonzero term.  The homogenized
+    polynomial is evaluated at (Cov, Var2, Var3) as one integer sum, reduced
+    once."""
+    terms = {(k, (p - k) // 2, (q - k) // 2): n for (k,), n in poly.nums.items()}
+    homogenized = MultiPoly(("x", "v2", "v3"), terms, poly.den)
+    return homogenized.eval({"x": pair.cov, "v2": pair.var2, "v3": pair.var3})
 
 
 def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
@@ -150,20 +133,6 @@ def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
     return _moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
 
 
-def triple_even_moment(spec: TripleSpec, m2: int, m3: int) -> Fraction:
-    """E[(X2 + a X3)^2 X2^(2 m2) X3^(2 m3)], exact.
-
-    Expands to a^2 E[X2^(2m2) X3^(2m3+2)] + E[X2^(2m2+2) X3^(2m3)]
-    + 2 a E[X2^(2m2+1) X3^(2m3+1)].
-    """
-    a, pair = spec.a, spec.pair
-    return (
-        a * a * even_moment(m2, m3 + 1, pair)
-        + even_moment(m2 + 1, m3, pair)
-        + 2 * a * odd_moment(m2, m3, pair)
-    )
-
-
 # ----------------------------------------------------------------------
 # real-exponent floating-point path
 # ----------------------------------------------------------------------
@@ -173,11 +142,11 @@ SERIES_CAP = 10_000_000  # terms
 CORR_CAP = 0.999
 
 
-def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_TOL) -> float:
+def gauss_hyp_real(a: float, b: float, c: float, z: float) -> float:
     """Gauss series F(a, b; c; z) for real parameters, |z| < 1.
 
     Terminates when a geometric tail bound certifies the remainder below
-    ``tol``; if either of a, b is a nonpositive integer the series is finite
+    SERIES_TOL; if either of a, b is a nonpositive integer the series is finite
     and summed exactly.  A partial sum that leaves the float range raises
     InputError, and so does an infinite series whose tail bound cannot apply
     within SERIES_CAP terms (|z| too close to 1, or |a|, |b| too large).
@@ -213,75 +182,51 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float, tol: float = SERIES_T
             raise InputError(f"{series} overflows the float range")
         if j > settle:
             q = abs(z) * (1.0 + abs(a) / j) * (1.0 + abs(b) / j)
-            if q < 1.0 and abs(term) * q / (1.0 - q) < tol:
+            if q < 1.0 and abs(term) * q / (1.0 - q) < SERIES_TOL:
                 return total
         if j > SERIES_CAP:
             raise InputError(f"{series} did not converge within {SERIES_CAP} terms")
 
 
-def abs_moment_real(y: float) -> float:
-    """E[|X|^y] for standard Gaussian X: 2^(y/2) Gamma((y+1)/2) / sqrt(pi)."""
-    if y < 0:
-        raise ValueError("exponent must be >= 0")
-    return 2.0 ** (y / 2.0) * math.gamma((y + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def _check_real_pair(pair: GaussianPair) -> float:
-    if pair.var2 != 1 or pair.var3 != 1:
-        raise ValueError("real-exponent mixed moments require unit variances")
-    x = float(pair.cov)
-    if abs(x) >= 1:
-        raise ValueError("real-exponent path requires |corr| < 1")
-    if abs(x) > CORR_CAP:
-        raise ValueError(f"|corr| capped at {CORR_CAP} in the float path")
-    return x
-
-
-def mixed_abs_moment_real(kind: str, y2: float, y3: float, pair: GaussianPair) -> float:
-    """Mixed absolute moments of a unit-variance pair, to series tolerance.
-
-    kind = "even_shift2":  E[|X2|^y2 |X3|^(y3+2)]
-         = (y3+1) 2^((y2+y3)/2) G2 G3 / pi * F(-y3/2-1, -y2/2; 1/2; x^2)
-    kind = "odd_signed":   E[|X2|^y2 X2 |X3|^y3 X3]
-         = x (y2+1)(y3+1) 2^((y2+y3)/2) G2 G3 / pi * F(-y2/2, -y3/2; 3/2; x^2)
-    kind = "plain":        E[|X2|^y2 |X3|^y3]
-         = 2^((y2+y3)/2) G2 G3 / pi * F(-y2/2, -y3/2; 1/2; x^2)
-
-    with G2 = Gamma((y2+1)/2), G3 = Gamma((y3+1)/2).
-    """
-    if y2 < 0 or y3 < 0:
-        raise ValueError("exponents must be >= 0")
-    x = _check_real_pair(pair)
-    z = x * x
-    gamma_part = (
-        2.0 ** ((y2 + y3) / 2.0)
-        * math.gamma((y2 + 1.0) / 2.0)
-        * math.gamma((y3 + 1.0) / 2.0)
-        / math.pi
-    )
-    if kind == "even_shift2":
-        return (y3 + 1.0) * gamma_part * gauss_hyp_real(-y3 / 2.0 - 1.0, -y2 / 2.0, 0.5, z)
-    if kind == "odd_signed":
-        return (
-            x
-            * (y2 + 1.0)
-            * (y3 + 1.0)
-            * gamma_part
-            * gauss_hyp_real(-y2 / 2.0, -y3 / 2.0, 1.5, z)
-        )
-    if kind == "plain":
-        return gamma_part * gauss_hyp_real(-y2 / 2.0, -y3 / 2.0, 0.5, z)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 class MomentExponents(NamedTuple):
-    """Exponent request for the Monte Carlo oracle: E[g(X2) h(X3)] with
-    g(x) = |x|^p (* sign x when signed2), similarly for h."""
+    """A real-exponent moment E[g(X2) h(X3)], with g(x) = |x|^p (times sign x
+    when signed2) and h(x) = |x|^q (times sign x when signed3)."""
 
     p: float
     q: float
     signed2: bool = False
     signed3: bool = False
+
+
+def real_moment(exps: MomentExponents, pair: GaussianPair) -> float:
+    """Closed form of the moment ``exps`` of a unit-variance pair with
+    correlation |x| <= CORR_CAP, to series tolerance:
+
+        unsigned:     2^((p+q)/2) Gamma((p+1)/2) Gamma((q+1)/2) / pi
+                      * F(-p/2, -q/2; 1/2; x^2)
+        both signed:  x p q 2^((p+q)/2 - 1) Gamma(p/2) Gamma(q/2) / pi
+                      * F((1-p)/2, (1-q)/2; 3/2; x^2)
+
+    The moment with one sign factor has no closed form here (ValueError).
+    """
+    p, q, signed2, signed3 = exps
+    if signed2 != signed3:
+        raise ValueError("real_moment needs both sign factors or neither")
+    if min(p, q) < 0:
+        raise ValueError("exponents must be >= 0")
+    if pair.var2 != 1 or pair.var3 != 1:
+        raise ValueError("real-exponent moments require unit variances")
+    x = float(pair.cov)
+    if abs(x) > CORR_CAP:
+        raise ValueError(f"|corr| capped at {CORR_CAP} in the float path")
+    z = x * x
+    if signed2:
+        scale = 2.0 ** ((p + q) / 2.0 - 1.0) * math.gamma(p / 2.0) * math.gamma(q / 2.0) / math.pi
+        return x * p * q * scale * gauss_hyp_real((1.0 - p) / 2.0, (1.0 - q) / 2.0, 1.5, z)
+    scale = (
+        2.0 ** ((p + q) / 2.0) * math.gamma((p + 1.0) / 2.0) * math.gamma((q + 1.0) / 2.0) / math.pi
+    )
+    return scale * gauss_hyp_real(-p / 2.0, -q / 2.0, 0.5, z)
 
 
 def mc_moment(

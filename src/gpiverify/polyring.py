@@ -3,7 +3,7 @@
 A :class:`MultiPoly` is sum(nums[e] x^e) / den: a tuple of variable names, a
 positive int denominator and a map from exponent vectors to nonzero int
 numerators, always in lowest terms.  That is the one stored form.  Sums,
-products, scaling, substitution and derivatives all run on the integers, and
+products, scaling and substitution all run on the integers, and
 :attr:`MultiPoly.terms` is a read-only view with one Fraction per monomial.
 It carries every symbolic object of the pipeline: hypergeometric polynomials
 (in z, or in z and b when the index m3 is itself a polynomial in b),
@@ -343,13 +343,6 @@ class MultiPoly:
             nums = list(map(mul, nums, map(weights.__getitem__, exps)))
             den *= weights[0]
         return sum(nums), den
-
-    def derivative(self, var: str) -> "MultiPoly":
-        if var not in self.vars:
-            raise ValueError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        nums = {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in self.nums.items() if e[i]}
-        return MultiPoly(self.vars, nums, self.den)
 
     # ------------------------------------------------------------------
     # serialization

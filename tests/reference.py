@@ -1,9 +1,9 @@
 """Independent references that the tests compare the package against.
 
 No command runs these, so they live beside the tests: the interval enclosure
-of G, the four contiguous relations of F and its Chu-Vandermonde value at
-z = 1, the moments of the pairing recursion at a pair, and single-coefficient
-certificate mutations.  Import them with ``from reference import ...``
+of G, the derivative of a polynomial, the four contiguous relations of F and
+its Chu-Vandermonde value at z = 1, the moments of the pairing recursion at a
+pair, and single-coefficient certificate mutations.  Import them with ``from reference import ...``
 (pytest puts ``tests/`` on the path).
 """
 
@@ -77,6 +77,15 @@ def quadratic_form_residuals(params: GpiParams) -> tuple[MultiPoly, MultiPoly, M
 _Z = MultiPoly.var("z")
 
 
+def derivative(p: MultiPoly, var: str) -> MultiPoly:
+    """dp/d(var), over the ring of p."""
+    if var not in p.vars:
+        raise ValueError(f"unknown variable {var!r}")
+    i = p.vars.index(var)
+    nums = {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in p.nums.items() if e[i]}
+    return MultiPoly(p.vars, nums, p.den)
+
+
 def _f_raised_a(m2: int, m3: int, c: Fraction) -> MultiPoly:
     return hyp_poly(m2 - 1, m3, c) if m2 else MultiPoly.zero(("z",))
 
@@ -84,7 +93,7 @@ def _f_raised_a(m2: int, m3: int, c: Fraction) -> MultiPoly:
 def relation_derivative(m2: int, m3: int, c: Fraction) -> MultiPoly:
     """z F' - a [F(a+1) - F]."""
     f = hyp_poly(m2, m3, c)
-    return _Z * f.derivative("z") + m2 * (_f_raised_a(m2, m3, c) - f)
+    return _Z * derivative(f, "z") + m2 * (_f_raised_a(m2, m3, c) - f)
 
 
 def relation_31(m2: int, m3: int, c: Fraction) -> MultiPoly:

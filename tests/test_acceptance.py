@@ -33,12 +33,11 @@ from gpiverify.inequality import (
 from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
-    abs_moment_real,
     closed_form_poly,
     even_moment,
     mc_moment,
-    mixed_abs_moment_real,
     odd_moment,
+    real_moment,
     wick_poly,
 )
 from gpiverify.soscert import load_certificate, verify_bracket_positivity, verify_sos
@@ -279,18 +278,19 @@ def test_criterion_11_real_exponent_path():
     pair_half = GaussianPair.unit(Fraction(1, 2))
     pair_neg = GaussianPair.unit(Fraction(-3, 10))
     configs = [
-        (abs_moment_real(1.0), MomentExponents(1.0, 0.0), pair_half),
-        (abs_moment_real(2.5), MomentExponents(2.5, 0.0), pair_half),
-        (abs_moment_real(4.0), MomentExponents(4.0, 0.0), pair_half),
-        (mixed_abs_moment_real("plain", 1.3, 2.7, pair_half), MomentExponents(1.3, 2.7), pair_half),
-        (mixed_abs_moment_real("plain", 2.0, 3.0, pair_neg), MomentExponents(2.0, 3.0), pair_neg),
-        (mixed_abs_moment_real("even_shift2", 1.5, 2.0, pair_half), MomentExponents(1.5, 4.0), pair_half),
-        (mixed_abs_moment_real("even_shift2", 3.0, 1.0, pair_neg), MomentExponents(3.0, 3.0), pair_neg),
-        (mixed_abs_moment_real("odd_signed", 1.0, 2.0, pair_half), MomentExponents(2.0, 3.0, True, True), pair_half),
-        (mixed_abs_moment_real("odd_signed", 2.4, 1.6, pair_neg), MomentExponents(3.4, 2.6, True, True), pair_neg),
-        (mixed_abs_moment_real("plain", 5.0, 1.0, pair_half), MomentExponents(5.0, 1.0), pair_half),
+        (MomentExponents(1.0, 0.0), pair_half),
+        (MomentExponents(2.5, 0.0), pair_half),
+        (MomentExponents(4.0, 0.0), pair_half),
+        (MomentExponents(1.3, 2.7), pair_half),
+        (MomentExponents(2.0, 3.0), pair_neg),
+        (MomentExponents(1.5, 4.0), pair_half),
+        (MomentExponents(3.0, 3.0), pair_neg),
+        (MomentExponents(2.0, 3.0, True, True), pair_half),
+        (MomentExponents(3.4, 2.6, True, True), pair_neg),
+        (MomentExponents(5.0, 1.0), pair_half),
     ]
-    for i, (closed, exps, pair) in enumerate(configs):
+    for i, (exps, pair) in enumerate(configs):
+        closed = real_moment(exps, pair)
         mean, stderr = mc_moment(exps, pair, n, seed + i)
         assert abs(closed - mean) <= 4 * stderr, (i, closed, mean, stderr)
     print("[criterion 11] PASS: real-exponent margins positive (tolerance 1e-9) on "

@@ -228,6 +228,23 @@ class TestExitCodes:
                                        f"a number of more than {limit} digits")
         assert sum(line.startswith("gpiverify:") for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        "check gpi --m2 200 --m3 200 --a 3 --x 1e-320",
+        "check mri --m2 200 --m3 200 --x 1e-320",
+    ])
+    def test_oversized_exact_report_is_refused_within_seconds(self, argv):
+        # moments with 128,000-digit denominators: one integer sum and one
+        # reduction each, then the digit limit refuses the report
+        proc = subprocess.run([sys.executable, "-m", "gpiverify.cli", *argv.split()],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 64 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("gpiverify:")]
+        assert len(errors) == 1 and "number of more than" in errors[0]
+
+    def test_large_exact_input_with_a_short_x_still_runs(self):
+        assert main("check gpi --m2 200 --m3 200 --a 3 --x 1/3 --out".split() + [os.devnull]) == 0
+
     @pytest.mark.parametrize("argv, t, bound", [
         ("check mri --y2 0.01 --y3 0.01 --x 0.1", "9.801019602029404e-05", "0.24504974939975122"),
         ("check mri --y2 0.5 --y3 0.5 --x 0.3", "0.08163265306122448", "0.09467455621301775"),

@@ -38,7 +38,7 @@ from gpiverify.inequality import (
     scan,
 )
 from gpiverify.inequality import _s_poly, _scan_point
-from gpiverify.moments import GaussianPair
+from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
 from reference import G_value, quadratic_form_residuals
 
@@ -566,6 +566,16 @@ class TestRealPath:
         direct = (rp.y2 + 1.0) * gauss_hyp_real(-rp.y3 / 2, -rp.y2 / 2 - 1, 0.5, x * x) - 1.0
         assert abs(rep.margin - direct) < 1e-12
 
+    @pytest.mark.parametrize("m2, m3", [(2, 5), (4, 1)])
+    @pytest.mark.parametrize("a", [Fraction(-1), Fraction(1, 3), Fraction(5, 2)])
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-3, 10), Fraction(9, 10)])
+    def test_gpi_real_matches_exact_margin_at_even_exponents(self, m2, m3, a, x):
+        # y = 2m: the real margin is the exact one over (2m2-1)!! (2m3-1)!!
+        exact = check_gpi(make_params(m2, m3), a, x).margin
+        scale = double_factorial_odd(m2) * double_factorial_odd(m3)
+        real = check_gpi_real(make_real_params(2.0 * m2, 2.0 * m3), float(a), float(x)).margin
+        assert real == pytest.approx(float(exact / scale), rel=1e-12)
+
     def test_real_params_match_integer_case(self):
         rp = make_real_params(4.0, 6.0)
         p = make_params(2, 3)
@@ -587,6 +597,17 @@ class TestRealPath:
         rep = find_mri_real_violation(make_real_params(4.0, 4.3))
         assert rep.metadata["found"]
         assert 0 < rep.witnesses[0]["x"] < 1
+
+    def test_violation_witness_has_the_exact_paths_format(self):
+        # both searches report {"x", "detail": the failing check's witnesses}
+        real = find_mri_real_violation(make_real_params(4.0, 4.3))
+        exact = find_mri_violation(make_params(2, 2))
+        for rep in (real, exact):
+            (witness,) = rep.witnesses
+            assert set(witness) == {"x", "detail"}
+        (detail,) = real.witnesses[0]["detail"]
+        assert detail["x"] == real.witnesses[0]["x"] == 0.5
+        assert detail["branch"] == "ratio-bound" and detail["lhs"] > detail["bound"]
 
     def test_no_violation_in_proposition_regime(self):
         rep = find_mri_real_violation(make_real_params(12.0, 12.0), steps=25)

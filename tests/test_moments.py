@@ -8,18 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gpiverify.inequality import check_gpi, make_params
 from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
-    TripleSpec,
-    abs_moment_real,
     double_factorial_odd,
     even_moment,
     gauss_hyp_real,
     mc_moment,
-    mixed_abs_moment_real,
     odd_moment,
-    triple_even_moment,
+    real_moment,
     wick_poly,
 )
 from gpiverify.polyring import MultiPoly
@@ -38,20 +36,16 @@ class TestPairValidation:
             GaussianPair(Fraction(1), Fraction(1), Fraction(3, 2))
         GaussianPair(Fraction(1), Fraction(1), Fraction(1))  # |corr| = 1 allowed
 
-    def test_triple_requires_unit_variances(self):
-        with pytest.raises(ValueError):
-            TripleSpec(GaussianPair(Fraction(2), Fraction(1), Fraction(0)), Fraction(1))
-
     def test_values_coerced_to_fractions(self):
         pair = GaussianPair("9/4", 4, "3/2")
         assert (pair.var2, pair.var3, pair.cov) == (Fraction(9, 4), 4, Fraction(3, 2))
         assert all(type(v) is Fraction for v in (pair.var2, pair.var3, pair.cov))
-        spec = TripleSpec(HALF_CORR, "-1/3")
-        assert type(spec.a) is Fraction and spec.a == Fraction(-1, 3)
+        report = check_gpi(make_params(1, 1), "-1/3", "1/2")
+        assert report.name == "gpi:m2=1,m3=1,a=-1/3,x=1/2" and type(report.margin) is Fraction
         with pytest.raises(TypeError):
             GaussianPair(1.0, 1, 0)
         with pytest.raises(TypeError):
-            TripleSpec(HALF_CORR, 0.5)
+            check_gpi(make_params(1, 1), 0.5, "1/2")
 
 
 class TestWickOracle:
@@ -151,26 +145,23 @@ class TestClosedForms:
 
 
 class TestTripleMoment:
+    """E[X1^2 X2^(2m2) X3^(2m3)] with X1 = X2 + a X3, through check_gpi's
+    margin, which subtracts (a^2 + 1 + 2ax)(2m2-1)!!(2m3-1)!!."""
+
     def test_example(self):
-        spec = TripleSpec(HALF_CORR, Fraction(-1))
-        # a^2 * 6 + 6 + 2a * 21/4 = 6 + 6 - 21/2 = 3/2
-        assert triple_even_moment(spec, 1, 1) == Fraction(3, 2)
+        # a^2 * 6 + 6 + 2a * 21/4 - (1 + 1 - 1) * 1 * 1 at a = -1, x = 1/2
+        assert check_gpi(make_params(1, 1), -1, Fraction(1, 2)).margin == Fraction(1, 2)
 
     def test_independent_closed_form(self):
-        # at x = 0: (a^2 (2m3+1) + (2m2+1)) (2m2-1)!! (2m3-1)!!
+        # at x = 0: (a^2 (2m3+1) + (2m2+1)) (2m2-1)!! (2m3-1)!!, less (a^2 + 1) times the same
         a = Fraction(3, 7)
-        spec = TripleSpec(GaussianPair.unit(0), a)
         for m2, m3 in [(1, 1), (2, 5), (4, 3)]:
-            expected = (
-                (a * a * (2 * m3 + 1) + (2 * m2 + 1))
-                * double_factorial_odd(m2)
-                * double_factorial_odd(m3)
-            )
-            assert triple_even_moment(spec, m2, m3) == expected
+            expected = (a * a * 2 * m3 + 2 * m2) * double_factorial_odd(m2) * double_factorial_odd(m3)
+            assert check_gpi(make_params(m2, m3), a, 0).margin == expected
 
     def test_a_zero_reduces_to_bivariate(self):
-        spec = TripleSpec(HALF_CORR, Fraction(0))
-        assert triple_even_moment(spec, 2, 3) == even_moment(3, 3, HALF_CORR)
+        margin = check_gpi(make_params(2, 3), 0, Fraction(1, 2)).margin
+        assert margin == even_moment(3, 3, HALF_CORR) - double_factorial_odd(2) * double_factorial_odd(3)
 
 
 class TestDelicateMomentInequality:
@@ -191,9 +182,11 @@ class TestDelicateMomentInequality:
 
 class TestRealExponentPath:
     def test_abs_moment_trivials(self):
-        assert abs(abs_moment_real(2.0) - 1.0) < 1e-12
-        assert abs(abs_moment_real(1.0) - math.sqrt(2.0 / math.pi)) < 1e-12
-        assert abs(abs_moment_real(0.0) - 1.0) < 1e-12
+        # E[|X2|^y], the moment (y, 0), at any correlation
+        for pair in (GaussianPair.unit(0), HALF_CORR):
+            assert abs(real_moment(MomentExponents(2.0, 0.0), pair) - 1.0) < 1e-12
+            assert abs(real_moment(MomentExponents(1.0, 0.0), pair) - math.sqrt(2.0 / math.pi)) < 1e-12
+            assert abs(real_moment(MomentExponents(0.0, 0.0), pair) - 1.0) < 1e-12
 
     def test_series_requires_open_disc(self):
         with pytest.raises(ValueError):
@@ -221,19 +214,28 @@ class TestRealExponentPath:
         approx = gauss_hyp_real(-3.0, -5.0, 0.5, float(z))
         assert abs(approx - float(exact)) < 1e-12
 
-    def test_mixed_matches_integer_moments(self):
-        pair = HALF_CORR
-        assert abs(mixed_abs_moment_real("even_shift2", 2.0, 2.0, pair) - 6.0) < 1e-9
-        assert abs(mixed_abs_moment_real("odd_signed", 2.0, 2.0, pair) - 5.25) < 1e-9
-        assert abs(mixed_abs_moment_real("plain", 2.0, 2.0, pair) - 1.5) < 1e-9
+    @pytest.mark.parametrize("m2, m3", [(0, 0), (1, 1), (2, 5), (4, 1), (3, 0)])
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-3, 10), Fraction(0), Fraction(9, 10)])
+    def test_mixed_matches_integer_moments(self, m2, m3, x):
+        pair = GaussianPair.unit(x)
+        even = float(even_moment(m2, m3, pair))
+        odd = float(odd_moment(m2, m3, pair))
+        assert real_moment(MomentExponents(2 * m2, 2 * m3), pair) == pytest.approx(even, rel=1e-12)
+        assert real_moment(MomentExponents(2 * m2 + 1, 2 * m3 + 1, True, True), pair) \
+            == pytest.approx(odd, rel=1e-12, abs=1e-300)
+
+    def test_one_sign_factor_refused(self):
+        for exps in (MomentExponents(1.0, 1.0, True, False), MomentExponents(1.0, 1.0, False, True)):
+            with pytest.raises(ValueError, match="both sign factors or neither"):
+                real_moment(exps, HALF_CORR)
 
     def test_mixed_requires_unit_variances(self):
         with pytest.raises(ValueError):
-            mixed_abs_moment_real("plain", 1.0, 1.0, GaussianPair(Fraction(2), Fraction(1), Fraction(0)))
+            real_moment(MomentExponents(1.0, 1.0), GaussianPair(Fraction(2), Fraction(1), Fraction(0)))
 
     def test_correlation_cap(self):
         with pytest.raises(ValueError):
-            mixed_abs_moment_real("plain", 1.0, 1.0, GaussianPair.unit(Fraction(9999, 10000)))
+            real_moment(MomentExponents(1.0, 1.0), GaussianPair.unit(Fraction(9999, 10000)))
 
 
 class TestMonteCarlo:
@@ -257,8 +259,9 @@ class TestMonteCarlo:
 
     def test_real_exponent_agreement(self):
         pair = HALF_CORR
-        closed = mixed_abs_moment_real("plain", 1.3, 2.7, pair)
-        mean, err = mc_moment(MomentExponents(1.3, 2.7), pair, 4 * 10**5, seed=7)
+        exps = MomentExponents(1.3, 2.7)
+        closed = real_moment(exps, pair)
+        mean, err = mc_moment(exps, pair, 4 * 10**5, seed=7)
         assert abs(closed - mean) <= 4 * err
 
     def test_nonpositive_chunk_rejected(self):

@@ -1,12 +1,16 @@
-"""The package holds only what a command runs.
+"""The package holds only what a command runs, and imports only what it needs.
 
 A fixed list of cheap command lines, run in-process under ``sys.setprofile``,
 must enter every function and method defined in ``src/gpiverify``.  Code that
 only tests call belongs in ``tests/reference.py``, not in the package.
 Calls made in a forked pool worker are not seen; the one pooled scan enters
 the pool's code in this process, which computes a share of the points itself.
+
+Every absolute import in the package, lazy ones included, names the standard
+library or numpy.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -20,10 +24,9 @@ from gpiverify.cli import main
 
 PACKAGE_DIR = Path(gpiverify.__file__).resolve().parent
 
-#: kept without a command that enters them: the exact root count of a
-#: planned certifier needs the derivative, and the enclosure refinement
-#: loops of the reference checks need the interval sign
-ALLOWED_UNENTERED = {"polyring.MultiPoly.derivative", "exactnum.RationalInterval.sign"}
+#: kept without a command that enters it: the enclosure refinement loops of
+#: the reference checks need the interval sign
+ALLOWED_UNENTERED = {"exactnum.RationalInterval.sign"}
 
 ARGVS = [
     # the paper's commands, at small sizes
@@ -118,3 +121,21 @@ def test_every_package_function_is_entered_by_a_command(tmp_path, capsys, monkey
     assert codes == [0] * (len(argvs) - 3) + [64, 64, 0]
     unentered = {name for code, name in functions.items() if code not in entered}
     assert unentered == ALLOWED_UNENTERED
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # scipy, sympy and mpmath may be installed beside it, but are not dependencies
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) > 5
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, node.lineno, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
