@@ -20,8 +20,12 @@ This module materializes, with exact rational arithmetic wherever possible:
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
 are polynomials in z built once per (predicate, params) (margin_polys; beta
-is 0 for the HFRI polynomial S).  At a rational z the sign is decided by
-comparing alpha^2 with beta^2 D (sign_sqrt).  The interval enclosure H_value
+is 0 for the HFRI polynomial S).  A scan's grid is z_k = (A + k B)/C with
+ints A, B and C > 0, so once per scan these become integer polynomials in
+the grid index k (_index_polys, by polyring.affine_form), and each point is
+decided at its int k by Horner evaluation and sign_sqrt, which compares
+alpha^2 with beta^2 D (_scan_point).  A point check is the one-point grid
+A/C = z, B = 0.  The interval enclosure H_value
 gives the margin that accompanies an MRI verdict; the enclosure of G that
 the tests compare the g-negative signs against lives in tests/reference.py.
 """
@@ -43,7 +47,7 @@ from .exactnum import (
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .moments import GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment
-from .polyring import MultiPoly
+from .polyring import MultiPoly, affine_form, horner
 from .report import (
     FAILS,
     HOLDS,
@@ -541,8 +545,12 @@ def scan(
     are recorded in the report.  Overrides of z_lo/z_hi may only narrow the
     predicate's domain: an effective endpoint outside it raises InputError,
     and so does a predicate whose domain is empty for the pair.
-    ``map_fn(fn, zs)`` evaluates the points and must return the results in
-    the order of ``zs``; a process pool may stand in for the default serial
+
+    The points are z_k = (A + k B)/C for ints A, B and C > 0, so alpha, beta
+    and D become integer polynomials in the grid index k, built once
+    (_index_polys); each point is then decided at its int k (_scan_point).
+    ``map_fn(fn, ks)`` evaluates the points and must return the results in
+    the order of ``ks``; a process pool may stand in for the default serial
     ``map``.
     """
     if grid_n < 2:
@@ -561,14 +569,16 @@ def scan(
     lo_eff = check_domain(predicate, params, z_lo + nudge if lo_open else z_lo)
     hi_eff = check_domain(predicate, params, z_hi - nudge if hi_open else z_hi)
     step = (hi_eff - lo_eff) / (grid_n - 1)
-    zs = [lo_eff + k * step for k in range(grid_n)]
-    point = partial(_scan_point, predicate, params)
+    c = math.lcm(lo_eff.denominator, step.denominator)
+    a = lo_eff.numerator * (c // lo_eff.denominator)
+    b = step.numerator * (c // step.denominator)
+    point = partial(_scan_point, _index_polys(predicate, params, a, b, c))
     points: list[dict] = []
     first_failure = None
     counts = {HOLDS: 0, FAILS: 0, INDETERMINATE: 0}
-    for z, (verdict, value) in zip(zs, map_fn(point, zs)):
+    for k, (verdict, value) in enumerate(map_fn(point, range(grid_n))):
         counts[verdict] += 1
-        entry = {"z": z, "verdict": verdict, "value": value}
+        entry = {"z": Fraction(a + k * b, c), "verdict": verdict, "value": value}
         points.append(entry)
         if verdict == FAILS and first_failure is None:
             first_failure = entry
@@ -587,30 +597,53 @@ def scan(
     )
 
 
-def _scan_point(predicate: str, params: GpiParams, z: Fraction):
-    """(verdict, value) of a predicate at a point of its domain: the value is
-    alpha(z) when beta = 0 (S(z) for ``hfri``) and otherwise the exact sign
-    (1, -1 or 0) of alpha(z) + beta(z) sqrt(D(z)); the predicate holds iff
-    the value is positive."""
+class _IndexPolys(NamedTuple):
+    """A predicate's margin on the grid z = (a + k b)/c, as integer
+    polynomials in k (coefficient lists for horner)."""
+
+    alpha: list[int]
+    beta: list[int]  # empty when the predicate's beta is 0
+    radicand: list[int]
+    scale: int  # alpha(k)/scale is the margin when beta is empty
+
+
+def _index_polys(predicate: str, params: GpiParams, a: int, b: int, c: int) -> _IndexPolys:
+    """margin_polys on the grid z = (a + k b)/c, as polynomials in k.
+
+    affine_form gives alpha = qa/sa, beta = qb/sb and D = qd/sd with positive
+    int scales; multiplying alpha + beta sqrt(D) by sa sb sd/g, where
+    g = gcd(sa, sb sd), folds the scales into the coefficients:
+    (sb sd/g) qa + (sa/g) qb sqrt(sd qd) has the margin's sign."""
     alpha, beta, d = margin_polys(predicate, params)
-    point = {"z": z}
+    qa, sa = affine_form(alpha, a, b, c)
     if not beta:
-        value = alpha.eval(point)
+        return _IndexPolys(qa, [], [], sa)
+    qb, sb = affine_form(beta, a, b, c)
+    qd, sd = affine_form(d, a, b, c)
+    g = math.gcd(sa, sb * sd)
+    fa, fb = sb * sd // g, sa // g
+    return _IndexPolys([q * fa for q in qa], [q * fb for q in qb], [q * sd for q in qd], 1)
+
+
+def _scan_point(polys: _IndexPolys, k: int):
+    """(verdict, value) of a predicate at the grid point of index k: the value
+    is alpha(z_k) when beta = 0 (S(z_k) for ``hfri``) and otherwise the exact
+    sign (1, -1 or 0) of alpha(z_k) + beta(z_k) sqrt(D(z_k)); the predicate
+    holds iff the value is positive.  ``polys`` comes from _index_polys."""
+    if not polys.beta:
+        value = Fraction(horner(polys.alpha, k), polys.scale)
     else:
-        # with alpha = a/da, beta = b/db, D = n/dn and positive denominators,
-        # alpha + beta sqrt(D) has the sign of a db dn + b da sqrt(n dn)
-        a, da = alpha.eval_unreduced(point)
-        b, db = beta.eval_unreduced(point)
-        n, dn = d.eval_unreduced(point)
-        value = sign_sqrt(a * db * dn, b * da, n * dn)
+        value = sign_sqrt(horner(polys.alpha, k), horner(polys.beta, k), horner(polys.radicand, k))
     return (HOLDS if value > 0 else FAILS), value
 
 
 def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckReport:
-    """A scan predicate at one point of its domain (InputError outside it);
-    the margin is the scan point's value."""
+    """A scan predicate at one point of its domain (InputError outside it),
+    decided as the one point k = 0 of the grid z_k = z; the margin is the
+    scan point's value."""
     z = check_domain(predicate, params, z)
-    status, value = _scan_point(predicate, params, z)
+    polys = _index_polys(predicate, params, z.numerator, 0, z.denominator)
+    status, value = _scan_point(polys, 0)
     return CheckReport(
         name=f"{predicate}:m2={params.m2},m3={params.m3},z={z}",
         status=status,

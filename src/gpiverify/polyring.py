@@ -15,9 +15,11 @@ the union variable list (left operand's order first, then the right operand's
 new variables), so callers can freely mix rings.  All values are immutable.
 
 Evaluation at a rational point sums integer powers of each variable's
-numerator and denominator and reduces once at the end, or not at all when
-only its sign matters (:meth:`MultiPoly.eval_unreduced`).  Its per-variable
+numerator and denominator and reduces once at the end.  Its per-variable
 exponent columns are the one field built lazily; they hold no coefficients.
+For many points of one grid z = (a + k b)/c, :func:`affine_form` turns a
+univariate polynomial into an integer polynomial in the grid index k, built
+once by binomial sums, which :func:`horner` evaluates at each integer k.
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -26,7 +28,7 @@ JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -312,18 +314,11 @@ class MultiPoly:
         return MultiPoly(ring, *_sum_over_lcm(parts))
 
     def eval(self, point: Mapping[str, RationalLike]) -> Fraction:
-        """Exact value at a rational point assigning every variable: the
-        quotient of :meth:`eval_unreduced`, reduced once."""
-        return Fraction(*self.eval_unreduced(point))
-
-    def eval_unreduced(self, point: Mapping[str, RationalLike]) -> tuple[int, int]:
-        """(numerator, denominator) of the value at a rational point, not
-        reduced; the denominator is positive, so a caller that needs only a
-        sign or a comparison can skip the gcd.
+        """Exact value at a rational point assigning every variable.
 
         With each variable at n/d and of degree k, the value is
-        sum(nums[e] * prod n^e d^(k-e)) / (den * prod d^k): one integer sum
-        instead of one Fraction reduction per term.
+        sum(nums[e] * prod n^e d^(k-e)) / (den * prod d^k): one integer sum,
+        reduced once, instead of one Fraction reduction per term.
         """
         missing = [v for v in self.vars if v not in point]
         if missing:
@@ -342,7 +337,7 @@ class MultiPoly:
                 weights.append(weights[-1] // d * n)
             nums = list(map(mul, nums, map(weights.__getitem__, exps)))
             den *= weights[0]
-        return sum(nums), den
+        return Fraction(sum(nums), den)
 
     # ------------------------------------------------------------------
     # serialization
@@ -373,6 +368,45 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {len(self.nums)} terms)"
+
+
+def affine_form(poly: MultiPoly, a: int, b: int, c: int) -> tuple[list[int], int]:
+    """(q, scale) for a univariate ``poly`` of degree d and ints a, b, c > 0:
+    sum(q[i] k^i) = scale * poly((a + k b)/c) as polynomials in k, with the
+    positive int scale = c^d den.  The zero polynomial gives ([], 1).
+
+    Read densely from ``nums``, with p[j] = nums[j] c^(d-j) the polynomial is
+    sum(p[j] (a + k b)^j) / scale, so by the binomial theorem
+    q[i] = b^i sum(binom(j, i) a^(j-i) p[j], j = i..d): integers only.
+    Evaluate q at an integer k with :func:`horner`.
+    """
+    if len(poly.vars) != 1:
+        raise ValueError(f"affine_form needs a univariate polynomial, not one over {poly.vars}")
+    if type(c) is not int or c <= 0:
+        raise ValueError(f"denominator {c!r} is not a positive int")
+    d = poly.degree(poly.vars[0])
+    if d < 0:
+        return [], 1
+    p = [0] * (d + 1)
+    for (j,), n in poly.nums.items():
+        p[j] = n * c ** (d - j)
+    a_pows = [1]
+    for _ in range(d):
+        a_pows.append(a_pows[-1] * a)
+    q = []
+    b_pow = 1
+    for i in range(d + 1):
+        q.append(b_pow * sum(comb(j, i) * a_pows[j - i] * p[j] for j in range(i, d + 1)))
+        b_pow *= b
+    return q, c**d * poly.den
+
+
+def horner(coeffs: Sequence[int], k: int) -> int:
+    """sum(coeffs[i] k^i) at an int k; 0 for an empty list."""
+    value = 0
+    for q in reversed(coeffs):
+        value = value * k + q
+    return value
 
 
 def _sum_over_lcm(polys: Sequence[MultiPoly]) -> tuple[dict[Exponents, int], int]:

@@ -1,7 +1,7 @@
 """Independent references that the tests compare the package against.
 
 No command runs these, so they live beside the tests: the interval enclosure
-of G, the derivative of a polynomial, the four contiguous relations of F and
+of G, a predicate's verdict at one point from rational evaluation, the derivative of a polynomial, the four contiguous relations of F and
 its Chu-Vandermonde value at z = 1, the moments of the pairing recursion at a
 pair, and single-coefficient certificate mutations.  Import them with ``from reference import ...``
 (pytest puts ``tests/`` on the path).
@@ -10,9 +10,9 @@ pair, and single-coefficient certificate mutations.  Import them with ``from ref
 from fractions import Fraction
 from typing import NamedTuple
 
-from gpiverify.exactnum import RationalInterval, RationalLike, rational
+from gpiverify.exactnum import RationalInterval, RationalLike, rational, sign_sqrt
 from gpiverify.gausshyp import HALF, hyp_poly
-from gpiverify.inequality import DEFAULT_WIDTH, GpiParams, H_value, h_radicand
+from gpiverify.inequality import DEFAULT_WIDTH, GpiParams, H_value, h_radicand, margin_polys
 from gpiverify.moments import GaussianPair, _moment_at, wick_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import SosCertificate
@@ -34,6 +34,19 @@ def G_value(
     h_iv = H_value(params, z, rational(width) / ((2 * m3 + 1) * z * f1))
     bracket = RationalInterval.point(1 - z) + h_iv * ((2 * m3 + 1) * z)
     return RationalInterval.point(f_big) - bracket * f1
+
+
+def point_verdict(predicate: str, params: GpiParams, z: RationalLike) -> tuple[str, object]:
+    """(verdict, value) of a scan predicate at z, from alpha, beta and D each
+    evaluated at z with MultiPoly.eval: alpha(z) when beta = 0, otherwise the
+    sign of alpha(z) + beta(z) sqrt(D(z)) by sign_sqrt."""
+    alpha, beta, d = margin_polys(predicate, params)
+    point = {"z": rational(z)}
+    if not beta:
+        value = alpha.eval(point)
+    else:
+        value = sign_sqrt(alpha.eval(point), beta.eval(point), d.eval(point))
+    return ("holds" if value > 0 else "fails"), value
 
 
 def quadratic_form_residuals(params: GpiParams) -> tuple[MultiPoly, MultiPoly, MultiPoly]:

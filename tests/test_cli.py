@@ -804,8 +804,8 @@ class TestPool:
         point = inequality._scan_point
         die = _in_child(lambda: os._exit(9))
 
-        def dying_point(predicate, params, z):
-            return point(predicate, params, die(z))
+        def dying_point(polys, k):
+            return point(polys, die(k))
 
         monkeypatch.setattr(inequality, "_scan_point", dying_point)
         assert main("scan h-deriv --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70

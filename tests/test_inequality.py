@@ -37,10 +37,10 @@ from gpiverify.inequality import (
     mri_ratio,
     scan,
 )
-from gpiverify.inequality import _s_poly, _scan_point
+from gpiverify.inequality import _index_polys, _s_poly, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
-from reference import G_value, quadratic_form_residuals
+from reference import G_value, point_verdict, quadratic_form_residuals
 
 
 class TestParams:
@@ -139,7 +139,7 @@ class TestLemmaBounds:
         z = Fraction(1, 100) + Fraction(1, 1000)  # slightly above 1/r^2
         rep = check_point("h-half", params, z)
         assert rep.status == "holds"
-        assert rep.margin == _scan_point("h-half", params, z)[1] == 1
+        assert rep.margin == point_verdict("h-half", params, z)[1] == 1
 
     def test_domain_enforced(self):
         params = make_params(8, 8)
@@ -431,12 +431,15 @@ class TestDerivForms:
         # of H's domain (1/r^2, 1], which spans both predicates' domains; the
         # condition fails near 1/r^2 for the small pairs
         params = make_params(*pair)
-        lo = 1 / (params.r * params.r)
+        # z_k = 1/r^2 + (1 - 1/r^2) k/80 = (80 + k (r^2 - 1))/(80 r^2)
+        r2 = int(params.r) ** 2
+        direct_polys = _index_polys("h-deriv", params, 80, r2 - 1, 80 * r2)
+        reduced_polys = _index_polys("h-deriv-reduced", params, 80, r2 - 1, 80 * r2)
         fails = 0
         for k in range(1, 81):
-            z = lo + (1 - lo) * Fraction(k, 80)
-            direct = _scan_point("h-deriv", params, z)
-            assert _scan_point("h-deriv-reduced", params, z) == direct, z
+            direct = _scan_point(direct_polys, k)
+            assert _scan_point(reduced_polys, k) == direct, k
+            assert direct == point_verdict("h-deriv", params, Fraction(80 + k * (r2 - 1), 80 * r2))
             fails += direct[0] == "fails"
         assert (fails > 0) == (pair[0] < 8)
 
@@ -525,6 +528,9 @@ class TestDomainTable:
         assert len(rep.metadata["points"]) == grid_n
         for point in rep.metadata["points"]:
             check_domain(predicate, params, point["z"])
+            # the verdict and value of evaluating alpha, beta and D at z
+            assert (point["verdict"], point["value"]) == point_verdict(
+                predicate, params, point["z"]), point["z"]
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
     def test_hfri_check_agrees_with_scan(self, pair):
@@ -537,13 +543,35 @@ class TestDomainTable:
         # S_{1,1} < 0 near z = 1, so both verdicts are compared
         assert verdicts == ({"holds", "fails"} if pair == (1, 1) else {"holds"})
 
-    @pytest.mark.parametrize("which", ["half", "seventh"])
-    def test_lower_bound_check_agrees_with_scan(self, which):
-        params = make_params(8, 8)
-        for point in scan(f"h-{which}", params, grid_n=7).metadata["points"]:
-            rep = check_point(f"h-{which}", params, point["z"])
-            assert rep.status == point["verdict"]
-            assert rep.margin == point["value"]
+
+def _domain_is_nonempty(predicate, pair):
+    lo, hi, _, _ = default_scan_range(predicate, make_params(*pair))
+    return lo < hi
+
+
+class TestScanOracle:
+    """Scan points against point_verdict, which evaluates alpha, beta and D
+    at z with MultiPoly.eval, and against check_point."""
+
+    @pytest.mark.parametrize("predicate", ["g-negative", "h-deriv", "h-deriv-reduced"])
+    def test_interval_predicates_at_30_30(self, predicate):
+        params = make_params(30, 30)
+        points = scan(predicate, params, grid_n=1001).metadata["points"]
+        assert len(points) == 1001
+        for point in points:
+            assert (point["verdict"], point["value"]) == point_verdict(
+                predicate, params, point["z"]), point["z"]
+
+    @pytest.mark.parametrize("predicate, pair", [
+        (predicate, pair) for predicate in SCAN_PREDICATES for pair in [(2, 3), (8, 8)]
+        if _domain_is_nonempty(predicate, pair)
+    ])
+    def test_check_point_matches_scan_entries(self, predicate, pair):
+        # every point, the first and last effective endpoints included
+        params = make_params(*pair)
+        for point in scan(predicate, params, grid_n=7).metadata["points"]:
+            rep = check_point(predicate, params, point["z"])
+            assert (rep.status, rep.margin) == (point["verdict"], point["value"]), point["z"]
 
 
 class TestRealPath:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpiverify.polyring import MultiPoly
+from gpiverify.polyring import MultiPoly, affine_form, horner
 from reference import derivative
 
 var = MultiPoly.var
@@ -384,6 +384,61 @@ class TestEvalAndCoeff:
     def test_derivative(self):
         z = var("z")
         assert derivative(1 + 2 * z + 5 * z**3, "z") == 2 + 15 * z**2
+
+
+class TestAffineForm:
+    """affine_form on the grid z = (a + k b)/c, against the MultiPoly routines."""
+
+    @staticmethod
+    def int_polys():
+        # degree 0..40 once the leading coefficient is nonzero, over a positive den
+        coefficients = st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=41)
+        return st.builds(
+            lambda cs, den: MultiPoly(("z",), {(j,): n for j, n in enumerate(cs)}, den),
+            coefficients, st.integers(1, 10**6),
+        )
+
+    grids = dict(
+        a=st.integers(-(10**12), 10**12) | st.just(0),
+        b=st.integers(-(10**12), 10**12) | st.just(0),
+        c=st.integers(1, 10**12) | st.just(1),
+    )
+
+    @given(data=st.data(), **grids)
+    @settings(max_examples=120, deadline=None)
+    def test_coefficients_match_substitute_rational(self, data, a, b, c):
+        p = data.draw(self.int_polys())
+        d = p.degree("z")
+        q, scale = affine_form(p, a, b, c)
+        if d < 0:
+            assert (q, scale) == ([], 1)
+            return
+        # c^d p((a + k b)/c), a polynomial in k, times den
+        shifted = p.substitute_rational("z", var("k") * b + a, c, d)
+        assert len(q) == d + 1
+        assert scale == c**d * p.den
+        assert [Fraction(n) for n in q] == [shifted.coeff((i,)) * p.den for i in range(d + 1)]
+
+    @given(data=st.data(), k=st.integers(-50, 2000), **grids)
+    @settings(max_examples=120, deadline=None)
+    def test_horner_matches_eval(self, data, k, a, b, c):
+        p = data.draw(self.int_polys())
+        q, scale = affine_form(p, a, b, c)
+        assert scale > 0
+        assert Fraction(horner(q, k), scale) == p.eval({"z": Fraction(a + k * b, c)})
+
+    def test_examples(self):
+        z = var("z")
+        # 3z^2 - 1/2 at z = (1 + 2k)/3 is (4k^2 + 4k + 1)/3 - 1/2 = (24k^2 + 24k - 3)/18
+        assert affine_form(3 * z**2 - Fraction(1, 2), 1, 2, 3) == ([-3, 24, 24], 18)
+        assert horner([-3, 24, 24], 2) == 141
+        assert horner([], 5) == 0
+        # b = 0: one point, the constant p(a/c) c^d den
+        assert affine_form(z**3 + 1, 2, 0, 5) == ([133, 0, 0, 0], 125)
+        with pytest.raises(ValueError, match="univariate"):
+            affine_form(var("x") * var("y"), 0, 1, 1)
+        with pytest.raises(ValueError, match="positive int"):
+            affine_form(z, 0, 1, 0)
 
 
 class TestJson:
