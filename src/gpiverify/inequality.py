@@ -22,10 +22,15 @@ alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
 are polynomials in z built once per (predicate, params) (margin_polys; beta
 is 0 for the HFRI polynomial S).  A scan's grid is z_k = (A + k B)/C with
 ints A, B and C > 0, so once per scan these become integer polynomials in
-the grid index k (_index_polys, by polyring.affine_form), and each point is
+the grid index k (_index_polys, by polyring.affine_form), and a point is
 decided at its int k by Horner evaluation and sign_sqrt, which compares
-alpha^2 with beta^2 D (_scan_point).  A point check is the one-point grid
-A/C = z, B = 0.  The interval enclosure H_value
+alpha^2 with beta^2 D (_scan_point).  For beta != 0 the margin can change
+sign only at a root of Q = alpha^2 - beta^2 D, so a scan first decides
+whole runs of points from one endpoint each, wherever Descartes' rule of
+signs shows that Q has no root (_certified_points, by
+polyring.descartes_variations), and decides only the other points one by
+one.  A point check is the one-point grid A/C = z, B = 0.  The interval
+enclosure H_value
 gives the margin that accompanies an MRI verdict; the enclosure of G that
 the tests compare the g-negative signs against lives in tests/reference.py.
 """
@@ -47,7 +52,7 @@ from .exactnum import (
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .moments import GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment
-from .polyring import MultiPoly, affine_form, horner
+from .polyring import MultiPoly, affine_form, descartes_variations, horner
 from .report import (
     FAILS,
     HOLDS,
@@ -548,10 +553,13 @@ def scan(
 
     The points are z_k = (A + k B)/C for ints A, B and C > 0, so alpha, beta
     and D become integer polynomials in the grid index k, built once
-    (_index_polys); each point is then decided at its int k (_scan_point).
-    ``map_fn(fn, ks)`` evaluates the points and must return the results in
-    the order of ``ks``; a process pool may stand in for the default serial
-    ``map``.
+    (_index_polys).  The runs of points on which Q = alpha^2 - beta^2 D is
+    certified root-free take the verdict of an exactly decided endpoint
+    (_certified_points); every other point is decided at its int k
+    (_scan_point).  ``map_fn(fn, ks)`` evaluates those points and must
+    return the results in the order of ``ks``; a process pool may stand in
+    for the default serial ``map``.  Either way each point's (verdict,
+    value) is the one _scan_point gives at its k.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -572,11 +580,15 @@ def scan(
     c = math.lcm(lo_eff.denominator, step.denominator)
     a = lo_eff.numerator * (c // lo_eff.denominator)
     b = step.numerator * (c // step.denominator)
-    point = partial(_scan_point, _index_polys(predicate, params, a, b, c))
+    polys = _index_polys(predicate, params, a, b, c)
+    results = _certified_points(predicate, params, polys, (a, b, c), grid_n)
+    rest = [k for k, result in enumerate(results) if result is None]
+    for k, result in zip(rest, map_fn(partial(_scan_point, polys), rest)):
+        results[k] = result
     points: list[dict] = []
     first_failure = None
     counts = {HOLDS: 0, FAILS: 0, INDETERMINATE: 0}
-    for k, (verdict, value) in enumerate(map_fn(point, range(grid_n))):
+    for k, (verdict, value) in enumerate(results):
         counts[verdict] += 1
         entry = {"z": Fraction(a + k * b, c), "verdict": verdict, "value": value}
         points.append(entry)
@@ -625,11 +637,61 @@ def _index_polys(predicate: str, params: GpiParams, a: int, b: int, c: int) -> _
     return _IndexPolys([q * fa for q in qa], [q * fb for q in qb], [q * sd for q in qd], 1)
 
 
+def _certified_points(
+    predicate: str, params: GpiParams, polys: _IndexPolys, grid: tuple[int, int, int], n: int
+) -> list:
+    """The (verdict, value) of each grid index k < n that a root-freeness
+    certificate decides, and None for each one left to _scan_point.
+
+    alpha + beta sqrt(D) can vanish only where Q = alpha^2 - beta^2 D does.
+    So where D is positive and Q has no root, the margin keeps one sign, and
+    one exactly decided point with a nonzero value gives it.  With Q as an
+    integer polynomial in k (affine_form on the grid ``(a, b, c)``), a piece
+    [lo, hi] of the index range whose Q has no sign variations
+    (descartes_variations) takes the (verdict, value) of its endpoints,
+    decided by _scan_point, for its interior.  A piece with variations, or
+    whose endpoints are both zeros of the margin, splits at its midpoint.  A
+    piece whose interior holds at most deg Q points is left to the per-point
+    path: one variation count costs about as much as deg Q point
+    evaluations.  deg Q is taken as max(2 deg alpha, 2 deg beta + deg D),
+    known before Q is built, so a grid too small for any piece builds none.
+    ``hfri`` (beta = 0) and a Q that vanishes identically leave every point
+    to the per-point path."""
+    results: list = [None] * n
+    degree = max(2 * (len(polys.alpha) - 1), 2 * (len(polys.beta) - 1) + len(polys.radicand) - 1)
+    if not polys.beta or n - 2 <= degree:
+        return results
+    alpha, beta, d = margin_polys(predicate, params)
+    q, _ = affine_form(alpha * alpha - beta * beta * d, *grid)
+    radicand = polys.radicand
+    if (not q or descartes_variations(radicand, 0, n - 1)
+            or min(horner(radicand, 0), horner(radicand, n - 1)) <= 0):
+        return results
+    pieces = [(0, n - 1)]
+    while pieces:
+        lo, hi = pieces.pop()
+        if hi - lo - 1 <= degree:
+            continue
+        if not descartes_variations(q, lo, hi):
+            for k in (lo, hi):
+                if results[k] is None:
+                    results[k] = _scan_point(polys, k)
+            signed = [results[k] for k in (lo, hi) if results[k][1]]
+            if signed:
+                results[lo + 1:hi] = [signed[0]] * (hi - lo - 1)
+                continue
+        mid = (lo + hi) // 2
+        pieces += [(mid, hi), (lo, mid)]
+    return results
+
+
 def _scan_point(polys: _IndexPolys, k: int):
     """(verdict, value) of a predicate at the grid point of index k: the value
     is alpha(z_k) when beta = 0 (S(z_k) for ``hfri``) and otherwise the exact
     sign (1, -1 or 0) of alpha(z_k) + beta(z_k) sqrt(D(z_k)); the predicate
-    holds iff the value is positive.  ``polys`` comes from _index_polys."""
+    holds iff the value is positive.  ``polys`` comes from _index_polys.
+    A scan calls it for the points that _certified_points leaves, and for the
+    endpoints of the runs that it certifies."""
     if not polys.beta:
         value = Fraction(horner(polys.alpha, k), polys.scale)
     else:

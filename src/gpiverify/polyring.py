@@ -20,6 +20,9 @@ exponent columns are the one field built lazily; they hold no coefficients.
 For many points of one grid z = (a + k b)/c, :func:`affine_form` turns a
 univariate polynomial into an integer polynomial in the grid index k, built
 once by binomial sums, which :func:`horner` evaluates at each integer k.
+:func:`descartes_variations` bounds the roots of such an integer polynomial
+on an open interval (lo, hi) by Descartes' rule of signs after the Moebius
+map x = (lo + hi t)/(1 + t); a count of 0 certifies that it has none there.
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -407,6 +410,42 @@ def horner(coeffs: Sequence[int], k: int) -> int:
     for q in reversed(coeffs):
         value = value * k + q
     return value
+
+
+def descartes_variations(coeffs: Sequence[int], lo: int, hi: int) -> int:
+    """Sign variations of (1 + t)^n p((lo + hi t)/(1 + t)), for the nonzero
+    polynomial p = sum(coeffs[i] x^i) of degree n and ints lo < hi.
+
+    The map sends t in (0, oo) onto x in (lo, hi), so by Descartes' rule of
+    signs the count is the number of roots of p in the open interval (lo, hi),
+    with multiplicity, plus an even number: 0 certifies that p has no root
+    there.  Integers only: p(lo + x) by a Taylor shift, x -> (hi - lo) x,
+    then the coefficients reversed and shifted by 1 give the transformed
+    polynomial with its coefficients in reverse order, which has the same
+    variations.  The zero polynomial, which vanishes everywhere, raises
+    ValueError.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, not {lo}, {hi}")
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        raise ValueError("the zero polynomial has a root at every point")
+    n = len(p) - 1
+    for i in range(n):  # p(lo + x)
+        for j in range(n - 1, i - 1, -1):
+            p[j] += lo * p[j + 1]
+    width = 1
+    for j in range(n + 1):  # p(lo + (hi - lo) x)
+        p[j] *= width
+        width *= hi - lo
+    p.reverse()
+    for i in range(n):  # (1 + t)^n p(lo + (hi - lo)/(1 + t))
+        for j in range(n - 1, i - 1, -1):
+            p[j] += p[j + 1]
+    signs = [c > 0 for c in p if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _sum_over_lcm(polys: Sequence[MultiPoly]) -> tuple[dict[Exponents, int], int]:

@@ -23,15 +23,21 @@ FAIL_STATUSES = frozenset({FAILS, RESIDUAL_NONZERO, COEFFICIENT_NEGATIVE})
 
 def jsonable(value: Any) -> Any:
     """Render exact values losslessly: rationals as "p/q" strings, intervals
-    as {"lo", "hi"} pairs; containers recursively."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, RationalInterval):
-        return {"lo": str(value.lo), "hi": str(value.hi)}
+    as {"lo", "hi"} pairs; containers recursively.
+
+    The plain leaves and the containers are tested first: Fraction derives
+    from numbers.Rational, so an isinstance test against it goes through
+    ABCMeta and costs more on every other value."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, RationalInterval):
+        return {"lo": str(value.lo), "hi": str(value.hi)}
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     return value

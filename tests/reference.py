@@ -3,11 +3,13 @@
 No command runs these, so they live beside the tests: the interval enclosure
 of G, a predicate's verdict at one point from rational evaluation, the derivative of a polynomial, the four contiguous relations of F and
 its Chu-Vandermonde value at z = 1, the moments of the pairing recursion at a
-pair, and single-coefficient certificate mutations.  Import them with ``from reference import ...``
+pair, single-coefficient certificate mutations, and root counts on an open
+interval by Sturm's theorem.  Import them with ``from reference import ...``
 (pytest puts ``tests/`` on the path).
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from gpiverify.exactnum import RationalInterval, RationalLike, rational, sign_sqrt
@@ -192,3 +194,86 @@ def mutate_certificate(cert: SosCertificate, mutation: Mutation) -> SosCertifica
         )
         return SosCertificate(bumped, cert.squares, cert.context_scale, cert.host, cert.name)
     raise ValueError(f"unknown mutation kind {mutation.kind!r}")
+
+
+# ----------------------------------------------------------------------
+# real roots of a univariate polynomial on an open interval
+# ----------------------------------------------------------------------
+#
+# Dense int coefficient lists, lowest degree first, and int endpoints.  A
+# Sturm chain needs each remainder only up to a positive factor, so it stays
+# in the integers, each entry divided by its content.
+
+
+def _trimmed(coeffs) -> list[int]:
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        raise ValueError("the zero polynomial has a root at every point")
+    return p
+
+
+def _at(p: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _remainder(p: list[int], q: list[int]) -> list[int]:
+    """A positive multiple of p mod q, for a nonzero q, divided by its content."""
+    lead = abs(q[-1])
+    sign = 1 if q[-1] > 0 else -1
+    while p and len(p) >= len(q):
+        top, shift = p[-1] * sign, len(p) - len(q)
+        p = [c * lead for c in p]
+        for i, c in enumerate(q):
+            p[shift + i] -= top * c
+        while p and not p[-1]:
+            p.pop()
+    content = gcd(*p)
+    return [c // content for c in p]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', and then minus each remainder, up to the last nonzero one,
+    which is gcd(p, p') up to a constant factor."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    return chain[:-1]
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_at(q, x) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def distinct_roots(coeffs, lo: int, hi: int) -> int:
+    """Distinct real roots of sum(coeffs[i] x^i), a nonzero int polynomial, in
+    the open interval (lo, hi), by Sturm's theorem.  Factors x - lo and x - hi
+    are divided out first, since the theorem needs endpoints that are not
+    roots."""
+    p = _trimmed(coeffs)
+    for end in (lo, hi):
+        while _at(p, end) == 0:
+            quotient, acc = [], 0  # synthetic division by x - end
+            for c in reversed(p[1:]):
+                acc = acc * end + c
+                quotient.append(acc)
+            p = quotient[::-1]
+    chain = _sturm_chain(p)
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def root_count(coeffs, lo: int, hi: int) -> int:
+    """Real roots of sum(coeffs[i] x^i) in (lo, hi), counted with multiplicity:
+    a root of multiplicity m is a root of each of g_0 = p,
+    g_1 = gcd(g_0, g_0'), ..., g_(m-1), and of no later one."""
+    g = _trimmed(coeffs)
+    total = 0
+    while len(g) > 1:
+        total += distinct_roots(g, lo, hi)
+        g = _sturm_chain(g)[-1]
+    return total

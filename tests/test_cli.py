@@ -711,7 +711,7 @@ class TestDeterminism:
         code = ("import os, sys\n"
                 "from gpiverify import cli\n"
                 "os.cpu_count = lambda: 2\n"
-                "code, _ = cli.run('scan h-deriv --m2 8 --m3 8 --grid 21 --jobs 2'.split())\n"
+                "code, _ = cli.run('scan hfri --m2 8 --m3 8 --grid 21 --jobs 2'.split())\n"
                 "print(code, 'pickle' in sys.modules,"
                 f" [m for m in {pools!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -798,7 +798,8 @@ class TestPool:
             _pool_map(abs, range(10), 3)
 
     def test_dead_worker_exits_70(self, monkeypatch, capsys, reaped):
-        # a scan whose pool worker dies is an internal error, not a failed check
+        # a scan whose pool worker dies is an internal error, not a failed check;
+        # an hfri scan decides every point in the pool
         import gpiverify.inequality as inequality
 
         point = inequality._scan_point
@@ -808,11 +809,20 @@ class TestPool:
             return point(polys, die(k))
 
         monkeypatch.setattr(inequality, "_scan_point", dying_point)
-        assert main("scan h-deriv --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70
+        assert main("scan hfri --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch("gpiverify: internal error: PoolWorkerError: pool worker [0-9]+ "
                             "exited with status 9 before returning its results\n", err)
+
+    def test_certified_scan_forks_no_worker(self, monkeypatch, forks, reaped):
+        # every point of this scan is certified or decided in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, report = run("scan g-negative --m2 30 --m3 30 --grid 1001 --jobs 2".split())
+        assert code == 0 and report["checks"][0]["metadata"]["counts"]["holds"] == 1001
+        assert forks == []
+        assert main("scan hfri --m2 8 --m3 8 --grid 21 --jobs 2".split() + ["--out", os.devnull]) == 0
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("error", ["ValueError", "KeyboardInterrupt"])
     def test_no_deadlock_when_this_share_raises(self, error):

@@ -503,12 +503,15 @@ class TestDomainTable:
 
     @given(
         predicate=st.sampled_from(SCAN_PREDICATES),
-        pair=st.sampled_from([(1, 1), (2, 3), (8, 8)]),
+        pair=st.sampled_from([(1, 1), (2, 1), (2, 3), (8, 8)]),
         lo=overrides,
         hi=overrides,
-        grid_n=st.integers(min_value=2, max_value=5),
+        # on up to 5 points a radical scan decides each point by itself, but
+        # for h-half and h-seventh (deg Q = 2); on larger grids most points
+        # are certified
+        grid_n=st.integers(min_value=2, max_value=5) | st.integers(min_value=6, max_value=80),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_scan_points_stay_in_domain(self, predicate, pair, lo, hi, grid_n):
         params = make_params(*pair)
         d_lo, d_hi, _, _ = default_scan_range(predicate, params)
@@ -549,18 +552,60 @@ def _domain_is_nonempty(predicate, pair):
     return lo < hi
 
 
+RADICAL_PREDICATES = [p for p in SCAN_PREDICATES if p != "hfri"]
+
+
 class TestScanOracle:
     """Scan points against point_verdict, which evaluates alpha, beta and D
     at z with MultiPoly.eval, and against check_point."""
 
-    @pytest.mark.parametrize("predicate", ["g-negative", "h-deriv", "h-deriv-reduced"])
-    def test_interval_predicates_at_30_30(self, predicate):
-        params = make_params(30, 30)
-        points = scan(predicate, params, grid_n=1001).metadata["points"]
+    @pytest.mark.parametrize("predicate, pair, fails", [
+        (predicate, pair, 0)
+        for predicate in RADICAL_PREDICATES for pair in [(8, 8)] + [(30, m3) for m3 in range(30, 35)]
+    ] + [("h-deriv", (2, 1), 429), ("h-deriv", (3, 1), 59)])
+    def test_radical_predicates(self, predicate, pair, fails):
+        # most points are certified, not evaluated; h-deriv changes sign
+        # at (2, 1) and (3, 1), so there the certified ranges are bisected
+        params = make_params(*pair)
+        rep = scan(predicate, params, grid_n=1001)
+        assert rep.metadata["counts"]["fails"] == fails
+        points = rep.metadata["points"]
         assert len(points) == 1001
         for point in points:
             assert (point["verdict"], point["value"]) == point_verdict(
                 predicate, params, point["z"]), point["z"]
+
+    def test_certified_scan_evaluates_few_points(self, monkeypatch):
+        # a certificate that never fired would pass every oracle test
+        import gpiverify.inequality as inequality
+
+        calls = []
+        point = inequality._scan_point
+
+        def counted(polys, k):
+            calls.append(k)
+            return point(polys, k)
+
+        monkeypatch.setattr(inequality, "_scan_point", counted)
+        rep = scan("g-negative", make_params(30, 30), grid_n=1001)
+        assert rep.metadata["counts"] == {"holds": 1001, "fails": 0, "indeterminate": 0}
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("zeros", [{0}, {1000}, {0, 1000}])
+    def test_zero_endpoint_decides_no_run(self, monkeypatch, zeros):
+        # a margin that vanishes at an end of a root-free run says nothing of
+        # its sign inside; no grid tried hits an exact zero of a radical
+        # margin, so the endpoint values are faked here
+        import gpiverify.inequality as inequality
+
+        point = inequality._scan_point
+
+        def zero_at_ends(polys, k):
+            return ("fails", 0) if k in zeros else point(polys, k)
+
+        monkeypatch.setattr(inequality, "_scan_point", zero_at_ends)
+        points = scan("h-deriv", make_params(8, 8), grid_n=1001).metadata["points"]
+        assert [p["value"] for p in points] == [0 if k in zeros else 1 for k in range(1001)]
 
     @pytest.mark.parametrize("predicate, pair", [
         (predicate, pair) for predicate in SCAN_PREDICATES for pair in [(2, 3), (8, 8)]

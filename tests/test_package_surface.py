@@ -45,6 +45,8 @@ ARGVS = [
     *(f"scan {p} --m2 8 --m3 8 --grid 3"
       for p in ("g-negative", "h-deriv", "h-deriv-reduced", "h-half", "h-seventh")),
     "scan h-deriv --m2 8 --m3 8 --grid 3 --jobs 2",
+    # enough points for the root-freeness certificate, which 3 points are not
+    "scan h-half --m2 8 --m3 8 --grid 21",
     # the other forms of the point checks, and the remaining commands
     "check mri --m2 2 --m3 3 --cov 1/4 --var2 2 --var3 3",
     "check mri --y2 13 --y3 13 --x 0.5",

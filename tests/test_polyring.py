@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpiverify.polyring import MultiPoly, affine_form, horner
-from reference import derivative
+from gpiverify.polyring import MultiPoly, affine_form, descartes_variations, horner
+from reference import derivative, distinct_roots, root_count
 
 var = MultiPoly.var
 coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
@@ -439,6 +439,85 @@ class TestAffineForm:
             affine_form(var("x") * var("y"), 0, 1, 1)
         with pytest.raises(ValueError, match="positive int"):
             affine_form(z, 0, 1, 0)
+
+
+def _times(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_polys(draw):
+    """Int coefficient lists of degree 0..40: a random cofactor times linear
+    factors d x - n, so that rational roots, repeated ones and roots at
+    integer endpoints all occur."""
+    degree = draw(st.integers(0, 40))
+    factors = [
+        (d, n)
+        for d, n, times in draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-40, 40),
+                                                   st.integers(1, 3)), max_size=6))
+        for _ in range(times)
+    ][:degree]
+    size = degree + 1 - len(factors)
+    cofactor = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)
+                    .filter(lambda cs: cs[-1]))
+    p = cofactor
+    for d, n in factors:
+        p = _times(p, [-n, d])
+    return p
+
+
+intervals = st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+class TestDescartesVariations:
+    """The sign variations of (1 + t)^n p((lo + hi t)/(1 + t)) bound the roots
+    of p in (lo, hi), counted with multiplicity, by an even excess."""
+
+    @given(p=root_polys(), interval=intervals)
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_the_sturm_count(self, p, interval):
+        lo, hi = interval
+        variations, roots = descartes_variations(p, lo, hi), root_count(p, lo, hi)
+        assert variations >= roots and (variations - roots) % 2 == 0
+        if variations == 0:
+            assert distinct_roots(p, lo, hi) == 0
+
+    @given(p=root_polys(), interval=intervals)
+    @settings(max_examples=20, deadline=None)
+    def test_sturm_count_matches_sympy(self, p, interval):
+        sympy = pytest.importorskip("sympy")
+        lo, hi = interval
+        x = sympy.Symbol("x")
+        # count_roots counts distinct roots in the closed interval [lo, hi]
+        closed = sympy.Poly(list(reversed(p)), x).count_roots(lo, hi)
+        on_ends = sum(horner(p, end) == 0 for end in (lo, hi))
+        assert distinct_roots(p, lo, hi) == closed - on_ends
+        assert descartes_variations(p, lo, hi) >= closed - on_ends
+
+    def test_examples(self):
+        # x (x - 1) vanishes at both ends of (0, 1), and nowhere inside
+        assert descartes_variations([0, -1, 1], 0, 1) == 0
+        assert descartes_variations(_times([-2, 1], [-5, 1]), 2, 5) == 0
+        # (x - 3)^2 (x + 1) on (-1, 3): a root at each end, none inside
+        assert descartes_variations(_times(_times([-3, 1], [-3, 1]), [1, 1]), -1, 3) == 0
+        # a double root inside counts twice; so does a pair of roots
+        assert descartes_variations([1, -4, 4], 0, 1) == 2
+        assert descartes_variations(_times([-1, 3], [-2, 3]), 0, 1) == 2
+        assert descartes_variations([1, -4, 4], 1, 3) == 0
+        # 2x - 1 has one root in (0, 1); zero top coefficients are ignored
+        assert descartes_variations([-1, 2], 0, 1) == 1
+        assert descartes_variations([-1, 2, 0, 0], 0, 1) == 1
+        assert descartes_variations([-1, 2], 1, 10**6) == 0
+        assert descartes_variations([7], -3, 3) == 0
+        for zero in ([], [0, 0]):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                descartes_variations(zero, 0, 1)
+        with pytest.raises(ValueError, match="lo < hi"):
+            descartes_variations([-1, 2], 1, 1)
 
 
 class TestJson:
