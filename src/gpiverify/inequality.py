@@ -261,9 +261,7 @@ def h_poly(m2: int) -> MultiPoly:
         raise InputError("h_poly is defined for m2 in 1..7")
     b = MultiPoly.var("b")
     s_b = _s_poly(m2, b * b + h_offset(m2))
-    c = MultiPoly.var("c")
-    c2 = c * c
-    return s_b.substitute_rational("z", c2, c2 + 1, 2 * m2 + 1).in_ring(("b", "c"))
+    return s_b.substitute("z", "c", 0, 1, clear=2 * m2 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -306,15 +304,8 @@ def g_poly() -> MultiPoly:
     """g(a, b, c) = (1+c^2)^9 f(a^2+8, b^2+8, (11/4) c^2/(1+c^2)): an
     everywhere-positive polynomial with only even exponents whose coefficient
     nonnegativity certifies the truncated inequality on its whole domain."""
-    f = f_truncated_poly()
-    a = MultiPoly.var("a")
-    b = MultiPoly.var("b")
-    g = f.substitute("x2", a * a + 8).substitute("x3", b * b + 8)
-    c = MultiPoly.var("c")
-    c2 = c * c
-    return g.substitute_rational(
-        "u", c2 * TRUNCATION_BOUND, c2 + 1, 9
-    ).in_ring(("a", "b", "c"))
+    g = f_truncated_poly().substitute("x2", "a", 8, 1).substitute("x3", "b", 8, 1)
+    return g.substitute("u", "c", 0, TRUNCATION_BOUND, clear=9)
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,19 @@ the union variable list (left operand's order first, then the right operand's
 new variables), so callers can freely mix rings.  All values are immutable.
 
 Evaluation at a rational point sums integer powers of each variable's
-numerator and denominator and reduces once at the end.  Its per-variable
-exponent columns are the one field built lazily; they hold no coefficients.
-For many points of one grid z = (a + k b)/c, :func:`affine_form` turns a
-univariate polynomial into an integer polynomial in the grid index k, built
-once by binomial sums, which :func:`horner` evaluates at each integer k.
-:func:`descartes_variations` bounds the roots of such an integer polynomial
-on an open interval (lo, hi) by Descartes' rule of signs after the Moebius
-map x = (lo + hi t)/(1 + t); a count of 0 certifies that it has none there.
+numerator and denominator and reduces once at the end.
+
+Every change of variable runs through one integer kernel,
+:func:`_taylor_shift`: homogenize, Taylor-shift, scale, on a dense coefficient
+list.  :meth:`MultiPoly.substitute` applies it to each coefficient column of
+the maps the proof uses, var = (a + b w^2)/c and, with its denominator
+cleared, var = (a + b w^2)/(c (1 + w^2)).  For many points of one grid
+z = (a + k b)/c, :func:`affine_form` turns a univariate polynomial into an
+integer polynomial in the grid index k, which :func:`horner` evaluates at each
+integer k.  :func:`descartes_variations` bounds the roots of such an integer
+polynomial on an open interval (lo, hi) by Descartes' rule of signs after the
+Moebius map x = (lo + hi t)/(1 + t); a count of 0 certifies that it has none
+there.
 
 JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 :meth:`MultiPoly.from_json_dict`), with coefficients as exact rational strings.
@@ -31,7 +36,7 @@ JSON is the one serialized form (:meth:`MultiPoly.to_json_dict`, read back by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -46,7 +51,7 @@ class MultiPoly:
     gcd(den, *nums) = 1.  Polynomials over different rings compare equal when
     they agree after variable alignment."""
 
-    __slots__ = ("vars", "den", "nums", "_columns")
+    __slots__ = ("vars", "den", "nums")
 
     def __init__(self, vars: Sequence[str], terms: Mapping | None = None, den: int = 1):
         """sum(terms[e] x^e) / den, for any rational coefficients: zero terms
@@ -73,7 +78,6 @@ class MultiPoly:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -266,55 +270,47 @@ class MultiPoly:
     # substitution and evaluation
     # ------------------------------------------------------------------
 
-    def substitute(self, var: str, replacement: "MultiPoly | RationalLike") -> "MultiPoly":
-        """Exact composition: replace ``var`` by a polynomial (or constant)."""
-        return self.substitute_rational(var, replacement, 1, max(self.degree(var), 0))
+    def substitute(self, var: str, w: str, a: RationalLike, b: RationalLike,
+                   c: RationalLike = 1, clear: int | None = None) -> "MultiPoly":
+        """``var`` replaced by (a + b w^2)/c, exactly; or, given ``clear``,
+        (1 + w^2)^clear times this polynomial at var = (a + b w^2)/(c (1 + w^2)),
+        which needs clear >= the degree of ``var``.  a, b and c > 0 are
+        rationals, and ``w`` is a variable the other variables do not include;
+        it goes last in the result's ring.
 
-    def substitute_rational(
-        self,
-        var: str,
-        num: "MultiPoly | RationalLike",
-        den: "MultiPoly | RationalLike",
-        clear_power: int,
-    ) -> "MultiPoly":
-        """Return ``den^clear_power * self(var <- num/den)``, exactly.
-
-        ``clear_power`` must be at least the degree of ``var`` in this
-        polynomial so that the result is again a polynomial.
+        Each coefficient column of ``var`` (its dense integer list at one
+        monomial of the other variables) goes through the integer kernel:
+        :func:`_taylor_shift` for the first map, :func:`_moebius` for the
+        second.
         """
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}")
-        deg = self.degree(var)
-        if clear_power < deg:
-            raise ValueError(
-                f"clear_power={clear_power} smaller than degree {deg} in {var!r}:"
-                " denominators would remain"
-            )
-        num = _as_poly(num, ())
-        den = _as_poly(den, ())
-        rest_vars = tuple(v for v in self.vars if v != var)
-        ring = list(rest_vars)
-        for p in (num, den):
-            for v in p.vars:
-                if v not in ring:
-                    ring.append(v)
-        ring = tuple(ring)
         i = self.vars.index(var)
-        by_power: dict[int, dict[Exponents, int]] = {}
-        for exps, n in self.nums.items():
-            by_power.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = n
-        num_pows: dict[int, MultiPoly] = {0: MultiPoly.const(1, ring)}
-        den_pows: dict[int, MultiPoly] = {0: MultiPoly.const(1, ring)}
-        num_r, den_r = num.in_ring(ring), den.in_ring(ring)
-        for k in range(1, clear_power + 1):
-            num_pows[k] = num_pows[k - 1] * num_r
-            den_pows[k] = den_pows[k - 1] * den_r
-        parts = [
-            MultiPoly(rest_vars, rest, self.den).in_ring(ring)
-            * (num_pows[k] * den_pows[clear_power - k])
-            for k, rest in by_power.items()
-        ]
-        return MultiPoly(ring, *_sum_over_lcm(parts))
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        if w in rest:
+            raise ValueError(f"variable {w!r} is not fresh in ring {self.vars}")
+        deg = max(self.degree(var), 0)
+        n = deg if clear is None else clear
+        if n < deg:
+            raise ValueError(f"clear={clear} smaller than degree {deg} in {var!r}")
+        a, b, c = rational(a), rational(b), rational(c)
+        if c <= 0:
+            raise ValueError(f"c = {c} is not positive")
+        # (a + b y)/c over ints: multiply through by lcm(den a, den b) den c
+        m = lcm(a.denominator, b.denominator)
+        a = a.numerator * (m // a.denominator) * c.denominator
+        b = b.numerator * (m // b.denominator) * c.denominator
+        c = m * c.numerator
+        columns: dict[Exponents, list[int]] = {}
+        for exps, num in self.nums.items():
+            columns.setdefault(exps[:i] + exps[i + 1 :], [0] * (n + 1))[exps[i]] = num
+        nums = {}
+        for key, p in columns.items():
+            q = _taylor_shift(p, a, b, c) if clear is None else _moebius(p, a, b, c)
+            for k, coeff in enumerate(q):
+                if coeff:
+                    nums[key + (2 * k,)] = coeff
+        return MultiPoly(rest + (w,), nums, self.den * c**n)
 
     def eval(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point assigning every variable.
@@ -327,11 +323,8 @@ class MultiPoly:
         if missing:
             raise ValueError(f"missing assignments for {missing}")
         values = [rational(point[v]) for v in self.vars]
-        columns = self._columns
-        if columns is None:
-            # columns[j] = (degree, exponent of each term) of the j-th variable
-            columns = [(max(exps), exps) for exps in zip(*self.nums)]
-            object.__setattr__(self, "_columns", columns)
+        # columns[j] = (degree, exponent of each term) of the j-th variable
+        columns = [(max(exps), exps) for exps in zip(*self.nums)]
         nums, den = self.nums.values(), self.den
         for value, (k, exps) in zip(values, columns):
             n, d = value.numerator, value.denominator
@@ -377,11 +370,8 @@ def affine_form(poly: MultiPoly, a: int, b: int, c: int) -> tuple[list[int], int
     """(q, scale) for a univariate ``poly`` of degree d and ints a, b, c > 0:
     sum(q[i] k^i) = scale * poly((a + k b)/c) as polynomials in k, with the
     positive int scale = c^d den.  The zero polynomial gives ([], 1).
-
-    Read densely from ``nums``, with p[j] = nums[j] c^(d-j) the polynomial is
-    sum(p[j] (a + k b)^j) / scale, so by the binomial theorem
-    q[i] = b^i sum(binom(j, i) a^(j-i) p[j], j = i..d): integers only.
-    Evaluate q at an integer k with :func:`horner`.
+    Read densely from ``nums``, q is one :func:`_taylor_shift`; evaluate it at
+    an integer k with :func:`horner`.
     """
     if len(poly.vars) != 1:
         raise ValueError(f"affine_form needs a univariate polynomial, not one over {poly.vars}")
@@ -392,16 +382,8 @@ def affine_form(poly: MultiPoly, a: int, b: int, c: int) -> tuple[list[int], int
         return [], 1
     p = [0] * (d + 1)
     for (j,), n in poly.nums.items():
-        p[j] = n * c ** (d - j)
-    a_pows = [1]
-    for _ in range(d):
-        a_pows.append(a_pows[-1] * a)
-    q = []
-    b_pow = 1
-    for i in range(d + 1):
-        q.append(b_pow * sum(comb(j, i) * a_pows[j - i] * p[j] for j in range(i, d + 1)))
-        b_pow *= b
-    return q, c**d * poly.den
+        p[j] = n
+    return _taylor_shift(p, a, b, c), c**d * poly.den
 
 
 def horner(coeffs: Sequence[int], k: int) -> int:
@@ -419,11 +401,10 @@ def descartes_variations(coeffs: Sequence[int], lo: int, hi: int) -> int:
     The map sends t in (0, oo) onto x in (lo, hi), so by Descartes' rule of
     signs the count is the number of roots of p in the open interval (lo, hi),
     with multiplicity, plus an even number: 0 certifies that p has no root
-    there.  Integers only: p(lo + x) by a Taylor shift, x -> (hi - lo) x,
-    then the coefficients reversed and shifted by 1 give the transformed
-    polynomial with its coefficients in reverse order, which has the same
-    variations.  The zero polynomial, which vanishes everywhere, raises
-    ValueError.
+    there.  It is counted on the :func:`_moebius` image of (hi, lo), the same
+    polynomial with its coefficients reversed (t -> 1/t), whose first Taylor
+    shift, by lo, is skipped when lo = 0.  The zero polynomial, which
+    vanishes everywhere, raises ValueError.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, not {lo}, {hi}")
@@ -432,20 +413,39 @@ def descartes_variations(coeffs: Sequence[int], lo: int, hi: int) -> int:
         p.pop()
     if not p:
         raise ValueError("the zero polynomial has a root at every point")
-    n = len(p) - 1
-    for i in range(n):  # p(lo + x)
-        for j in range(n - 1, i - 1, -1):
-            p[j] += lo * p[j + 1]
-    width = 1
-    for j in range(n + 1):  # p(lo + (hi - lo) x)
-        p[j] *= width
-        width *= hi - lo
-    p.reverse()
-    for i in range(n):  # (1 + t)^n p(lo + (hi - lo)/(1 + t))
-        for j in range(n - 1, i - 1, -1):
-            p[j] += p[j + 1]
-    signs = [c > 0 for c in p if c]
+    signs = [c > 0 for c in _moebius(p, hi, lo) if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _taylor_shift(p: Sequence[int], s: int, r: int = 1, c: int = 1) -> list[int]:
+    """c^n p((s + r x)/c) for the int coefficient list p = [p_0, ..., p_n]:
+    homogenized by c (p_j -> p_j c^(n-j)), Taylor-shifted by s (x -> x + s)
+    and scaled by r (x -> r x).  The one change-of-variable loop of the
+    module; integers only."""
+    p = list(p)
+    n = len(p) - 1
+    if c != 1:
+        power = 1
+        for j in range(n, -1, -1):
+            p[j] *= power
+            power *= c
+    if s:  # the Moebius map's shifts by 1 skip the product
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                p[j] += p[j + 1] if s == 1 else s * p[j + 1]
+    if r != 1:
+        power = 1
+        for j in range(n + 1):
+            p[j] *= power
+            power *= r
+    return p
+
+
+def _moebius(p: Sequence[int], a: int, b: int, c: int = 1) -> list[int]:
+    """(c (1 + t))^n p((a + b t)/(c (1 + t))) for p = [p_0, ..., p_n]: since
+    (a + b t)/(1 + t) = b + (a - b)/(1 + t), the reversed list of
+    c^n p((b + (a - b) x)/c), shifted by 1."""
+    return _taylor_shift(_taylor_shift(p, b, a - b, c)[::-1], 1)
 
 
 def _sum_over_lcm(polys: Sequence[MultiPoly]) -> tuple[dict[Exponents, int], int]:

@@ -3,9 +3,10 @@
 No command runs these, so they live beside the tests: the interval enclosure
 of G, a predicate's verdict at one point from rational evaluation, the derivative of a polynomial, the four contiguous relations of F and
 its Chu-Vandermonde value at z = 1, the moments of the pairing recursion at a
-pair, single-coefficient certificate mutations, and root counts on an open
-interval by Sturm's theorem.  Import them with ``from reference import ...``
-(pytest puts ``tests/`` on the path).
+pair, single-coefficient certificate mutations, root counts on an open
+interval by Sturm's theorem, and a polynomial with one variable fixed at a
+constant.  Import them with ``from reference import ...`` (pytest puts
+``tests/`` on the path).
 """
 
 from fractions import Fraction
@@ -99,6 +100,12 @@ def derivative(p: MultiPoly, var: str) -> MultiPoly:
     i = p.vars.index(var)
     nums = {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in p.nums.items() if e[i]}
     return MultiPoly(p.vars, nums, p.den)
+
+
+def specialize(p: MultiPoly, var: str, value: RationalLike) -> MultiPoly:
+    """p with ``var`` fixed at a rational value: MultiPoly.substitute with
+    b = 0, so its fresh variable (``var`` again) occurs in no term."""
+    return p.substitute(var, var, value, 0)
 
 
 def _f_raised_a(m2: int, m3: int, c: Fraction) -> MultiPoly:

@@ -12,6 +12,7 @@ from reference import derivative, distinct_roots, root_count
 
 var = MultiPoly.var
 coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
+positive_coeffs = coeffs.filter(lambda c: c > 0)
 
 
 @st.composite
@@ -200,32 +201,33 @@ class TestOneFormat:
             p.in_ring(("x",))
 
     @given(
-        data=st.data(),
+        p=polys(),
         var_=st.sampled_from(["x", "y"]),
-        rings=st.sampled_from([(("y",), ()), (("x", "w"), ("w",)), ((), ("y", "w"))]),
+        a=coeffs,
+        b=coeffs,
+        c=positive_coeffs,
+        extra=st.none() | st.integers(0, 2),
     )
     @settings(max_examples=100, deadline=None)
-    def test_substitute_rational_matches_per_term_fractions(self, data, var_, rings):
-        p = data.draw(polys())
-        num, den = data.draw(polys(rings[0])), data.draw(polys(rings[1]))
-        clear = max(p.degree(var_), 0) + data.draw(st.integers(0, 2))
-        got = p.substitute_rational(var_, num, den, clear)
-        ring = ring_of([v for v in p.vars if v != var_], num.vars, den.vars)
-        tn, td = fraction_terms(num, ring), fraction_terms(den, ring)
-        one = {(0,) * len(ring): Fraction(1)}
-        num_pows, den_pows = [one], [one]
-        for _ in range(clear):
-            num_pows.append(ref_mul(num_pows[-1], tn))
-            den_pows.append(ref_mul(den_pows[-1], td))
+    def test_substitute_matches_per_term_fractions(self, p, var_, a, b, c, extra):
+        # var = (a + b w^2)/c; or, with extra given, var = (a + b w^2)/(c (1 + w^2))
+        # and the result times (1 + w^2)^clear for clear = deg + extra
+        clear = None if extra is None else max(p.degree(var_), 0) + extra
+        got = p.substitute(var_, "w", a, b, c, clear)
+        ring = ring_of([v for v in p.vars if v != var_], ["w"])
+        zero = (0,) * len(ring)
+        w2 = zero[:-1] + (2,)
+        num = ref_add({zero: a / c}, {w2: b / c})
+        den = {zero: Fraction(1), w2: Fraction(1)}
         i = p.vars.index(var_)
         parts = []
-        for exps, c in p.terms.items():
-            rest = [0] * len(ring)
-            for v, e in zip(p.vars, exps):
-                if v != var_:
-                    rest[ring.index(v)] = e
-            factor = ref_mul(num_pows[exps[i]], den_pows[clear - exps[i]])
-            parts.append(ref_mul({tuple(rest): c}, factor))
+        for exps, coeff in p.terms.items():
+            term = {exps[:i] + exps[i + 1 :] + (0,): coeff}
+            for _ in range(exps[i]):
+                term = ref_mul(term, num)
+            for _ in range(0 if clear is None else clear - exps[i]):
+                term = ref_mul(term, den)
+            parts.append(term)
         assert_one_form(got)
         assert got.vars == ring
         assert got.terms == ref_add(*parts)
@@ -259,44 +261,66 @@ class TestEqualityAndHash:
 
 
 class TestSubstitution:
+    """var = (a + b w^2)/c, and (1 + w^2)^clear times var = (a + b w^2)/(c (1 + w^2))."""
+
     def test_examples(self):
-        b, a = var("b"), var("a")
-        assert (var("m3") ** 2).substitute("m3", b**2 + 5) == b**4 + 10 * b**2 + 25
-        assert var("x2").substitute("x2", a**2 + 8) == a**2 + 8
-        assert var("z").substitute("z", 0).is_zero()
+        a, b, c, w = var("a"), var("b"), var("c"), var("w")
+        assert (var("m3") ** 2).substitute("m3", "b", 5, 1) == b**4 + 10 * b**2 + 25
+        assert var("x2").substitute("x2", "a", 8, 1) == a**2 + 8
+        assert var("z").substitute("z", "w", 0, 0).is_zero()
+        got = (var("x") ** 2 + var("y")).substitute("x", "c", 1, 1, 2)
+        assert got.vars == ("y", "c")
+        assert got == Fraction(1, 4) * (1 + c**2) ** 2 + var("y")
+        # rational constants: (1/2 - w^2/3)/(5/6)
+        got = var("x").substitute("x", "w", Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6))
+        assert got == Fraction(3, 5) - Fraction(2, 5) * w**2
 
     def test_unknown_variable(self):
-        with pytest.raises(ValueError):
-            var("z").substitute("w", 1)
+        with pytest.raises(ValueError, match="unknown variable"):
+            var("z").substitute("w", "c", 1, 0)
+        with pytest.raises(ValueError, match="not fresh"):
+            (var("x") * var("y")).substitute("x", "y", 0, 1)
+        with pytest.raises(ValueError, match="not positive"):
+            var("x").substitute("x", "w", 0, 1, 0)
 
     def test_rational_substitution_examples(self):
-        z, c = var("z"), var("c")
-        c2, den = c**2, 1 + c**2
-        assert z.substitute_rational("z", c2, den, 1) == c2
-        assert (1 - z).substitute_rational("z", c2, den, 1) == MultiPoly.const(1, ("c",))
-        assert (z**2).substitute_rational("z", c2, den, 3) == c**4 * (1 + c**2)
+        z, c, w = var("z"), var("c"), var("w")
+        assert z.substitute("z", "c", 0, 1, clear=1) == c**2
+        assert (1 - z).substitute("z", "c", 0, 1, clear=1) == MultiPoly.const(1, ("c",))
+        assert (z**2).substitute("z", "c", 0, 1, clear=3) == c**4 * (1 + c**2)
+        # g's map u = (11/4) c^2/(1 + c^2): a rational constant, cleared to power 2
+        got = (var("u") + 1).substitute("u", "c", 0, Fraction(11, 4), clear=2)
+        assert got == (Fraction(11, 4) * c**2 + 1 + c**2) * (1 + c**2)
+        # c != 1 and a != 0: z = (1 + 3 w^2)/(2 (1 + w^2))
+        assert (z**2).substitute("z", "w", 1, 3, 2, clear=2) == Fraction(1, 4) * (1 + 3 * w**2) ** 2
 
     def test_rational_substitution_insufficient_power(self):
-        c = var("c")
-        with pytest.raises(ValueError):
-            (var("z") ** 2).substitute_rational("z", c**2, 1 + c**2, 1)
+        with pytest.raises(ValueError, match="smaller than degree"):
+            (var("z") ** 2).substitute("z", "c", 0, 1, clear=1)
 
-    @given(p=polys(), q=polys(vars=("y",)))
+    @given(p=polys(), q=polys(), a=coeffs, b=coeffs, c=positive_coeffs, moebius=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_substitution_is_ring_homomorphism(self, p, q):
-        other = 1 + var("y")
-        lhs = (p * other.in_ring(p.vars)).substitute("x", q)
-        rhs = p.substitute("x", q) * other
-        assert lhs == rhs, "subst(p*q) == subst(p)*subst(q)"
-        lhs2 = (p + other.in_ring(p.vars)).substitute("x", q)
-        assert lhs2 == p.substitute("x", q) + other
+    def test_substitution_is_ring_homomorphism(self, p, q, a, b, c, moebius):
+        def sub(r, clear):
+            return r.substitute("x", "w", a, b, c, clear if moebius else None)
 
-    @given(p=polys(), q=polys(vars=("y",)),
-           px=coeffs, py=coeffs)
+        dp, dq = max(p.degree("x"), 0), max(q.degree("x"), 0)
+        assert sub(p * q, dp + dq) == sub(p, dp) * sub(q, dq), "subst(p*q) == subst(p)*subst(q)"
+        n = max(dp, dq)
+        assert sub(p + q, n) == sub(p, n) + sub(q, n)
+
+    @given(p=polys(), a=coeffs, b=coeffs, c=positive_coeffs, pw=coeffs, py=coeffs,
+           extra=st.none() | st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
-    def test_eval_commutes_with_substitution(self, p, q, px, py):
-        point = {"y": py}
-        assert p.substitute("x", q).eval(point) == p.eval({"x": q.eval(point), "y": py})
+    def test_eval_commutes_with_substitution(self, p, a, b, c, pw, py, extra):
+        x = (a + b * pw**2) / c
+        if extra is None:
+            got = p.substitute("x", "w", a, b, c).eval({"y": py, "w": pw})
+            assert got == p.eval({"x": x, "y": py})
+        else:
+            n = max(p.degree("x"), 0) + extra
+            got = p.substitute("x", "w", a, b, c, n).eval({"y": py, "w": pw})
+            assert got == (1 + pw**2) ** n * p.eval({"x": x / (1 + pw**2), "y": py})
 
 
 def falling(x: MultiPoly, j: int) -> MultiPoly:
@@ -315,10 +339,10 @@ class TestLinearFactorProducts:
         assert falling(m3, 2) == m3**2 - m3
 
     def test_shifted_product(self):
-        # (x2-1)(x2-2)(x2-3) by shifting the variable before expanding
-        x2 = var("x2")
-        shifted = falling(var("t"), 3).substitute("t", x2 - 1)
-        expected = (x2 - 1) * (x2 - 2) * (x2 - 3)
+        # (y-1)(y-2)(y-3) at y = w^2 by shifting the variable before expanding
+        y = var("w") ** 2
+        shifted = falling(var("t"), 3).substitute("t", "w", -1, 1)
+        expected = (y - 1) * (y - 2) * (y - 3)
         assert shifted == expected
 
     def test_matches_integer_values(self):
@@ -371,7 +395,6 @@ class TestEvalAndCoeff:
         point = {v: data.draw(values) for v in vars}
         value = p.eval(point)
         assert value == self.reference_eval(p, point)
-        assert p.eval(point) == value  # second call reuses the integer form
 
     def test_eval_edge_cases(self):
         assert MultiPoly.zero(("z",)).eval({"z": Fraction(-7, 3)}) == 0
@@ -406,18 +429,21 @@ class TestAffineForm:
 
     @given(data=st.data(), **grids)
     @settings(max_examples=120, deadline=None)
-    def test_coefficients_match_substitute_rational(self, data, a, b, c):
+    def test_coefficients_match_horner_expansion(self, data, a, b, c):
         p = data.draw(self.int_polys())
         d = p.degree("z")
         q, scale = affine_form(p, a, b, c)
         if d < 0:
             assert (q, scale) == ([], 1)
             return
-        # c^d p((a + k b)/c), a polynomial in k, times den
-        shifted = p.substitute_rational("z", var("k") * b + a, c, d)
+        # p((a + k b)/c) as a polynomial in k, expanded by MultiPoly products
+        z = (b * var("k") + a).scale(Fraction(1, c))
+        expanded = MultiPoly.zero(("k",))
+        for j in range(d, -1, -1):
+            expanded = expanded * z + p.coeff((j,))
         assert len(q) == d + 1
         assert scale == c**d * p.den
-        assert [Fraction(n) for n in q] == [shifted.coeff((i,)) * p.den for i in range(d + 1)]
+        assert [Fraction(n) for n in q] == [expanded.coeff((i,)) * scale for i in range(d + 1)]
 
     @given(data=st.data(), k=st.integers(-50, 2000), **grids)
     @settings(max_examples=120, deadline=None)
