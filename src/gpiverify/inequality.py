@@ -12,10 +12,11 @@ This module materializes, with exact rational arithmetic wherever possible:
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
 * exact checks of the product inequality (GPI, from three bivariate
-  moments) and the moment-ratio inequality (MRI), with float counterparts
-  for real exponents; one search down a grid of correlations finds an MRI
-  violation on either path; and the inequality predicates at one point
-  (check_point) or on a grid (scan).
+  moments) and the moment-ratio inequality (MRI, from f1 and f2 at
+  z = Corr^2, with the margin |Cov| - lhs for z <= t and S(z) above t), with
+  float counterparts for real exponents; one search down a grid of
+  correlations finds an MRI violation on either path; and the inequality
+  predicates at one point (check_point) or on a grid (scan).
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
@@ -30,9 +31,9 @@ whole runs of points from one endpoint each, wherever Descartes' rule of
 signs shows that Q has no root (_certified_points, by
 polyring.descartes_variations), and decides only the other points one by
 one.  A point check is the one-point grid A/C = z, B = 0.  The interval
-enclosure H_value
-gives the margin that accompanies an MRI verdict; the enclosure of G that
-the tests compare the g-negative signs against lives in tests/reference.py.
+enclosure H_value gives the bound shown beside an MRI verdict, which it
+does not decide; the enclosure of G that the tests compare the g-negative
+signs against lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from .exactnum import (
     sqrt_enclosure,
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
-from .moments import GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment
+from .moments import (
+    SERIES_TOL, GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment,
+)
 from .polyring import MultiPoly, affine_form, descartes_variations, horner
 from .report import (
     FAILS,
@@ -195,23 +198,17 @@ def _h_excess(
     return params.msum * (r * z - 1) - threshold * (r * r * z - 1)
 
 
-def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
-    """Exact sign of H(z) - threshold, by isolating the radical (_h_excess)."""
-    z = rational(z)
-    _check_h_domain(params, z)
-    return sign_sqrt(_h_excess(params, z, rational(threshold)), 1, h_radicand(params, z))
-
-
 # ----------------------------------------------------------------------
 # the positivity polynomial S and the bivariate h family
 # ----------------------------------------------------------------------
 
 
-def _s_combination(f1, f2, z, r, msum, one=1) -> MultiPoly:
+def _s_combination(f1, f2, z, r, msum, one=1) -> Fraction | MultiPoly:
     """(r-1)(one-z) f1^2 + 2 msum (rz-one) f1 f2 - (r^2 z - one) f2^2.
 
-    ``r`` and ``msum`` may be numbers or polynomials; ``one`` homogenizes the
-    form (the truncated f passes x2 x3 with z = u)."""
+    Every argument may be a number or a polynomial: S(z) itself takes the
+    values of f1 and f2 at a rational z; ``one`` homogenizes the form (the
+    truncated f passes x2 x3 with z = u)."""
     return (
         (f1 * f1) * ((r - 1) * (one - z))
         + (f1 * f2) * (2 * msum * (r * z - one))
@@ -343,46 +340,35 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
     )
 
 
-def mri_ratio(params: GpiParams, pair: GaussianPair) -> Fraction:
-    """|E[X2^(2m2+1) X3^(2m3+1)]| / ((2m2+1)(2m3+1) E[X2^(2m2) X3^(2m3)])."""
-    return abs(odd_moment(params.m2, params.m3, pair)) / (
-        (params.r - 1) * even_moment(params.m2, params.m3, pair)
-    )
-
-
 def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
-    """Moment-ratio inequality check, decided exactly.
+    """Moment-ratio inequality check, decided exactly from f1 and f2 at z = Corr^2.
 
-    The bound is |Cov| when Corr^2 <= t and H(Corr^2) |Cov| otherwise; the
-    branch test and the comparison are exact (radical isolated and squared),
-    so the verdict is never indeterminate.  An interval enclosure of
-    lhs - bound, with H enclosed to DEFAULT_WIDTH, accompanies the verdict.
+    With f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z), the ratio
+    |E[X2^(2m2+1) X3^(2m3+1)]| / ((r-1) E[X2^(2m2) X3^(2m3)]) is
+    lhs = |Cov| f2/f1.  When z <= t the bound is |Cov| and the margin is
+    |Cov| - lhs.  Otherwise the bound is H(z) |Cov| and the margin is S(z):
+    f1 > 0, and on (1/r^2, 1] S(z) >= 0 iff f2/f1 <= H(z), with equality
+    together.  The check holds iff the margin >= 0, and equality means a
+    margin of 0.  The witness shows lhs beside the bound, enclosed to
+    DEFAULT_WIDTH in H on the ratio branch.
     """
-    lhs = mri_ratio(params, pair)
     z = pair.corr_sq
+    f1 = hyp_poly(params.m2, params.m3, HALF).eval({"z": z})
+    f2 = hyp_poly(params.m2, params.m3, THREE_HALVES).eval({"z": z})
     abs_cov = abs(pair.cov)
+    lhs = abs_cov * f2 / f1
     if z <= params.t:
-        bound = abs_cov
-        diff = lhs - bound
-        status = HOLDS if diff <= 0 else FAILS
-        equality = diff == 0
-        enclosure = RationalInterval.point(diff)
-        branch = "covariance"
+        bound, margin, branch, quantity = abs_cov, abs_cov - lhs, "covariance", "|cov| - lhs"
     else:
-        # lhs <= H(z) |cov|  <=>  H(z) >= lhs/|cov|
-        q = lhs / abs_cov
-        sign = h_compare(params, z, q)
-        status = HOLDS if sign >= 0 else FAILS
-        equality = sign == 0
-        h_iv = H_value(params, z)
-        enclosure = RationalInterval.point(lhs) - h_iv * abs_cov
-        branch = "ratio-bound"
+        bound = H_value(params, z) * abs_cov
+        margin = _s_combination(f1, f2, z, params.r, params.msum)
+        branch, quantity = "ratio-bound", "S(corr_sq)"
     return CheckReport(
         name=f"mri:m2={params.m2},m3={params.m3}",
-        status=status,
-        margin=enclosure,
-        witnesses=[{"corr_sq": z, "lhs": lhs, "branch": branch}],
-        metadata={"equality": equality, "method": "exact radical comparison"},
+        status=HOLDS if margin >= 0 else FAILS,
+        margin=margin,
+        witnesses=[{"corr_sq": z, "lhs": lhs, "branch": branch, "bound": bound}],
+        metadata={"equality": margin == 0, "method": f"exact rational {quantity}"},
     )
 
 
@@ -749,7 +735,7 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
         name=f"gpi-real:y2={rp.y2},y3={rp.y3},a={a},x={x}",
         status=_real_margin_status(margin),
         margin=margin,
-        metadata={"series_tol": 1e-12, "guard": REAL_MARGIN_GUARD},
+        metadata={"series_tol": SERIES_TOL, "guard": REAL_MARGIN_GUARD},
     )
 
 
@@ -803,7 +789,7 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         status=_real_margin_status(margin),
         margin=margin,
         witnesses=[{"x": x, "branch": branch, "lhs": lhs, "bound": bound}],
-        metadata={"series_tol": 1e-12, "guard": REAL_MARGIN_GUARD},
+        metadata={"series_tol": SERIES_TOL, "guard": REAL_MARGIN_GUARD},
     )
 
 

@@ -1,9 +1,12 @@
 """Independent references that the tests compare the package against.
 
 No command runs these, so they live beside the tests: the interval enclosure
-of G, a predicate's verdict at one point from rational evaluation, the derivative of a polynomial, the four contiguous relations of F and
-its Chu-Vandermonde value at z = 1, the moments of the pairing recursion at a
-pair, single-coefficient certificate mutations, root counts on an open
+of G, the MRI's moment ratio from two moments and the sign of H(z) minus a
+rational by isolating the radical (the radical decision that check_mri's sign
+of S is tested against), a predicate's verdict at one point from rational
+evaluation, the derivative of a polynomial, the four contiguous relations of F
+and its Chu-Vandermonde value at z = 1, the moments of the pairing recursion
+at a pair, single-coefficient certificate mutations, root counts on an open
 interval by Sturm's theorem, and a polynomial with one variable fixed at a
 constant.  Import them with ``from reference import ...`` (pytest puts
 ``tests/`` on the path).
@@ -15,8 +18,16 @@ from typing import NamedTuple
 
 from gpiverify.exactnum import RationalInterval, RationalLike, rational, sign_sqrt
 from gpiverify.gausshyp import HALF, hyp_poly
-from gpiverify.inequality import DEFAULT_WIDTH, GpiParams, H_value, h_radicand, margin_polys
-from gpiverify.moments import GaussianPair, _moment_at, wick_poly
+from gpiverify.inequality import (
+    DEFAULT_WIDTH,
+    GpiParams,
+    H_value,
+    _check_h_domain,
+    _h_excess,
+    h_radicand,
+    margin_polys,
+)
+from gpiverify.moments import GaussianPair, _moment_at, even_moment, odd_moment, wick_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import SosCertificate
 
@@ -37,6 +48,21 @@ def G_value(
     h_iv = H_value(params, z, rational(width) / ((2 * m3 + 1) * z * f1))
     bracket = RationalInterval.point(1 - z) + h_iv * ((2 * m3 + 1) * z)
     return RationalInterval.point(f_big) - bracket * f1
+
+
+def mri_ratio(params: GpiParams, pair: GaussianPair) -> Fraction:
+    """|E[X2^(2m2+1) X3^(2m3+1)]| / ((2m2+1)(2m3+1) E[X2^(2m2) X3^(2m3)]),
+    from the two moments at the pair."""
+    return abs(odd_moment(params.m2, params.m3, pair)) / (
+        (params.r - 1) * even_moment(params.m2, params.m3, pair)
+    )
+
+
+def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
+    """Exact sign of H(z) - threshold, by isolating the radical (_h_excess)."""
+    z = rational(z)
+    _check_h_domain(params, z)
+    return sign_sqrt(_h_excess(params, z, rational(threshold)), 1, h_radicand(params, z))
 
 
 def point_verdict(predicate: str, params: GpiParams, z: RationalLike) -> tuple[str, object]:

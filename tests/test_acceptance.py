@@ -27,7 +27,6 @@ from gpiverify.inequality import (
     h_poly,
     make_params,
     make_real_params,
-    mri_ratio,
     scan,
 )
 from gpiverify.moments import (
@@ -44,6 +43,7 @@ from gpiverify.soscert import load_certificate, verify_bracket_positivity, verif
 from reference import (
     Mutation,
     hyp_value_at_one,
+    mri_ratio,
     mutate_certificate,
     quadratic_form_residuals,
     relation_31,

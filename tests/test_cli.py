@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gpiverify.cli import _build_parser, _resolve_config, main, run
 from gpiverify.exactnum import InputError
 from gpiverify.gausshyp import HALF
+from gpiverify.moments import GaussianPair, MomentExponents, real_moment
 from gpiverify.polyring import MultiPoly
 from reference import hyp_value_at_one
 
@@ -185,6 +186,14 @@ class TestExitCodes:
     def test_series_near_one_still_sums(self, argv):
         assert main(argv.split() + ["--out", os.devnull]) == 0
 
+    def test_gpi_real_past_the_gamma_range_still_runs(self):
+        # the Gamma factors of the moments cancel in the margin, which sums
+        # its own series; the moments themselves overflow math.gamma here
+        with pytest.raises(OverflowError):
+            real_moment(MomentExponents(400.0, 402.0), GaussianPair.unit(Fraction(1, 2)))
+        argv = "check gpi-real --y2 400 --y3 400 --a 1 --x 0.5 --out".split() + [os.devnull]
+        assert main(argv) == 0
+
     def test_domain_violation_is_usage(self, tmp_path):
         code = main(
             ["check", "hfri", "--m2", "1", "--m3", "1", "--z", "1",
@@ -339,6 +348,19 @@ class TestCommands:
         )
         assert code == 0
         assert report["checks"][0]["witnesses"][0]["corr_sq"] == "1/4"
+
+    def test_mri_equality_at_a_zero_of_s(self, tmp_path):
+        # S_{1,2}(3/4) = 0: the ratio bound holds with equality at corr^2 = 3/4,
+        # and the HFRI, which is strict, fails there
+        code, report = invoke(["check", "mri", "--m2", "1", "--m3", "2",
+                               "--cov", "3", "--var2", "4", "--var3", "3"], tmp_path)
+        (check,) = report["checks"]
+        assert code == 0 and check["status"] == "holds"
+        assert check["margin"] == "0" and check["metadata"]["equality"] is True
+        assert check["witnesses"][0]["corr_sq"] == "3/4"
+        code, report = invoke(["check", "hfri", "--m2", "1", "--m3", "2", "--z", "3/4"], tmp_path)
+        (check,) = report["checks"]
+        assert code == 1 and check["status"] == "fails" and check["margin"] == "0"
 
     @pytest.mark.parametrize("m2,m3", [(1, 1), (2, 3), (30, 31)])
     def test_params_show_g_at_one_matches_closed_form(self, tmp_path, m2, m3):

@@ -29,18 +29,23 @@ from gpiverify.inequality import (
     find_mri_real_violation,
     find_mri_violation,
     g_poly,
-    h_compare,
     h_poly,
     in_coverage_set,
     make_params,
     make_real_params,
-    mri_ratio,
     scan,
 )
 from gpiverify.inequality import _index_polys, _s_poly, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
-from reference import G_value, point_verdict, quadratic_form_residuals, specialize
+from reference import (
+    G_value,
+    h_compare,
+    mri_ratio,
+    point_verdict,
+    quadratic_form_residuals,
+    specialize,
+)
 
 
 class TestParams:
@@ -319,10 +324,12 @@ class TestCheckMri:
         assert H_at_one(params) == Fraction(6, 11)
         rep = check_mri(params, pair)
         assert rep.status == "fails"
+        assert rep.margin == S_poly(params).eval({"z": 1}) == -5
+        assert rep.witnesses[0]["bound"] == RationalInterval.point(Fraction(6, 11))
 
     def test_independence_equality(self):
         rep = check_mri(make_params(1, 5), GaussianPair.unit(0))
-        assert rep.status == "holds" and rep.metadata["equality"]
+        assert rep.status == "holds" and rep.metadata["equality"] and rep.margin == 0
 
     def test_branch_selection_exact(self):
         rep = check_mri(make_params(2, 3), GaussianPair.unit(Fraction(1, 4)))
@@ -330,6 +337,9 @@ class TestCheckMri:
         assert rep.witnesses[0]["branch"] == "ratio-bound"  # 1/16 > 24/899
         rep2 = check_mri(make_params(2, 3), GaussianPair.unit(Fraction(1, 8)))
         assert rep2.witnesses[0]["branch"] == "covariance"  # 1/64 < 24/899
+        witness = rep2.witnesses[0]
+        assert witness["bound"] == Fraction(1, 8)
+        assert rep2.margin == witness["bound"] - witness["lhs"] == Fraction(27, 2030)
 
     def test_non_unit_variances(self):
         pair = GaussianPair(Fraction(9, 4), Fraction(4), Fraction(3, 2))
@@ -363,6 +373,47 @@ class TestCheckMri:
                 assert report.status == "holds"
             elif diff.sign() == -1:
                 assert report.status == "fails"
+
+    def test_sign_of_s_agrees_with_the_radical_decision(self):
+        # the ratio bound holds iff S(corr^2) >= 0, with equality together;
+        # lhs = |cov| f2/f1 is the moment ratio at every pair
+        rng = random.Random(2121)
+        pairs = [GaussianPair.unit(Fraction(k, 50)) for k in range(-50, 51)]
+        for u, w in [(Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(1, 5))]:
+            pairs += [GaussianPair(u * u, w * w, u * w), GaussianPair(u * u, w * w, -u * w)]
+        pairs.append(GaussianPair(2, 8, 4))  # corr^2 = 1 with non-square variances
+        pairs.append(GaussianPair(4, 3, 3))  # corr^2 = 3/4
+        for _ in range(30):
+            var2 = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+            var3 = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+            root = Fraction(math.isqrt(int(var2 * var3 * 10**6)), 1000)  # <= sqrt(var2 var3)
+            pairs.append(GaussianPair(var2, var3, root * Fraction(rng.randint(-20, 20), 20)))
+        seen = dict.fromkeys(["ratio-bound", "covariance", "fails", "equality",
+                              "scaled, (t, 1)", "scaled, 1"], 0)
+        for m2 in range(1, 9):
+            for m3 in range(1, 9):
+                params = make_params(m2, m3)
+                for pair in pairs:
+                    report = check_mri(params, pair)
+                    (witness,) = report.witnesses
+                    # the radical decision: lhs against |cov| when corr^2 <= t,
+                    # otherwise the sign of H(corr^2) - lhs/|cov|
+                    lhs, z, abs_cov = mri_ratio(params, pair), pair.corr_sq, abs(pair.cov)
+                    diff = abs_cov - lhs if z <= params.t else h_compare(params, z, lhs / abs_cov)
+                    status, equality = ("holds" if diff >= 0 else "fails"), diff == 0
+                    where = (m2, m3, pair.var2, pair.var3, pair.cov)
+                    assert (report.status, report.metadata["equality"]) == (status, equality), where
+                    assert witness["lhs"] == lhs, where
+                    if witness["branch"] == "ratio-bound":
+                        assert report.margin == S_poly(params).eval({"z": z}), where
+                    seen[witness["branch"]] += 1
+                    seen["fails"] += status == "fails"
+                    seen["equality"] += equality
+                    if pair.var2 != 1:
+                        # the ratio branch at corr^2 = 1 and at corr^2 in (t, 1)
+                        key = "scaled, 1" if pair.corr_sq == 1 else "scaled, (t, 1)"
+                        seen[key] += witness["branch"] == "ratio-bound"
+        assert min(seen.values()) > 0, seen
 
     def test_scans_hold_for_other_large_pairs(self):
         for pair in [(8, 12), (10, 10), (12, 12)]:
