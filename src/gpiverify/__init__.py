@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 
 from .exactnum import RationalInterval, rational, sqrt_enclosure
 from .polyring import MultiPoly
-from .moments import GaussianPair, even_moment, odd_moment
+from .moments import GaussianPair
 from .inequality import (
     GpiParams,
     check_gpi,
@@ -34,12 +34,10 @@ __all__ = [
     "check_gpi",
     "check_mri",
     "check_point",
-    "even_moment",
     "g_poly",
     "h_poly",
     "load_certificate",
     "make_params",
-    "odd_moment",
     "rational",
     "scan",
     "sqrt_enclosure",

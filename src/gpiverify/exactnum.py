@@ -1,14 +1,13 @@
-"""Exact rational scalars and rational interval arithmetic.
+"""Exact rational scalars, and the one rational enclosure.
 
-Every quantity in the verification pipeline is either an exact rational or a
-rational interval guaranteed to contain the real number it stands for.  Square
-roots are the only irrational ingredient anywhere in the library; they are
-handled by :func:`sign_sqrt`, which decides the sign of ``a + b sqrt(d)``
-without ever leaving the rationals, and by :func:`sqrt_enclosure`, which
-brackets the root between rational endpoints to any requested width.
-
-A sign is an integer 1, -1 or 0, from :func:`sign_sqrt` and from
-:meth:`RationalInterval.sign` (None when the interval does not decide it).
+Every verdict in the verification pipeline is decided from exact rationals.
+Square roots are the only irrational ingredient anywhere in the library; they
+are handled by :func:`sign_sqrt`, which decides the sign of ``a + b sqrt(d)``
+without ever leaving the rationals and returns 1, -1 or 0, and by
+:func:`sqrt_enclosure`, which brackets the root between rational endpoints to
+any requested width.  That enclosure, a :class:`RationalInterval` record,
+serves only the bound shown beside an MRI verdict, which it does not decide;
+it has no arithmetic.
 
 No operation mutates a value; all operations are pure.
 """
@@ -74,12 +73,8 @@ def _isqrt_is_exact(n: int) -> tuple[int, bool]:
 
 
 class RationalInterval:
-    """Closed interval with exact rational endpoints, ``lo <= hi``.
-
-    Since rational arithmetic is exact, the usual interval formulas give true
-    enclosures with no outward rounding step: for any operation the image of
-    the inputs is contained in the result.
-    """
+    """Closed interval with exact rational endpoints, ``lo <= hi``: an
+    enclosure of a real number, such as a square root or the MRI bound."""
 
     __slots__ = ("lo", "hi")
 
@@ -88,69 +83,6 @@ class RationalInterval:
             raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
         self.lo = lo
         self.hi = hi
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalInterval):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"RationalInterval({self.lo!r}, {self.hi!r})"
-
-    @staticmethod
-    def point(q: RationalLike) -> "RationalInterval":
-        q = rational(q)
-        return RationalInterval(q, q)
-
-    def __add__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
-        o = _coerce(other)
-        return RationalInterval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
-        return self + (-_coerce(other))
-
-    def __mul__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
-        o = _coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RationalInterval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalInterval | Fraction | int") -> "RationalInterval":
-        o = _coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError("division by an interval containing zero")
-        quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return RationalInterval(min(quotients), max(quotients))
-
-    def sign(self) -> int | None:
-        """Sign of every point of the interval, 1, -1 or 0 like
-        :func:`sign_sqrt`; None when the interval straddles or touches zero
-        without being exactly the point 0."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 and self.hi == 0:
-            return 0
-        return None
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
-
-def _coerce(value: "RationalInterval | Fraction | int") -> RationalInterval:
-    if isinstance(value, RationalInterval):
-        return value
-    return RationalInterval.point(rational(value))
 
 
 def sqrt_enclosure(q: Fraction, width_bound: RationalLike = Fraction(1, 10**6)) -> RationalInterval:
@@ -167,14 +99,13 @@ def sqrt_enclosure(q: Fraction, width_bound: RationalLike = Fraction(1, 10**6)) 
         raise ValueError(f"sqrt of negative rational {q}")
     if width_bound <= 0:
         raise ValueError("width_bound must be positive")
-    if q == 0:
-        return RationalInterval.point(Fraction(0))
     n, d = q.numerator, q.denominator
     rn, n_exact = _isqrt_is_exact(n)
     if n_exact:
         rd, d_exact = _isqrt_is_exact(d)
         if d_exact:
-            return RationalInterval.point(Fraction(rn, rd))
+            root = Fraction(rn, rd)
+            return RationalInterval(root, root)
     # width of the dyadic enclosure is 1 / (2^k * d); pick the smallest such k
     k = 0
     while Fraction(1, d << k) > width_bound:

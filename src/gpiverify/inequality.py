@@ -53,7 +53,7 @@ from .exactnum import (
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .moments import (
-    SERIES_TOL, GaussianPair, double_factorial_odd, even_moment, gauss_hyp_real, odd_moment,
+    SERIES_TOL, GaussianPair, closed_form_poly, double_factorial_odd, gauss_hyp_real,
 )
 from .polyring import MultiPoly, affine_form, descartes_variations, horner
 from .report import (
@@ -173,12 +173,15 @@ def _check_h_domain(params: GpiParams, z: Fraction) -> None:
 def H_value(
     params: GpiParams, z: RationalLike, width: RationalLike = DEFAULT_WIDTH
 ) -> RationalInterval:
-    """Rigorous enclosure of H(z) of at most the requested width."""
+    """Rigorous enclosure of H(z) of at most the requested width: the ends
+    (M + lo)/den and (M + hi)/den of an enclosure [lo, hi] of sqrt(D(z)),
+    with M = (m2+m3+1)(rz-1) and den = r^2 z - 1 > 0 on the domain."""
     z = rational(z)
     _check_h_domain(params, z)
     r = params.r
-    root = sqrt_enclosure(h_radicand(params, z), rational(width) * (r * r * z - 1))
-    return (root + params.msum * (r * z - 1)) / RationalInterval.point(r * r * z - 1)
+    m, den = params.msum * (r * z - 1), r * r * z - 1
+    root = sqrt_enclosure(h_radicand(params, z), rational(width) * den)
+    return RationalInterval((root.lo + m) / den, (root.hi + m) / den)
 
 
 def H_at_one(params: GpiParams) -> Fraction:
@@ -318,17 +321,18 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
                = a^2 E[X2^(2m2) X3^(2m3+2)] + E[X2^(2m2+2) X3^(2m3)]
                  + 2a E[X2^(2m2+1) X3^(2m3+1)] - (a^2 + 1 + 2ax)(2m2-1)!! (2m3-1)!!
 
+    The three moments are the closed-form polynomials in x, evaluated at x.
     Holds iff margin >= 0; equality (margin exactly 0) is reported in the
     metadata and occurs only in independent/degenerate configurations.
     """
     a, x = rational(a), rational(x)
     if abs(x) > 1:
         raise InputError("correlation x must satisfy |x| <= 1")
-    m2, m3, pair = params.m2, params.m3, GaussianPair.unit(x)
+    m2, m3, point = params.m2, params.m3, {"x": x}
     lhs = (
-        a * a * even_moment(m2, m3 + 1, pair)
-        + even_moment(m2 + 1, m3, pair)
-        + 2 * a * odd_moment(m2, m3, pair)
+        a * a * closed_form_poly(m2, m3 + 1, False).eval(point)
+        + closed_form_poly(m2 + 1, m3, False).eval(point)
+        + 2 * a * closed_form_poly(m2, m3, True).eval(point)
     )
     margin = lhs - (a * a + 1 + 2 * a * x) * double_factorial_odd(m2) * double_factorial_odd(m3)
     status = HOLDS if margin >= 0 else FAILS
@@ -349,8 +353,9 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     |Cov| - lhs.  Otherwise the bound is H(z) |Cov| and the margin is S(z):
     f1 > 0, and on (1/r^2, 1] S(z) >= 0 iff f2/f1 <= H(z), with equality
     together.  The check holds iff the margin >= 0, and equality means a
-    margin of 0.  The witness shows lhs beside the bound, enclosed to
-    DEFAULT_WIDTH in H on the ratio branch.
+    margin of 0.  The witness shows lhs beside the bound; on the ratio branch
+    that is H_value's enclosure, to DEFAULT_WIDTH, with both ends times
+    |Cov| >= 0.
     """
     z = pair.corr_sq
     f1 = hyp_poly(params.m2, params.m3, HALF).eval({"z": z})
@@ -360,7 +365,8 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     if z <= params.t:
         bound, margin, branch, quantity = abs_cov, abs_cov - lhs, "covariance", "|cov| - lhs"
     else:
-        bound = H_value(params, z) * abs_cov
+        h = H_value(params, z)
+        bound = RationalInterval(h.lo * abs_cov, h.hi * abs_cov)
         margin = _s_combination(f1, f2, z, params.r, params.msum)
         branch, quantity = "ratio-bound", "S(corr_sq)"
     return CheckReport(
@@ -739,23 +745,6 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
     )
 
 
-def h_real(rp: RealGpiParams, z: float) -> float:
-    """Real-exponent analogue of the bound function H, in floats:
-
-        [ (y2+y3+2)/2 (rz-1) + sqrt( ((y3-y2)(rz-1))^2/4 + (y2+1)^3 (y3+1)^3 z ) ]
-        / (r^2 z - 1)
-    """
-    r = rp.r
-    if not r * r * z - 1.0 > 0.0:
-        raise ValueError("h_real requires z > 1/r^2")
-    disc = ((rp.y3 - rp.y2) * (r * z - 1.0)) ** 2 / 4.0 + (rp.y2 + 1.0) ** 3 * (
-        rp.y3 + 1.0
-    ) ** 3 * z
-    return ((rp.y2 + rp.y3 + 2.0) / 2.0 * (r * z - 1.0) + math.sqrt(disc)) / (
-        r * r * z - 1.0
-    )
-
-
 def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
     """Real-exponent moment-ratio inequality at correlation x (unit variances):
 
@@ -763,14 +752,20 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         <=  |x|                 if x^2 <= t
         <=  H(x^2) |x|          otherwise
 
+    with the float analogue of the bound function H,
+
+        H(z) = [ (y2+y3+2)/2 (rz-1) + sqrt( ((y3-y2)(rz-1))^2/4 + (y2+1)^3 (y3+1)^3 z ) ]
+               / (r^2 z - 1).
+
     An x^2 in (t, 1/r^2], where H is undefined (small y2, y3), raises InputError.
     """
     if not abs(x) < 1:
         raise InputError("check_mri_real requires |x| < 1")
     z = x * x
-    if z > rp.t and not rp.r * rp.r * z - 1.0 > 0.0:  # the guard of h_real
+    r = rp.r
+    if z > rp.t and not r * r * z - 1.0 > 0.0:
         raise InputError(f"x^2 = {z!r} is above t = {rp.t!r} but outside the ratio bound's "
-                         f"domain x^2 > 1/r^2 = {1.0 / (rp.r * rp.r)!r}")
+                         f"domain x^2 > 1/r^2 = {1.0 / (r * r)!r}")
     f1 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 0.5, z)
     f2 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 1.5, z)
     lhs = abs(x) * f2 / f1
@@ -779,9 +774,13 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         branch = "covariance"
     else:
         try:
-            bound = h_real(rp, z) * abs(x)
+            disc = ((rp.y3 - rp.y2) * (r * z - 1.0)) ** 2 / 4.0 + (rp.y2 + 1.0) ** 3 * (
+                rp.y3 + 1.0
+            ) ** 3 * z
         except OverflowError:  # a float power in H past the float range
             raise InputError(f"the ratio bound H({z!r}) overflows the float range") from None
+        h = ((rp.y2 + rp.y3 + 2.0) / 2.0 * (r * z - 1.0) + math.sqrt(disc)) / (r * r * z - 1.0)
+        bound = h * abs(x)
         branch = "ratio-bound"
     margin = bound - lhs
     return CheckReport(

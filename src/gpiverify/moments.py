@@ -4,9 +4,10 @@ An integer-exponent moment of a unit-variance Gaussian pair is a polynomial
 in the correlation x, built exactly two independent ways: the closed forms
 (:func:`closed_form_poly`, from F(-m2, -m3; 1/2 or 3/2; x^2)) and the
 Stein/pairing recursion (:func:`wick_poly`).  Their agreement is a polynomial
-identity, so it holds at every correlation.  :func:`_moment_at` takes either
-to any pair by homogeneity, without square roots, through one
-:meth:`MultiPoly.eval`.
+identity, so it holds at every correlation.  A moment at a correlation x is
+the polynomial's value at x (:meth:`MultiPoly.eval`); the commands need no
+other pair, and the homogenization to any variances and covariance lives in
+tests/reference.py.
 
 A real-exponent moment E[g(X2) h(X3)] is named by one
 :class:`MomentExponents` request: :func:`real_moment` is its closed form in
@@ -30,8 +31,6 @@ __all__ = [
     "GaussianPair",
     "MomentExponents",
     "double_factorial_odd",
-    "even_moment",
-    "odd_moment",
     "wick_poly",
     "closed_form_poly",
     "gauss_hyp_real",
@@ -110,27 +109,6 @@ def closed_form_poly(m2: int, m3: int, odd: bool) -> MultiPoly:
     f = hyp_poly(m2, m3, THREE_HALVES if odd else HALF)
     scale = double_factorial_odd(m2 + odd) * double_factorial_odd(m3 + odd)
     return MultiPoly(("x",), {(2 * j + odd,): n * scale for (j,), n in f.nums.items()}, f.den)
-
-
-def _moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
-    """E[X2^p X3^q] at ``pair`` from its unit-variance polynomial in x: by
-    homogeneity x^k becomes Cov^k Var2^((p-k)/2) Var3^((q-k)/2), and pairing
-    parity makes p - k and q - k even in every nonzero term.  The homogenized
-    polynomial is evaluated at (Cov, Var2, Var3) as one integer sum, reduced
-    once."""
-    terms = {(k, (p - k) // 2, (q - k) // 2): n for (k,), n in poly.nums.items()}
-    homogenized = MultiPoly(("x", "v2", "v3"), terms, poly.den)
-    return homogenized.eval({"x": pair.cov, "v2": pair.var2, "v3": pair.var3})
-
-
-def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
-    """E[X2^(2 m2) X3^(2 m3)], exact."""
-    return _moment_at(closed_form_poly(m2, m3, False), 2 * m2, 2 * m3, pair)
-
-
-def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
-    """E[X2^(2 m2 + 1) X3^(2 m3 + 1)], exact; sign equals the sign of Cov."""
-    return _moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
 
 
 # ----------------------------------------------------------------------

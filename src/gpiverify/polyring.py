@@ -130,21 +130,12 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max(map(sum, self.nums), default=-1)
 
-    def coeff(self, exps: Sequence[int] | Mapping[str, int]) -> Fraction:
-        """Coefficient of a monomial (0 if absent).
-
-        Accepts either a full exponent vector or a {var: exponent} mapping
-        with omitted variables meaning exponent 0.
-        """
-        if isinstance(exps, Mapping):
-            unknown = set(exps) - set(self.vars)
-            if unknown:
-                raise ValueError(f"unknown variables {sorted(unknown)}")
-            key = tuple(exps.get(v, 0) for v in self.vars)
-        else:
-            key = tuple(exps)
-            if len(key) != len(self.vars):
-                raise ValueError("exponent vector length mismatch")
+    def coeff(self, exps: Sequence[int]) -> Fraction:
+        """Coefficient of the monomial with exponent vector ``exps``, in the
+        ring's variable order (0 if absent)."""
+        key = tuple(exps)
+        if len(key) != len(self.vars):
+            raise ValueError("exponent vector length mismatch")
         return Fraction(self.nums.get(key, 0), self.den)
 
     def constant_term(self) -> Fraction:

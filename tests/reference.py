@@ -1,22 +1,24 @@
 """Independent references that the tests compare the package against.
 
-No command runs these, so they live beside the tests: the interval enclosure
-of G, the MRI's moment ratio from two moments and the sign of H(z) minus a
-rational by isolating the radical (the radical decision that check_mri's sign
-of S is tested against), a predicate's verdict at one point from rational
-evaluation, the derivative of a polynomial, the four contiguous relations of F
-and its Chu-Vandermonde value at z = 1, the moments of the pairing recursion
-at a pair, single-coefficient certificate mutations, root counts on an open
-interval by Sturm's theorem, and a polynomial with one variable fixed at a
-constant.  Import them with ``from reference import ...`` (pytest puts
-``tests/`` on the path).
+No command runs these, so they live beside the tests: the sign of an
+enclosure given by its ends, the enclosure of G from the ends of H's, the
+MRI's moment ratio from two moments and the sign of H(z) minus a rational by
+isolating the radical (the radical decision that check_mri's sign of S is
+tested against), a predicate's verdict at one point from rational evaluation,
+the derivative of a polynomial, the four contiguous relations of F and its
+Chu-Vandermonde value at z = 1, the moments at any pair by homogenizing a
+unit-variance polynomial (the closed forms and the pairing recursion),
+single-coefficient certificate mutations, root counts on an open interval by
+Sturm's theorem, and a polynomial with one variable fixed at a constant.
+Import them with ``from reference import ...`` (pytest puts ``tests/`` on the
+path).
 """
 
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from gpiverify.exactnum import RationalInterval, RationalLike, rational, sign_sqrt
+from gpiverify.exactnum import RationalLike, rational, sign_sqrt
 from gpiverify.gausshyp import HALF, hyp_poly
 from gpiverify.inequality import (
     DEFAULT_WIDTH,
@@ -27,7 +29,7 @@ from gpiverify.inequality import (
     h_radicand,
     margin_polys,
 )
-from gpiverify.moments import GaussianPair, _moment_at, even_moment, odd_moment, wick_poly
+from gpiverify.moments import GaussianPair, closed_form_poly, wick_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import SosCertificate
 
@@ -36,18 +38,33 @@ from gpiverify.soscert import SosCertificate
 # ----------------------------------------------------------------------
 
 
+def sign_of(lo: Fraction, hi: Fraction) -> int | None:
+    """Sign of every point of the enclosure [lo, hi], 1, -1 or 0 like
+    sign_sqrt; None when it straddles or touches zero without being exactly
+    the point 0."""
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    if lo == 0 and hi == 0:
+        return 0
+    return None
+
+
 def G_value(
     params: GpiParams, z: RationalLike, width: RationalLike = DEFAULT_WIDTH
-) -> RationalInterval:
-    """Enclosure of G(z) = F(-m2-1, -m3; 1/2; z)
-    - [(1-z) + (2 m3 + 1) z H(z)] F(-m2, -m3; 1/2; z), for 1/r^2 < z <= 1."""
+) -> tuple[Fraction, Fraction]:
+    """Ends (lo, hi) of an enclosure of G(z) = F(-m2-1, -m3; 1/2; z)
+    - [(1-z) + (2 m3 + 1) z H(z)] F(-m2, -m3; 1/2; z), for 1/r^2 < z <= 1.
+    G decreases as H grows, since f1 = F(-m2, -m3; 1/2; z) > 0 and
+    (2 m3 + 1) z > 0, so H's upper end gives G's lower end."""
     z = rational(z)
     m2, m3 = params.m2, params.m3
     f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": z})
     f1 = hyp_poly(m2, m3, HALF).eval({"z": z})
-    h_iv = H_value(params, z, rational(width) / ((2 * m3 + 1) * z * f1))
-    bracket = RationalInterval.point(1 - z) + h_iv * ((2 * m3 + 1) * z)
-    return RationalInterval.point(f_big) - bracket * f1
+    slope = (2 * m3 + 1) * z
+    h = H_value(params, z, rational(width) / (slope * f1))
+    return f_big - (1 - z + slope * h.hi) * f1, f_big - (1 - z + slope * h.lo) * f1
 
 
 def mri_ratio(params: GpiParams, pair: GaussianPair) -> Fraction:
@@ -195,9 +212,31 @@ def hyp_value_at_one(m2: int, m3: int, c: RationalLike) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
+    """E[X2^p X3^q] at ``pair`` from its unit-variance polynomial in x: by
+    homogeneity x^k becomes Cov^k Var2^((p-k)/2) Var3^((q-k)/2), and pairing
+    parity makes p - k and q - k even in every nonzero term.  The homogenized
+    polynomial is evaluated at (Cov, Var2, Var3) as one integer sum, reduced
+    once."""
+    terms = {(k, (p - k) // 2, (q - k) // 2): n for (k,), n in poly.nums.items()}
+    homogenized = MultiPoly(("x", "v2", "v3"), terms, poly.den)
+    return homogenized.eval({"x": pair.cov, "v2": pair.var2, "v3": pair.var3})
+
+
+def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
+    """E[X2^(2 m2) X3^(2 m3)] from the closed form, exact."""
+    return moment_at(closed_form_poly(m2, m3, False), 2 * m2, 2 * m3, pair)
+
+
+def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
+    """E[X2^(2 m2 + 1) X3^(2 m3 + 1)] from the closed form, exact; its sign
+    is the sign of Cov."""
+    return moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
+
+
 def wick_moment(p: int, q: int, pair: GaussianPair) -> Fraction:
     """E[X2^p X3^q] by the pairing recursion; independent of hyp_poly."""
-    return _moment_at(wick_poly(p, q), p, q, pair)
+    return moment_at(wick_poly(p, q), p, q, pair)
 
 
 class Mutation(NamedTuple):

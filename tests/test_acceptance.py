@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from gpiverify.bundled import load_g_appendix, load_h_expansion
-from gpiverify.exactnum import RationalInterval
 from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly
 from gpiverify.inequality import (
     G_at_one,
@@ -33,23 +32,24 @@ from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
     closed_form_poly,
-    even_moment,
     mc_moment,
-    odd_moment,
     real_moment,
     wick_poly,
 )
 from gpiverify.soscert import load_certificate, verify_bracket_positivity, verify_sos
 from reference import (
     Mutation,
+    even_moment,
     hyp_value_at_one,
     mri_ratio,
     mutate_certificate,
+    odd_moment,
     quadratic_form_residuals,
     relation_31,
     relation_37,
     relation_38,
     relation_derivative,
+    sign_of,
     wick_moment,
 )
 
@@ -91,7 +91,7 @@ def test_criterion_02_h_regeneration():
         bracket = verify_bracket_positivity(m2)
         assert bracket.status == "verified", (m2, bracket.metadata)
     assert h_poly(1).eval({"b": 0, "c": 0}) == 20
-    assert h_poly(1).coeff({"b": 6, "c": 6}) == Fraction(8, 3)
+    assert h_poly(1).coeff((6, 6)) == Fraction(8, 3)  # over the ring ("b", "c")
     print("[criterion 2] PASS: h_1..h_7 regenerate the bundled expansions exactly; "
           "all bracket decompositions (scale*bracket + nonnegative rest) verified")
 
@@ -166,7 +166,7 @@ def test_criterion_06_h_closed_form_and_discriminant_identity():
         for m3 in range(1, 13):
             params = make_params(m2, m3)
             iv = H_value(params, Fraction(1), Fraction(1, 10**12))
-            assert iv == RationalInterval.point(H_at_one(params)), (m2, m3)
+            assert iv.lo == iv.hi == H_at_one(params), (m2, m3)
     for m2 in range(1, 16):
         for m3 in range(1, 16):
             residuals = quadratic_form_residuals(make_params(m2, m3))
@@ -229,12 +229,12 @@ def test_criterion_09_hfri_grid_with_interval_agreement():
             ratio = f1.eval({"z": z}) / f2.eval({"z": z})
             width = Fraction(1, 10**6)
             for _ in range(21):
-                h_iv = H_value(params, z, width)
-                diff = RationalInterval.point(ratio) - RationalInterval.point(1) / h_iv
-                if diff.sign() is not None:
+                h = H_value(params, z, width)  # H > 0, so 1/H lies in [1/hi, 1/lo]
+                sign = sign_of(ratio - 1 / h.lo, ratio - 1 / h.hi)
+                if sign is not None:
                     break
                 width /= 2
-            assert diff.sign() == 1, (m2, m3, z)
+            assert sign == 1, (m2, m3, z)
     print("[criterion 9] PASS: S(z) > 0 at 101 exact points on (1/r^2, 1) for all "
           "four covered pairs, and the interval route f1/f2 - 1/H agrees in sign "
           "at every point")

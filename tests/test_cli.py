@@ -349,6 +349,18 @@ class TestCommands:
         assert code == 0
         assert report["checks"][0]["witnesses"][0]["corr_sq"] == "1/4"
 
+    @pytest.mark.parametrize("argv, bound", [
+        ("check mri --m2 2 --m3 3 --x 1/4", {"lo": "121407/655360", "hi": "971257/5242880"}),
+        # a negative cov with |cov| != 1 scales both ends by |cov|
+        ("check mri --m2 2 --m3 3 --cov=-3/2 --var2 2 --var3 3",
+         {"lo": "77727/124160", "hi": "2487267/3973120"}),
+    ])
+    def test_mri_rendered_bound(self, tmp_path, argv, bound):
+        code, report = invoke(argv.split(), tmp_path)
+        (witness,) = report["checks"][0]["witnesses"]
+        assert code == 0 and witness["branch"] == "ratio-bound"
+        assert witness["bound"] == bound
+
     def test_mri_equality_at_a_zero_of_s(self, tmp_path):
         # S_{1,2}(3/4) = 0: the ratio bound holds with equality at corr^2 = 3/4,
         # and the HFRI, which is strict, fails there

@@ -13,15 +13,13 @@ from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
     double_factorial_odd,
-    even_moment,
     gauss_hyp_real,
     mc_moment,
-    odd_moment,
     real_moment,
     wick_poly,
 )
 from gpiverify.polyring import MultiPoly
-from reference import wick_moment
+from reference import even_moment, odd_moment, wick_moment
 
 HALF_CORR = GaussianPair.unit(Fraction(1, 2))
 

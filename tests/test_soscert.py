@@ -74,7 +74,8 @@ class TestBundledCertificates:
             assert load_certificate(m2).context_scale == Fraction(scale)
 
     def test_bracket_spot_coefficient(self):
-        assert load_certificate(1).target.coeff({"b": 6, "c": 4}) == 48
+        target = load_certificate(1).target
+        assert target.vars == ("b", "c") and target.coeff((6, 4)) == 48
 
     def test_ten_squares_each(self):
         for m2 in range(1, 8):
