@@ -8,7 +8,7 @@ enclosure must bracket the radicand when squared).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpiverify.exactnum import (
@@ -18,7 +18,9 @@ from gpiverify.exactnum import (
     sign_sqrt,
     sqrt_enclosure,
 )
-from reference import sign_of
+from gpiverify.inequality import DEFAULT_WIDTH, H_value, check_mri, make_params
+from gpiverify.moments import GaussianPair
+from reference import h_compare, sign_of
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -154,3 +156,44 @@ class TestInterval:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             RationalInterval(Fraction(1), Fraction(0))
+
+    @given(m2=st.integers(1, 6), m3=st.integers(1, 6),
+           x=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=40),
+           a=st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8),
+           b=st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8),
+           neg=st.booleans(), k=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=100, deadline=None)
+    def test_containment(self, m2, m3, x, a, b, neg, k):
+        # the ends built from the square-root enclosure bracket H(z), and the
+        # MRI bound's ends, both times |cov|, bracket H(corr^2) |cov|
+        params = make_params(m2, m3)
+        z = x * x
+        assume(z > params.t)
+        width = Fraction(1, 2**k)
+        h = H_value(params, z, width)
+        assert h.hi - h.lo <= width
+        assert h_compare(params, z, h.lo) >= 0 >= h_compare(params, z, h.hi)
+        cov = (-x if neg else x) * a * b
+        report = check_mri(params, GaussianPair(a * a, b * b, cov))
+        bound = report.witnesses[0]["bound"]
+        assert report.witnesses[0]["branch"] == "ratio-bound"
+        assert h_compare(params, z, bound.lo / abs(cov)) >= 0
+        assert h_compare(params, z, bound.hi / abs(cov)) <= 0
+
+    @given(m2=st.integers(1, 6), m3=st.integers(1, 6),
+           x=st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=40),
+           c=st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8),
+           k=st.integers(min_value=0, max_value=20), j=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_containment_monotonicity(self, m2, m3, x, c, k, j):
+        # a smaller width never leaves an earlier enclosure of H(z), and the
+        # MRI bound lies inside |cov| times any wider enclosure
+        params = make_params(m2, m3)
+        z = x * x
+        assume(z > params.t)
+        big = H_value(params, z, Fraction(1, 2**k))
+        small = H_value(params, z, Fraction(1, 2 ** (k + j)))
+        assert big.lo <= small.lo and small.hi <= big.hi
+        bound = check_mri(params, GaussianPair(c, c, -c * x)).witnesses[0]["bound"]
+        wide = H_value(params, z, DEFAULT_WIDTH * 2**j)
+        assert c * x * wide.lo <= bound.lo and bound.hi <= c * x * wide.hi
