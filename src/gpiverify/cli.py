@@ -5,12 +5,14 @@ Commands (see README for examples):
     sos verify [--all | --m2 K]
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
-    scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N --jobs N]
+    scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N]
     oracle compare [--max-m N] [--real --mc-n N --seed N]
     params show --m2 K --m3 K
 
-Every command also takes --out and --timing.  The parser is the one
-definition of the commands, their handlers and their options' defaults and ranges.
+Every command also takes --out and --timing.  scan also accepts --jobs N and
+echoes it in the report; a scan runs in one process whatever N is.  The
+parser is the one definition of the commands, their handlers and their
+options' defaults and ranges.
 
 Exit codes: 0 all checks passed; 1 any check failed; 2 a float margin of the
 real-exponent path too close to zero to trust (and nothing failed); 64 bad
@@ -18,7 +20,7 @@ input; 74 report I/O error; 70 anything else, which is a defect of the
 program.  The JSON report is written to --out (stdout by default) on exits
 0..2; its ``run`` block holds the command and the resolved value of each of
 its options.  Wall-clock timing is recorded only with --timing so that
-exact-arithmetic reports are byte-identical across runs and parallelism degrees.
+exact-arithmetic reports are byte-identical across runs.
 
 --config FILE supplies option defaults as a JSON object keyed by option
 name; each value is converted like the same value on the command line.
@@ -28,11 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .bundled import load_g_appendix, load_h_expansion
@@ -120,7 +120,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="report path (default: stdout)")
         if jobs:
             p.add_argument("--jobs", type=_at_least(1), default=1,
-                           help="worker processes (default %(default)s)")
+                           help="accepted and echoed in the report; a scan runs in one "
+                                "process (default %(default)s)")
         if seed:
             p.add_argument("--seed", type=_at_least(0), default=0,
                            help="seed for sampled checks (default %(default)s)")
@@ -207,100 +208,6 @@ def _build_parser() -> _Parser:
     common(p, _cmd_params_show)
 
     return parser
-
-
-# ----------------------------------------------------------------------
-# process pool
-# ----------------------------------------------------------------------
-
-
-class PoolWorkerError(Exception):
-    """A pool worker ended without returning its share's results."""
-
-
-def _run_share(fn, share: list) -> tuple:
-    """``(results, None)`` for ``[fn(item) for item in share]``, or ``(i, exc)``
-    when item i is the first whose call raises exc."""
-    results = []
-    for item in share:
-        try:
-            results.append(fn(item))
-        except Exception as exc:  # re-raised by _pool_map, in the parent
-            return len(results), exc
-    return results, None
-
-
-def _pool_map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, over up to ``jobs`` processes, this one
-    included, but never more than items or CPUs.
-
-    Share k is ``items[k::workers]``, so a cost gradient along the items is
-    spread evenly.  Forked children compute shares 1.. and send back their
-    results pickled, one pipe each, while this process computes share 0;
-    ``fn`` and the items are inherited through the fork, never pickled (the
-    CLI starts no threads, so forking is safe; a spawned worker would
-    re-import the package, which costs more than a scan's points).  When
-    calls raise, the exception of the lowest-index failing item is raised, as
-    serial ``map`` would.  A child that ends without a complete result raises
-    PoolWorkerError.  Every child is reaped on every path."""
-    items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    import pickle  # only a pool needs it
-
-    children = []  # (pid, read end of its pipe) for shares 1..
-    try:
-        for k in range(1, workers):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # never unwind into the caller's frames: their cleanup, and the
-                # stdio buffers inherited from the parent, belong to the parent
-                status = 1
-                try:
-                    # an inherited read end would keep a sibling's pipe open
-                    # after the parent closed it on a failure path
-                    for fd in [read_end] + [r for _, r in children]:
-                        os.close(fd)
-                    data = pickle.dumps(_run_share(fn, items[k::workers]), pickle.HIGHEST_PROTOCOL)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, read_end))
-            os.close(write_end)
-        outcomes = [_run_share(fn, items[0::workers])]
-        payloads = []
-        for _, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:
-        # read ends first: a child blocked on a full pipe then gets EPIPE and exits
-        for _, read_end in children:
-            os.close(read_end)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for (pid, _), status, payload in zip(children, statuses, payloads):
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise PoolWorkerError(f"pool worker {pid} {how} before returning its results")
-        try:
-            outcomes.append(pickle.loads(payload))
-        except Exception as exc:  # EOF or a truncated pickle: whatever loads raises
-            raise PoolWorkerError(f"pool worker {pid} returned an incomplete result "
-                                  f"({len(payload)} bytes): {exc!r}") from exc
-    results = [None] * len(items)
-    failures = []
-    for k, (value, exc) in enumerate(outcomes):
-        if exc is None:
-            results[k::workers] = value
-        else:
-            failures.append((k + value * workers, exc))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +341,7 @@ def _cmd_check_gpi_real(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_scan(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
-    return [scan(args.predicate, params, args.z_lo or None, args.z_hi or None, args.grid,
-                 map_fn=partial(_pool_map, jobs=args.jobs))]
+    return [scan(args.predicate, params, args.z_lo or None, args.z_hi or None, args.grid)]
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:

@@ -30,10 +30,10 @@ sign only at a root of Q = alpha^2 - beta^2 D, so a scan first decides
 whole runs of points from one endpoint each, wherever Descartes' rule of
 signs shows that Q has no root (_certified_points, by
 polyring.descartes_variations), and decides only the other points one by
-one.  A point check is the one-point grid A/C = z, B = 0.  The interval
-enclosure H_value gives the bound shown beside an MRI verdict, which it
-does not decide; the enclosure of G that the tests compare the g-negative
-signs against lives in tests/reference.py.
+one, in the same process.  A point check is the one-point grid A/C = z,
+B = 0.  The interval enclosure H_value gives the bound shown beside an MRI
+verdict, which it does not decide; the enclosure of G that the tests
+compare the g-negative signs against lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -524,7 +524,6 @@ def scan(
     z_lo: RationalLike | None = None,
     z_hi: RationalLike | None = None,
     grid_n: int = 101,
-    map_fn: Callable[[Callable, list], Iterable] = map,
 ) -> CheckReport:
     """Evaluate a named predicate at grid_n exact rational points.
 
@@ -539,10 +538,7 @@ def scan(
     (_index_polys).  The runs of points on which Q = alpha^2 - beta^2 D is
     certified root-free take the verdict of an exactly decided endpoint
     (_certified_points); every other point is decided at its int k
-    (_scan_point).  ``map_fn(fn, ks)`` evaluates those points and must
-    return the results in the order of ``ks``; a process pool may stand in
-    for the default serial ``map``.  Either way each point's (verdict,
-    value) is the one _scan_point gives at its k.
+    (_scan_point), in this process.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -564,10 +560,9 @@ def scan(
     a = lo_eff.numerator * (c // lo_eff.denominator)
     b = step.numerator * (c // step.denominator)
     polys = _index_polys(predicate, params, a, b, c)
-    results = _certified_points(predicate, params, polys, (a, b, c), grid_n)
-    rest = [k for k, result in enumerate(results) if result is None]
-    for k, result in zip(rest, map_fn(partial(_scan_point, polys), rest)):
-        results[k] = result
+    certified = _certified_points(predicate, params, polys, (a, b, c), grid_n)
+    results = [_scan_point(polys, k) if result is None else result
+               for k, result in enumerate(certified)]
     points: list[dict] = []
     first_failure = None
     counts = {HOLDS: 0, FAILS: 0, INDETERMINATE: 0}

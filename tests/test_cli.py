@@ -2,9 +2,6 @@
 
 import json
 import os
-import pickle
-import re
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -78,8 +75,8 @@ START_OPTIONS = {
 def cli_argvs(draw):
     """A command, its starting and required options, then options mostly of
     that command, each with a plausible value seven times in eight and
-    otherwise one from ARGV_VALUES (--jobs only 1 or 2), so that many
-    examples reach a command handler.  Reports go to os.devnull."""
+    otherwise one from ARGV_VALUES, so that many examples reach a command
+    handler.  Reports go to os.devnull."""
     commands = _build_parser().commands
     parser = draw(st.sampled_from(commands))
     command = parser.prog.split()[1:]
@@ -107,7 +104,7 @@ def cli_argvs(draw):
         action = own.get(flag) or foreign[flag]
         argv.append(flag)
         if action.nargs != 0:
-            argv.append(draw(st.sampled_from(["1", "2"])) if flag == "--jobs" else value(action))
+            argv.append(value(action))
     return argv + ["--out", os.devnull]
 
 
@@ -710,31 +707,20 @@ class TestDeterminism:
         assert serial["summary"] == parallel["summary"] == {"pass": 1, "fail": 0,
                                                             "indeterminate": 0}
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch, forks, reaped):
-        import gpiverify.cli as cli_mod
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        items = list(range(-50, 51))
-        assert cli_mod._pool_map(abs, items, 5000) == [abs(i) for i in items]
-        assert len(forks) == 2  # this process computes the third share
-        assert cli_mod._pool_map(abs, items[:2], 5000) == [50, 49]
-        assert len(forks) == 3
-        # one CPU: no pool at all
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert cli_mod._pool_map(abs, items, 8) == [abs(i) for i in items]
-        assert len(forks) == 3
-        # the report echoes the --jobs asked for, not the workers started
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        code, report = cli_mod.run(["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "5",
-                                    "--jobs", "64"])
-        assert code == 0 and report["run"]["jobs"] == 64
-        assert len(forks) == 5
+    def test_scan_forks_no_worker(self, monkeypatch, forks, reaped):
+        # every point is decided in this process, whatever --jobs and the CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for argv, jobs in [("scan hfri --m2 8 --m3 8 --grid 21", 2),
+                           ("scan g-negative --m2 30 --m3 30 --grid 1001", 64)]:
+            code, report = run(argv.split() + ["--jobs", str(jobs)])
+            assert code == 0 and report["run"]["jobs"] == jobs
+        assert forks == []
 
     def test_import_loads_only_what_every_command_needs(self):
-        # numpy serves only the Monte Carlo oracle and pickle only the pool of
-        # scan --jobs N; each is imported where it is used.  dataclasses (and
-        # the inspect it pulls in) is not used at all, nor is the standard
-        # library's process pool, even by a scan that starts a pool
+        # numpy serves only the Monte Carlo oracle, and is imported where it
+        # is used.  dataclasses (and the inspect it pulls in) is not used at
+        # all, nor are pickle and the standard library's process pools, even
+        # by a scan given --jobs 2
         unwanted = ("numpy", "pickle", "concurrent.futures", "multiprocessing", "dataclasses",
                     "inspect")
         code = f"import sys, gpiverify.cli; print([m for m in {unwanted!r} if m in sys.modules])"
@@ -750,7 +736,7 @@ class TestDeterminism:
                 f" [m for m in {pools!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 True []"  # a pool ran, and needed neither
+        assert proc.stdout.strip() == "0 False []"
 
     def test_stdout_report(self):
         proc = subprocess.run(
@@ -761,138 +747,3 @@ class TestDeterminism:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["schema"] == 1
-
-
-def _raising_at(*bad):
-    """i -> i * i, except that each item in ``bad`` raises: ValueError when
-    even, KeyError when odd."""
-
-    def fn(i):
-        if i in bad:
-            raise (ValueError, KeyError)[i % 2](f"item {i}")
-        return i * i
-
-    return fn
-
-
-def _in_child(action):
-    """i -> i, except that in a forked child each call first runs ``action``."""
-    parent = os.getpid()
-
-    def fn(i):
-        if os.getpid() != parent:
-            action()
-        return i
-
-    return fn
-
-
-class TestPool:
-    """_pool_map over 3 processes: share k of range(10) is items k, k + 3, ...;
-    this process computes share 0 and two forked children the others."""
-
-    @pytest.fixture(autouse=True)
-    def three_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-
-    # failing items: in a child's share, in two children's shares, in this
-    # process's share after a lower one in a child's, and the reverse
-    @pytest.mark.parametrize("bad", [(4,), (5, 7), (1, 3), (2, 6), (0, 1)])
-    def test_failure_is_the_serial_one(self, bad, forks, reaped):
-        from gpiverify.cli import _pool_map
-
-        fn = _raising_at(*bad)
-        with pytest.raises(Exception) as serial:
-            [fn(i) for i in range(10)]
-        with pytest.raises(Exception) as pooled:
-            _pool_map(fn, range(10), 3)
-        assert type(pooled.value) is type(serial.value)
-        assert str(pooled.value) == str(serial.value)
-        assert f"item {min(bad)}" in str(pooled.value)
-        assert len(forks) == 2
-
-    @pytest.mark.parametrize("action, message", [
-        (lambda: os._exit(3), "exited with status 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL),
-         f"was killed by signal {int(signal.SIGKILL)}"),
-        (lambda: os._exit(0), "returned an incomplete result (0 bytes)"),
-    ], ids=["exit-3", "sigkill", "exit-0"])
-    def test_dead_child_is_pool_worker_error(self, action, message, reaped):
-        from gpiverify.cli import PoolWorkerError, _pool_map
-
-        with pytest.raises(PoolWorkerError, match=f"pool worker [0-9]+ {re.escape(message)}"):
-            _pool_map(_in_child(action), range(10), 3)
-
-    def test_truncated_result_is_pool_worker_error(self, monkeypatch, reaped):
-        from gpiverify.cli import PoolWorkerError, _pool_map
-
-        dumps = pickle.dumps
-        monkeypatch.setattr(pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-2])
-        with pytest.raises(PoolWorkerError, match="returned an incomplete result"):
-            _pool_map(abs, range(10), 3)
-
-    def test_dead_worker_exits_70(self, monkeypatch, capsys, reaped):
-        # a scan whose pool worker dies is an internal error, not a failed check;
-        # an hfri scan decides every point in the pool
-        import gpiverify.inequality as inequality
-
-        point = inequality._scan_point
-        die = _in_child(lambda: os._exit(9))
-
-        def dying_point(polys, k):
-            return point(polys, die(k))
-
-        monkeypatch.setattr(inequality, "_scan_point", dying_point)
-        assert main("scan hfri --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert re.fullmatch("gpiverify: internal error: PoolWorkerError: pool worker [0-9]+ "
-                            "exited with status 9 before returning its results\n", err)
-
-    def test_certified_scan_forks_no_worker(self, monkeypatch, forks, reaped):
-        # every point of this scan is certified or decided in this process
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        code, report = run("scan g-negative --m2 30 --m3 30 --grid 1001 --jobs 2".split())
-        assert code == 0 and report["checks"][0]["metadata"]["counts"]["holds"] == 1001
-        assert forks == []
-        assert main("scan hfri --m2 8 --m3 8 --grid 21 --jobs 2".split() + ["--out", os.devnull]) == 0
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("error", ["ValueError", "KeyboardInterrupt"])
-    def test_no_deadlock_when_this_share_raises(self, error):
-        # each child's result (about 300 KB) overfills its pipe while this
-        # process's share raises; a KeyboardInterrupt abandons the results
-        code = ("import os\n"
-                "from gpiverify import cli\n"
-                "os.cpu_count = lambda: 3\n"
-                "parent = os.getpid()\n"
-                "def fn(i):\n"
-                "    if os.getpid() == parent and i == 3:\n"
-                f"        raise {error}('share 0')\n"
-                "    return 'x' * 100_000\n"
-                "try:\n"
-                "    cli._pool_map(fn, range(10), 3)\n"
-                f"except {error} as exc:\n"
-                "    print('raised', exc)\n"
-                "try:\n"
-                "    os.waitpid(-1, os.WNOHANG)\n"
-                "except ChildProcessError:\n"
-                "    print('reaped')\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised share 0\nreaped\n"
-
-    def test_unflushed_stdout_written_once(self):
-        # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is set),
-        # so "before" is still in the buffer that each child inherits
-        code = ("import os\n"
-                "from gpiverify import cli\n"
-                "os.cpu_count = lambda: 3\n"
-                "print('before')\n"
-                "print(cli._pool_map(abs, range(-5, 5), 3))\n")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"before\n{[abs(i) for i in range(-5, 5)]}\n"

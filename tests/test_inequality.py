@@ -575,7 +575,7 @@ class TestDomainTable:
             return d_lo + t * (d_hi - d_lo) if relative else t
 
         try:
-            rep = scan(predicate, params, resolve(lo), resolve(hi), grid_n=grid_n, map_fn=map)
+            rep = scan(predicate, params, resolve(lo), resolve(hi), grid_n=grid_n)
         except ValueError as exc:
             # rejected at the endpoints, never while evaluating a point
             assert re.search(r"outside the \S+ domain|need z_lo < z_hi", str(exc)), exc
