@@ -286,6 +286,51 @@ class TestExitCodes:
         # one line, no traceback, and the exception named by its type
         assert err == f"gpiverify: internal error: {error.__name__}: {raised[0]}\n"
 
+    # failing grid indices: one, two apart, the lowest first or last in a
+    # pair, and both ends of the first step
+    @pytest.mark.parametrize("bad", [(4,), (5, 7), (1, 3), (6, 2), (0, 1)])
+    def test_failing_point_reported_is_the_lowest_index(self, bad, monkeypatch, capsys):
+        # hfri leaves every point to _scan_point, in index order; the scan
+        # stops at the first failure, which main reports as exit 70
+        import gpiverify.inequality as inequality
+
+        point = inequality._scan_point
+        called = []
+
+        def failing_point(polys, k):
+            called.append(k)
+            if k in bad:
+                raise (ValueError, KeyError)[k % 2](f"item {k}")
+            return point(polys, k)
+
+        monkeypatch.setattr(inequality, "_scan_point", failing_point)
+        assert main("scan hfri --m2 8 --m3 8 --grid 21 --jobs 2".split()) == 70
+        out, err = capsys.readouterr()
+        first = min(bad)
+        error = (ValueError, KeyError)[first % 2](f"item {first}")
+        assert out == ""
+        assert err == f"gpiverify: internal error: {type(error).__name__}: {error}\n"
+        assert called == list(range(first + 1))
+
+    @pytest.mark.parametrize("predicate", ["g-negative", "hfri", "h-half", "h-seventh",
+                                           "h-deriv", "h-deriv-reduced"])
+    def test_failed_scan_point_is_internal_error(self, predicate, monkeypatch, capsys):
+        # a certified scan decides the ends of its runs with _scan_point, so
+        # every predicate reaches it, and its failure is a defect (exit 70)
+        import gpiverify.inequality as inequality
+
+        def failing_point(polys, k):
+            raise ArithmeticError(f"point {k}")
+
+        monkeypatch.setattr(inequality, "_scan_point", failing_point)
+        m2, m3 = ("2", "3") if predicate == "hfri" else ("8", "8")
+        argv = ["scan", predicate, "--m2", m2, "--m3", m3, "--grid", "1001", "--jobs", "2"]
+        assert main(argv) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gpiverify: internal error: ArithmeticError: point ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         "params show --m2 1 --m3 1 --out /nonexistent-dir/report.json",
         "expand s --m2 1 --m3 5 --poly-out /nonexistent-dir/s.json",
@@ -548,6 +593,15 @@ class TestCommands:
             _resolve_config(argv)
         assert main(argv) == 64
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "2/1"])
+    def test_jobs_not_an_integer_is_usage_error(self, value, capsys):
+        argv = ["scan", "g-negative", "--m2", "8", "--m3", "8", "--jobs", value]
+        with pytest.raises(InputError, match="--jobs"):
+            _resolve_config(argv)
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+
     def test_out_of_range_config_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"jobs": 0}))
@@ -715,6 +769,15 @@ class TestDeterminism:
             code, report = run(argv.split() + ["--jobs", str(jobs)])
             assert code == 0 and report["run"]["jobs"] == jobs
         assert forks == []
+
+    @pytest.mark.parametrize("jobs", [2, 64, 10**6])
+    def test_jobs_changes_only_its_echo(self, jobs, forks, reaped):
+        # --jobs starts no process, however large, and a report differs from
+        # the --jobs 1 report only in run.jobs
+        base = "scan h-deriv --m2 8 --m3 8 --grid 101 --jobs".split()
+        code, serial = run(base + ["1"])
+        assert run(base + [str(jobs)]) == (code, serial | {"run": serial["run"] | {"jobs": jobs}})
+        assert code == 0 and forks == []
 
     def test_import_loads_only_what_every_command_needs(self):
         # numpy serves only the Monte Carlo oracle, and is imported where it
