@@ -197,7 +197,7 @@ def _build_parser() -> _Parser:
                    help="exponent indices range 0..max-m (default %(default)s)")
     p.add_argument("--real", action="store_true",
                    help="compare real-exponent closed forms against Monte Carlo")
-    p.add_argument("--mc-n", type=_at_least(1), default=10**6,
+    p.add_argument("--mc-n", type=_at_least(2), default=10**6,
                    help="Monte Carlo sample size (default %(default)s)")
     common(p, _cmd_oracle_compare, seed=True)
 
@@ -325,7 +325,8 @@ def _cmd_check_mri(args: argparse.Namespace) -> list[CheckReport]:
     if args.x is not None:
         pair = GaussianPair.unit(rational(args.x))
     else:
-        pair = GaussianPair(rational(args.var2 or 1), rational(args.var3 or 1), rational(args.cov))
+        var2, var3 = (rational(1 if v is None else v) for v in (args.var2, args.var3))
+        pair = GaussianPair(var2, var3, rational(args.cov))
     return [check_mri(params, pair)]
 
 
@@ -341,7 +342,7 @@ def _cmd_check_gpi_real(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_scan(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
-    return [scan(args.predicate, params, args.z_lo or None, args.z_hi or None, args.grid)]
+    return [scan(args.predicate, params, args.z_lo, args.z_hi, args.grid)]
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:

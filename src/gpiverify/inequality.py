@@ -3,8 +3,8 @@
 This module materializes, with exact rational arithmetic wherever possible:
 
 * the parameter family r = (2 m2 + 1)(2 m3 + 1) + 1, the threshold t, and the
-  bound function H(z) = [(m2+m3+1)(rz-1) + sqrt(D(z))] / (r^2 z - 1) with
-  radicand D(z) = ((m3-m2)(rz-1))^2 + (r-1)^3 z;
+  bound function H(z) = (M + sqrt(D))/den, whose parts M, the radicand D
+  and den every exact use of H takes from h_parts;
 * the cleared-denominator positivity polynomial S(z) whose strict positivity
   implies the hypergeometric-ratio inequality (HFRI);
 * the bivariate polynomials h_1 .. h_7 obtained from S by the substitutions
@@ -158,11 +158,14 @@ def make_real_params(y2: float, y3: float) -> RealGpiParams:
 # ----------------------------------------------------------------------
 
 
-def h_radicand(params: GpiParams, z: Fraction | MultiPoly) -> Fraction | MultiPoly:
-    """D(z) = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z, for a rational z or the
-    polynomial variable z."""
+def h_parts(params: GpiParams, z: Fraction | MultiPoly) -> tuple[Fraction | MultiPoly, ...]:
+    """(M, D, den) with H(z) = (M + sqrt(D))/den, for a rational z or the
+    polynomial variable z: M = (m2+m3+1)(rz - 1), the radicand
+    D = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z and den = r^2 z - 1, which is
+    positive on H's domain 1/r^2 < z <= 1."""
     r = params.r
-    return params.mdiff_sq * (r * z - 1) ** 2 + (r - 1) ** 3 * z
+    rz1 = r * z - 1
+    return params.msum * rz1, params.mdiff_sq * rz1**2 + (r - 1) ** 3 * z, r * r * z - 1
 
 
 def _check_h_domain(params: GpiParams, z: Fraction) -> None:
@@ -175,30 +178,17 @@ def H_value(
 ) -> RationalInterval:
     """Rigorous enclosure of H(z) of at most the requested width: the ends
     (M + lo)/den and (M + hi)/den of an enclosure [lo, hi] of sqrt(D(z)),
-    with M = (m2+m3+1)(rz-1) and den = r^2 z - 1 > 0 on the domain."""
+    with M, D and den > 0 from h_parts."""
     z = rational(z)
     _check_h_domain(params, z)
-    r = params.r
-    m, den = params.msum * (r * z - 1), r * r * z - 1
-    root = sqrt_enclosure(h_radicand(params, z), rational(width) * den)
+    m, d, den = h_parts(params, z)
+    root = sqrt_enclosure(d, rational(width) * den)
     return RationalInterval((root.lo + m) / den, (root.hi + m) / den)
 
 
 def H_at_one(params: GpiParams) -> Fraction:
     """H(1) = 2 (m2 + m3 + 1) / (r + 1), exact."""
     return 2 * params.msum / (params.r + 1)
-
-
-def _h_excess(
-    params: GpiParams, z: Fraction | MultiPoly, threshold: Fraction
-) -> Fraction | MultiPoly:
-    """alpha with (H(z) - threshold)(r^2 z - 1) = alpha + sqrt(D), for a
-    rational z or the polynomial variable z:
-
-        H(z) > c  <=>  (m2+m3+1)(r z - 1) - c (r^2 z - 1) + sqrt(D) > 0.
-    """
-    r = params.r
-    return params.msum * (r * z - 1) - threshold * (r * r * z - 1)
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +417,7 @@ def G_at_one(params: GpiParams) -> Fraction:
 #
 # Each predicate holds at z iff alpha(z) + beta(z) sqrt(D(z)) > 0, where
 # margin_polys builds alpha, beta and D as polynomials in z, once per
-# (predicate, params).  With s = sqrt(D), den = r^2 z - 1 > 0 and
-# M = (m2+m3+1)(rz - 1):
+# (predicate, params).  With M, D and den > 0 from h_parts and s = sqrt(D):
 #
 #     H = (M + s)/den,    H^2 = (M^2 + D + 2 M s)/den^2,
 #     H' = [r (r-1)(m2+m3+1) + P s/(2 D)]/den^2,
@@ -447,13 +436,11 @@ def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPol
     z = MultiPoly.var("z")
     r, msum, dd = params.r, params.msum, params.mdiff_sq
     rm1 = r - 1
-    d = h_radicand(params, z)
-    den = r * r * z - 1
-    m = msum * (r * z - 1)
+    m, d, den = h_parts(params, z)
     if predicate == "hfri":
         alpha, beta = S_poly(params), MultiPoly.zero(z.vars)
     elif predicate in H_THRESHOLDS:
-        alpha = _h_excess(params, z, H_THRESHOLDS[predicate])
+        alpha = m - H_THRESHOLDS[predicate] * den
         beta = MultiPoly.const(1, z.vars)
     elif predicate == "g-negative":
         f_big = hyp_poly(params.m2 + 1, params.m3, HALF)

@@ -225,8 +225,8 @@ def mc_moment(
     """
     import numpy as np  # only this oracle needs numpy; keep it off the import path
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2: one draw has no standard error")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     p, q, signed2, signed3 = exponents

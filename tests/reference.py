@@ -25,8 +25,7 @@ from gpiverify.inequality import (
     GpiParams,
     H_value,
     _check_h_domain,
-    _h_excess,
-    h_radicand,
+    h_parts,
     margin_polys,
 )
 from gpiverify.moments import GaussianPair, closed_form_poly, wick_poly
@@ -76,10 +75,12 @@ def mri_ratio(params: GpiParams, pair: GaussianPair) -> Fraction:
 
 
 def h_compare(params: GpiParams, z: RationalLike, threshold: RationalLike) -> int:
-    """Exact sign of H(z) - threshold, by isolating the radical (_h_excess)."""
+    """Exact sign of H(z) - threshold, by isolating the radical: with M, D
+    and den > 0 from h_parts, H(z) > c iff M - c den + sqrt(D) > 0."""
     z = rational(z)
     _check_h_domain(params, z)
-    return sign_sqrt(_h_excess(params, z, rational(threshold)), 1, h_radicand(params, z))
+    m, d, den = h_parts(params, z)
+    return sign_sqrt(m - rational(threshold) * den, 1, d)
 
 
 def point_verdict(predicate: str, params: GpiParams, z: RationalLike) -> tuple[str, object]:
@@ -99,7 +100,7 @@ def quadratic_form_residuals(params: GpiParams) -> tuple[MultiPoly, MultiPoly, M
     """Three polynomials in z that vanish identically, for the quadratic
     (1-z) y^2 + 2 beta y + gamma whose positivity at the hypergeometric ratio
     restates the target inequality.  Here beta = M/(r-1), gamma = -den/(r-1),
-    M = (m2+m3+1)(rz-1), den = r^2 z - 1 and H = (M + sqrt(D))/den:
+    and H = (M + sqrt(D))/den with M, D and den from h_parts:
 
     * beta^2 - (1-z) gamma - [((m3-m2)(1-rz)/(r-1))^2 + (r-1) z], the
       discriminant identity;
@@ -110,11 +111,9 @@ def quadratic_form_residuals(params: GpiParams) -> tuple[MultiPoly, MultiPoly, M
     """
     z = MultiPoly.var("z")
     r = params.r
-    m = params.msum * (r * z - 1)
-    den = r * r * z - 1
+    m, d, den = h_parts(params, z)
     beta = m * (1 / (r - 1))
     gamma = den * (-1 / (r - 1))
-    d = h_radicand(params, z)
     discriminant = beta * beta - (1 - z) * gamma - (
         ((params.m3 - params.m2) * (1 - r * z) * (1 / (r - 1))) ** 2 + (r - 1) * z
     )

@@ -219,6 +219,25 @@ class TestExitCodes:
         assert out == "" and "Traceback" not in err
         assert err.startswith("gpiverify: error: ") and "'abc'" in err.splitlines()[0]
 
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["scan", "hfri", "--m2", "1", "--m3", "5", "--z-lo", "", "--grid", "3"]),
+        (None, ["scan", "hfri", "--m2", "1", "--m3", "5", "--z-hi", "", "--grid", "3"]),
+        (None, ["check", "mri", "--m2", "1", "--m3", "1", "--cov", "1/2", "--var2", ""]),
+        (None, ["check", "mri", "--m2", "1", "--m3", "1", "--cov", "1/2", "--var3", ""]),
+        ({"z-lo": ""}, ["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "3"]),
+    ], ids=["z-lo", "z-hi", "var2", "var3", "config-z-lo"])
+    def test_empty_rational_is_usage(self, tmp_path, config, argv, capsys):
+        # an empty value is refused, as for --x, not taken as the default
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)] + argv
+        assert main(argv + ["--out", os.devnull]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("gpiverify:")]
+        assert errors == ["gpiverify: error: Invalid literal for Fraction: ''"]
+
     @pytest.mark.parametrize("argv", [
         "check mri --m2 8 --m3 8 --x 1e-320",
         "check gpi --m2 8 --m3 8 --a 3 --x 1e-320",
@@ -577,12 +596,11 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         "scan g-negative --m2 8 --m3 8 --jobs 0",
         "scan g-negative --m2 8 --m3 8 --jobs -2",
-        "scan g-negative --m2 8 --m3 8 --refine-max -1",
         "scan hfri --m2 2 --m3 3 --grid 1",
         "oracle compare --max-m -1",
-        "oracle compare --corr-steps -1",
-        "oracle compare --corr-steps 0",
         "oracle compare --real --mc-n 0",
+        # one draw has a standard error of 0, which no 4-standard-error test passes
+        "oracle compare --real --mc-n 1",
         # numpy's generator takes only seeds >= 0
         "oracle compare --real --seed -1",
     ], ids=lambda argv: "-".join(argv.split()[-2:]))

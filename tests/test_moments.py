@@ -268,6 +268,12 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="chunk"):
                 mc_moment(MomentExponents(1.0, 0.0), HALF_CORR, 10, seed=0, chunk=chunk)
 
+    def test_fewer_than_two_draws_rejected(self):
+        # one draw gives a standard error of 0, which no estimate meets
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                mc_moment(MomentExponents(1.0, 0.0), HALF_CORR, n, seed=0)
+
 
 def allocating_mc_moment(exponents, pair, n, seed, chunk):
     """The estimator written with one fresh array per step, the reference
