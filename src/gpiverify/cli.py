@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -78,13 +79,22 @@ EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 
+class _UsageError(InputError):
+    """An InputError and the parser whose usage ``main`` prints after it: the
+    command's own once a command is parsed, else the top-level one."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises InputError (exit 64) on usage errors.  The top-level parser
+    """Raises _UsageError (exit 64) on usage errors.  The top-level parser
     lists the parser of each command ("gpiverify sos verify", ...) in
     ``commands``."""
 
     def error(self, message):
-        raise InputError(message)
+        raise _UsageError(message, self)
 
 
 def _at_least(low: int):
@@ -367,6 +377,11 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[CheckReport]:
+    # Nothing here calls BLAS, and OpenBLAS starts a thread per core when numpy
+    # is imported: one thread halves numpy's import time and saves the pool's
+    # memory.  Set before mc_moment imports numpy; a value the user set wins,
+    # and a library caller's environment is left alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .moments import MC_METHOD, MomentExponents, mc_moment, real_moment
 
     half = GaussianPair.unit(Fraction(1, 2))
@@ -448,7 +463,11 @@ def _resolve_config(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         known = {dest for p in parser.commands for dest in _options(p)}
-        args.parser.set_defaults(**_read_config(args.config, _options(args.parser), known))
+        try:
+            defaults = _read_config(args.config, _options(args.parser), known)
+        except InputError as exc:
+            args.parser.error(str(exc))
+        args.parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
     return args
 
@@ -497,7 +516,10 @@ def run(argv: list[str]) -> tuple[int, dict]:
     check rendered as a dict."""
     args = _resolve_config(argv)
     start = time.monotonic()
-    reports = args.handler(args)
+    try:
+        reports = args.handler(args)
+    except InputError as exc:  # a value the handler rejected: name the command's usage
+        args.parser.error(str(exc))
     summary = {
         "pass": sum(1 for c in reports if c.status in PASS_STATUSES),
         "fail": sum(1 for c in reports if c.status in FAIL_STATUSES),
@@ -505,9 +527,9 @@ def run(argv: list[str]) -> tuple[int, dict]:
     }
     try:
         checks = [c.to_json_dict() for c in reports]
-    except ValueError as exc:  # str() of an int past the interpreter's digit limit
-        raise InputError(f"the exact report would hold a number of more than "
-                         f"{sys.get_int_max_str_digits()} digits") from exc
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        args.parser.error(f"the exact report would hold a number of more than "
+                          f"{sys.get_int_max_str_digits()} digits")
     command = args.parser.prog.split(" ", 1)[1]  # prog is "gpiverify <command>"
     actions = [a for a in args.parser._actions if a.dest != "help"]
     report = {
@@ -534,7 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         _write(report["run"]["out"], json.dumps(report, indent=2) + "\n")
     except InputError as exc:
         print(f"gpiverify: error: {exc}", file=sys.stderr)
-        _build_parser().print_usage(sys.stderr)
+        parser = exc.parser if isinstance(exc, _UsageError) else _build_parser()
+        parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except _IOFailure as exc:
         print(f"gpiverify: i/o error: {exc}", file=sys.stderr)

@@ -191,6 +191,21 @@ class TestExitCodes:
         argv = "check gpi-real --y2 400 --y3 400 --a 1 --x 0.5 --out".split() + [os.devnull]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("argv, usage", [
+        # raised by the command's handler, after parsing
+        ("check hfri --m2 1 --m3 1 --z 1", "usage: gpiverify check hfri [-h] --m2 M2"),
+        # raised by an option's range check, while parsing
+        ("scan hfri --m2 1 --m3 1 --grid 1", "usage: gpiverify scan [-h] --m2 M2"),
+        # no command parsed
+        ("bogus", "usage: gpiverify [-h] [--config CONFIG]"),
+    ], ids=["handler", "range-check", "no-command"])
+    def test_usage_error_prints_the_usage_of_its_command(self, argv, usage, capsys):
+        assert main(argv.split()) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        error, rest = err.split("\n", 1)
+        assert error.startswith("gpiverify: error: ") and rest.startswith(usage)
+
     def test_domain_violation_is_usage(self, tmp_path):
         code = main(
             ["check", "hfri", "--m2", "1", "--m3", "1", "--z", "1",
@@ -537,6 +552,21 @@ class TestCommands:
         assert "PCG64" in meta["method"]
         assert meta["seed"] == 4 and meta["n"] == 100000
 
+    def test_oracle_sets_a_blas_thread_default_that_changes_no_byte(self):
+        # the oracle starts numpy with OPENBLAS_NUM_THREADS=1 unless the user
+        # set it; the variable changes neither the sample nor the report
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        code = ("import os, sys\n"
+                "from gpiverify import cli\n"
+                "code = cli.main('oracle compare --real --mc-n 5000'.split())\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+                "sys.exit(code)")
+        runs = [subprocess.run([sys.executable, "-c", code], env=env | extra, capture_output=True)
+                for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert [proc.stderr.strip() for proc in runs] == [b"1", b"2"]
+
     def test_scan_domain_override(self, tmp_path):
         code, report = invoke(
             ["scan", "hfri", "--m2", "2", "--m3", "3", "--grid", "11",
@@ -818,6 +848,19 @@ class TestDeterminism:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 False []"
+
+    def test_library_estimate_leaves_the_environment_alone(self):
+        # only the CLI's oracle handler sets the BLAS thread default
+        code = ("import os\n"
+                "import gpiverify\n"
+                "from gpiverify.moments import GaussianPair, MomentExponents, mc_moment\n"
+                "before = dict(os.environ)\n"
+                "mc_moment(MomentExponents(1.0, 1.0), GaussianPair.unit(0), 1000, 0)\n"
+                "print(dict(os.environ) == before)")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_stdout_report(self):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ import pytest
 
 from gpiverify.inequality import check_gpi, make_params
 from gpiverify.moments import (
+    MC_BLOCK,
     GaussianPair,
     MomentExponents,
     double_factorial_odd,
@@ -335,10 +336,22 @@ class TestMonteCarloBuffers:
             expected = allocating_mc_moment(exps, pair, n, seed, chunk=10**6)
             assert mc_moment(exps, pair, n, seed) == expected
 
-    def test_peak_memory_is_three_buffers(self):
+    def test_blocks_straddle_chunks(self):
+        # a chunk that is not a whole number of z2 blocks, over two full
+        # chunks and a partial one
+        chunk = 3 * MC_BLOCK + 7
+        n = 2 * chunk + 5
+        pair = GaussianPair.unit(Fraction(-3, 10))
+        for signed2 in (False, True):
+            for signed3 in (False, True):
+                exps = MomentExponents(1.3, 2.7, signed2, signed3)
+                expected = allocating_mc_moment(exps, pair, n, 5, chunk)
+                assert mc_moment(exps, pair, n, 5, chunk) == expected
+
+    def test_peak_memory_is_one_buffer_and_block_scratch(self):
         # numpy reports its array data to tracemalloc; warm up so that lazy
         # set-up inside numpy stays out of the measured peak
-        exps, n = MomentExponents(2.0, 3.0, True, True), 10**5
+        exps, n = MomentExponents(2.0, 3.0, True, True), 4 * 10**5
         mc_moment(exps, HALF_CORR, 100, 0)
         outer = tracemalloc.is_tracing()  # e.g. under -X tracemalloc
         if outer:
@@ -352,4 +365,4 @@ class TestMonteCarloBuffers:
         finally:
             if not outer:
                 tracemalloc.stop()
-        assert peak - before <= 3.25 * 8 * n
+        assert peak - before <= 8 * n + 3 * 8 * MC_BLOCK + 64 * 1024
