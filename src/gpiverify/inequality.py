@@ -21,7 +21,9 @@ This module materializes, with exact rational arithmetic wherever possible:
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
 are polynomials in z built once per (predicate, params) (margin_polys; beta
-is 0 for the HFRI polynomial S).  A scan's grid is z_k = (A + k B)/C with
+is 0 for the HFRI polynomial S).  There is one margin per inequality: G is
+written from f1, f2 and H, and the two derivative-side predicates share one
+margin on their two domains.  A scan's grid is z_k = (A + k B)/C with
 ints A, B and C > 0, so once per scan these become integer polynomials in
 the grid index k (_index_polys, by polyring.affine_form), and a point is
 decided at its int k by Horner evaluation and sign_sqrt, which compares
@@ -405,10 +407,11 @@ def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
 
 
 def G_at_one(params: GpiParams) -> Fraction:
-    """G(1), exact: F(-m2-1, -m3; 1/2; 1) - (2 m3 + 1) H(1) F(-m2, -m3; 1/2; 1)."""
+    """G(1), exact: (2 m3 + 1)(f2(1) - H(1) f1(1)), with f1 = F(-m2, -m3; 1/2; z)
+    and f2 = F(-m2, -m3; 3/2; z)."""
     m2, m3 = params.m2, params.m3
-    f_big = hyp_poly(m2 + 1, m3, HALF).eval({"z": 1})
-    return f_big - (2 * m3 + 1) * H_at_one(params) * hyp_poly(m2, m3, HALF).eval({"z": 1})
+    f1, f2 = (hyp_poly(m2, m3, c).eval({"z": 1}) for c in (HALF, THREE_HALVES))
+    return (2 * m3 + 1) * (f2 - H_at_one(params) * f1)
 
 
 # ----------------------------------------------------------------------
@@ -422,19 +425,24 @@ def G_at_one(params: GpiParams) -> Fraction:
 #     H = (M + s)/den,    H^2 = (M^2 + D + 2 M s)/den^2,
 #     H' = [r (r-1)(m2+m3+1) + P s/(2 D)]/den^2,
 #
-# with P = 2 (m3-m2)^2 r (r-1)(rz - 1) - (r-1)^3 (1 + r^2 z).
+# with P = 2 (m3-m2)^2 r (r-1)(rz - 1) - (r-1)^3 (1 + r^2 z).  G is
+# (2 m3 + 1) z (f2 - H f1), since F(-m2-1, -m3; 1/2; z) = (1-z) f1
+# + (2 m3 + 1) z f2, so -G den = (2 m3 + 1) z (f1 (M + s) - f2 den).  The
+# derivative-side condition times den^2 D is s (alpha + beta s) below, so
+# its direct form and its radical-isolated form have one margin.
 
 
 @lru_cache(maxsize=None)
 def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(alpha, beta, D) of a predicate, as polynomials in z.  The margins:
     S for ``hfri`` (beta = 0); (H - c) den for ``h-half``/``h-seventh``;
-    -G den for ``g-negative``; for ``h-deriv``, the critical-point condition
-    (1-z) + [2(m2+m3+1) z - 1] H < (r-1) z H^2 + 2 z (1-z) H' as
-    (rhs - lhs) den^2 D, where the factor D clears the 1/s of H'; and for
-    ``h-deriv-reduced``, its radical-isolated form lhs s - rhs_num."""
+    -G den/((2 m3 + 1) z) = f1 (M + s) - f2 den for ``g-negative``; and for
+    ``h-deriv`` and ``h-deriv-reduced``, one condition on two domains, the
+    critical-point condition (1-z) + [2(m2+m3+1) z - 1] H < (r-1) z H^2
+    + 2 z (1-z) H' as (rhs - lhs) den^2 sqrt(D): the factor D clears the 1/s
+    of H', and the positive s is divided out."""
     z = MultiPoly.var("z")
-    r, msum, dd = params.r, params.msum, params.mdiff_sq
+    r, msum = params.r, params.msum
     rm1 = r - 1
     m, d, den = h_parts(params, z)
     if predicate == "hfri":
@@ -443,26 +451,15 @@ def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPol
         alpha = m - H_THRESHOLDS[predicate] * den
         beta = MultiPoly.const(1, z.vars)
     elif predicate == "g-negative":
-        f_big = hyp_poly(params.m2 + 1, params.m3, HALF)
         f1 = hyp_poly(params.m2, params.m3, HALF)
-        beta = (2 * params.m3 + 1) * z * f1
-        alpha = ((1 - z) * f1 - f_big) * den + beta * m
-    elif predicate == "h-deriv":
-        p = 2 * dd * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
+        alpha, beta = f1 * m - hyp_poly(params.m2, params.m3, THREE_HALVES) * den, f1
+    elif predicate in ("h-deriv", "h-deriv-reduced"):
+        p = 2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
         c = 2 * msum * z - 1
-        alpha = (
+        alpha = (2 * rm1 * z * m - c * den) * d + z * (1 - z) * p
+        beta = (
             rm1 * z * (m * m + d) + 2 * z * (1 - z) * r * rm1 * msum
             - (1 - z) * den * den - c * den * m
-        ) * d
-        beta = (2 * rm1 * z * m - c * den) * d + z * (1 - z) * p
-    elif predicate == "h-deriv-reduced":
-        alpha = -(rm1 * z * (1 - z) * (rm1**2 * (1 + r * r * z) - 2 * dd * r * (r * z - 1))
-                  + (2 * msum * z * (r + r * z - 2) - den) * d)
-        beta = (
-            (-1 + 4 * z - 4 * r * z + 3 * r * r * z + z * z - 8 * r * z * z
-             + 8 * r * r * z * z - 4 * r**3 * z * z + r * r * z**3)
-            + msum * (1 - 3 * r * z + r * r * z + 2 * r * z * z - 2 * r * r * z * z + r**3 * z * z)
-            - 2 * dd * (2 * z - r * z - 3 * r * z * z + r * r * z * z + r * r * z**3)
         )
     else:
         raise ValueError(f"unknown predicate {predicate!r}; expected one of {SCAN_PREDICATES}")

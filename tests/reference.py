@@ -5,7 +5,10 @@ enclosure given by its ends, the enclosure of G from the ends of H's, the
 MRI's moment ratio from two moments and the sign of H(z) minus a rational by
 isolating the radical (the radical decision that check_mri's sign of S is
 tested against), a predicate's verdict at one point from rational evaluation,
-the derivative of a polynomial, the four contiguous relations of F and its
+the paper's direct and hand-expanded radical-isolated forms of the
+derivative-side condition and -G den from F(-m2-1, -m3; 1/2; z), which
+margin_polys's one margin per inequality is tested against, the
+derivative of a polynomial, the four contiguous relations of F and its
 Chu-Vandermonde value at z = 1, the moments at any pair by homogenizing a
 unit-variance polynomial (the closed forms and the pairing recursion),
 single-coefficient certificate mutations, root counts on an open interval by
@@ -120,6 +123,56 @@ def quadratic_form_residuals(params: GpiParams) -> tuple[MultiPoly, MultiPoly, M
     rational_part = (1 - z) * den * den + 2 * beta * den * m + gamma * (m * m + d)
     radical_part = 2 * beta * den + 2 * gamma * m
     return discriminant, rational_part, radical_part
+
+
+def deriv_direct_form(params: GpiParams) -> tuple[MultiPoly, MultiPoly]:
+    """(alpha, beta) with alpha + beta sqrt(D) = (rhs - lhs) den^2 D for the
+    derivative-side condition (1-z) + c H < (r-1) z H^2 + 2 z (1-z) H', with
+    c = 2(m2+m3+1) z - 1 and M, D and den from h_parts.  H' comes from the
+    quotient rule on their derivatives in z, with (sqrt(D))' = D'/(2 sqrt(D)):
+    H' den^2 D = (M' den - M den') D + sqrt(D) (D' den/2 - D den')."""
+    z = MultiPoly.var("z")
+    r = params.r
+    m, d, den = h_parts(params, z)
+    m_z, d_z, den_z = (derivative(q, "z") for q in (m, d, den))
+    c = 2 * params.msum * z - 1
+    alpha = (
+        (r - 1) * z * (m * m + d) * d + 2 * z * (1 - z) * (m_z * den - m * den_z) * d
+        - (1 - z) * den * den * d - c * den * d * m
+    )
+    beta = 2 * (r - 1) * z * m * d + z * (1 - z) * (d_z * den - 2 * d * den_z) - c * den * d
+    return alpha, beta
+
+
+def deriv_reduced_form(params: GpiParams) -> tuple[MultiPoly, MultiPoly]:
+    """(alpha, beta) of the radical-isolated derivative-side condition
+    lhs sqrt(D) - rhs_num > 0, expanded by hand in z, r, m2+m3+1 and
+    (m3-m2)^2; D from h_parts.  The expansion uses
+    (m2+m3+1)^2 - (m3-m2)^2 = r - 1, which the direct form does not."""
+    z = MultiPoly.var("z")
+    r, msum, dd = params.r, params.msum, params.mdiff_sq
+    rm1 = r - 1
+    _, d, den = h_parts(params, z)
+    alpha = -(rm1 * z * (1 - z) * (rm1**2 * (1 + r * r * z) - 2 * dd * r * (r * z - 1))
+              + (2 * msum * z * (r + r * z - 2) - den) * d)
+    beta = (
+        (-1 + 4 * z - 4 * r * z + 3 * r * r * z + z * z - 8 * r * z * z
+         + 8 * r * r * z * z - 4 * r**3 * z * z + r * r * z**3)
+        + msum * (1 - 3 * r * z + r * r * z + 2 * r * z * z - 2 * r * r * z * z + r**3 * z * z)
+        - 2 * dd * (2 * z - r * z - 3 * r * z * z + r * r * z * z + r * r * z**3)
+    )
+    return alpha, beta
+
+
+def neg_g_den_form(params: GpiParams) -> tuple[MultiPoly, MultiPoly]:
+    """(alpha, beta) with alpha + beta sqrt(D) = -G den, where
+    G = F(-m2-1, -m3; 1/2; z) - [(1-z) + (2 m3 + 1) z H] F(-m2, -m3; 1/2; z),
+    with M, D and den from h_parts."""
+    z = MultiPoly.var("z")
+    m, _, den = h_parts(params, z)
+    f1 = hyp_poly(params.m2, params.m3, HALF)
+    beta = (2 * params.m3 + 1) * z * f1
+    return ((1 - z) * f1 - hyp_poly(params.m2 + 1, params.m3, HALF)) * den + beta * m, beta
 
 
 # ----------------------------------------------------------------------

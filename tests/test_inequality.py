@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,24 +29,56 @@ from gpiverify.inequality import (
     find_mri_real_violation,
     find_mri_violation,
     g_poly,
+    h_parts,
     h_poly,
     in_coverage_set,
     make_params,
     make_real_params,
+    margin_polys,
     scan,
 )
+from gpiverify.exactnum import sign_sqrt
+from gpiverify.gausshyp import HALF
 from gpiverify.inequality import _index_polys, _s_poly, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
 from reference import (
     G_value,
+    deriv_direct_form,
+    deriv_reduced_form,
     h_compare,
+    hyp_value_at_one,
     mri_ratio,
+    neg_g_den_form,
     point_verdict,
     quadratic_form_residuals,
     sign_of,
     specialize,
 )
+
+#: the pairs of the margin identities: a full square of small pairs and the
+#: interval-scan pairs (30, 30..34)
+FORM_PAIRS = [(m2, m3) for m2 in range(1, 13) for m3 in range(1, 13)] + [
+    (30, m3) for m3 in range(30, 35)
+]
+
+DERIV_PREDICATES = ("h-deriv", "h-deriv-reduced")
+
+_Z = MultiPoly.var("z")
+
+
+def symbolic_params() -> SimpleNamespace:
+    """A stand-in for GpiParams with m2 and m3 the polynomial variables m2
+    and m3, and r, m2 + m3 + 1 and (m3 - m2)^2 polynomials in them.  h_parts
+    and the radical branches of margin_polys only do arithmetic with these,
+    so called past margin_polys's cache (``__wrapped__``) they give each
+    margin as a polynomial in m2, m3 and z: an identity there holds for every
+    pair.  g-negative's f1 and f2 come from hyp_poly, whose degree is m2, so a
+    test replaces them by variables."""
+    m2, m3 = MultiPoly.var("m2"), MultiPoly.var("m3")
+    return SimpleNamespace(
+        m2=m2, m3=m3, r=(2 * m2 + 1) * (2 * m3 + 1) + 1, msum=m2 + m3 + 1, mdiff_sq=(m3 - m2) ** 2,
+    )
 
 
 class TestParams:
@@ -447,6 +480,31 @@ class TestG:
         assert G_at_one(make_params(1, 1)) == Fraction(1, 11)
         assert G_at_one(make_params(8, 8)) < 0
 
+    def test_exact_values_at_one_match_the_f_big_form(self):
+        # G(1) = F(-m2-1, -m3; 1/2; 1) - (2m3+1) H(1) F(-m2, -m3; 1/2; 1),
+        # with F(., .; 1/2; 1) by Chu-Vandermonde
+        for m2, m3 in [(1, 1), (8, 8), (1, 2), (2, 2), (3, 5), (8, 12)]:
+            params = make_params(m2, m3)
+            f_big, f1 = (hyp_value_at_one(m, m3, HALF) for m in (m2 + 1, m2))
+            assert G_at_one(params) == f_big - (2 * m3 + 1) * H_at_one(params) * f1, (m2, m3)
+
+    def test_margin_is_minus_g_den_over_the_slope(self):
+        # (2m3+1) z (alpha + beta s) is -G den built from F(-m2-1, -m3; 1/2; z)
+        for m2, m3 in FORM_PAIRS:
+            params = make_params(m2, m3)
+            alpha, beta, _ = margin_polys("g-negative", params)
+            slope = (2 * m3 + 1) * _Z
+            assert (slope * alpha, slope * beta) == neg_g_den_form(params), (m2, m3)
+
+    def test_certificate_polynomial_is_minus_den_times_s(self):
+        # certifying G < 0 is the root-freeness question of S
+        for m2 in range(1, 9):
+            for m3 in range(1, 9):
+                params = make_params(m2, m3)
+                alpha, beta, d = margin_polys("g-negative", params)
+                den = h_parts(params, _Z)[2]
+                assert alpha * alpha - beta * beta * d == -den * S_poly(params), (m2, m3)
+
     def test_sign_matches_closed_form_factor(self):
         # G(1) < 0 iff (2m2-1)(2m3-1) > 2
         for m2, m3 in [(1, 1), (1, 2), (2, 2), (3, 5), (8, 12)]:
@@ -477,23 +535,112 @@ class TestG:
 
 
 class TestDerivForms:
+    """h-deriv and h-deriv-reduced share one margin; the paper's direct form
+    (rhs - lhs) den^2 D and its hand-expanded radical-isolated form, in
+    tests/reference.py, are checked against it."""
+
+    def test_direct_form_is_sqrt_d_times_the_margin(self):
+        # (rhs - lhs) den^2 D = alpha_direct + beta_direct s with s = sqrt(D)
+        # is s (alpha + beta s): alpha_direct = beta D, beta_direct = alpha
+        for pair in FORM_PAIRS:
+            params = make_params(*pair)
+            for predicate in DERIV_PREDICATES:
+                alpha, beta, d = margin_polys(predicate, params)
+                assert deriv_direct_form(params) == (beta * d, alpha), (predicate, pair)
+
+    def test_hand_expanded_form_is_the_margin(self):
+        for pair in FORM_PAIRS:
+            params = make_params(*pair)
+            for predicate in DERIV_PREDICATES:
+                alpha, beta, _ = margin_polys(predicate, params)
+                assert deriv_reduced_form(params) == (alpha, beta), (predicate, pair)
+
+    def test_forms_agree_for_symbolic_m2_m3(self):
+        alpha, beta, d = margin_polys.__wrapped__("h-deriv", symbolic_params())
+        assert set(alpha.vars) == set(beta.vars) == {"m2", "m3", "z"}
+        assert deriv_direct_form(symbolic_params()) == (beta * d, alpha)
+        assert deriv_reduced_form(symbolic_params()) == (alpha, beta)
+
     @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 3), (8, 8), (12, 9)])
     def test_direct_and_reduced_forms_agree(self, pair):
-        # two algebraic forms of one condition: equal signs on a grid over all
-        # of H's domain (1/r^2, 1], which spans both predicates' domains; the
-        # condition fails near 1/r^2 for the small pairs
+        # the scanned margin against both reference forms: equal signs on a
+        # grid over all of H's domain (1/r^2, 1], which spans both
+        # predicates' domains; the condition fails near 1/r^2 for the small
+        # pairs
         params = make_params(*pair)
         # z_k = 1/r^2 + (1 - 1/r^2) k/80 = (80 + k (r^2 - 1))/(80 r^2)
         r2 = int(params.r) ** 2
-        direct_polys = _index_polys("h-deriv", params, 80, r2 - 1, 80 * r2)
-        reduced_polys = _index_polys("h-deriv-reduced", params, 80, r2 - 1, 80 * r2)
+        polys = _index_polys("h-deriv", params, 80, r2 - 1, 80 * r2)
+        forms = (deriv_direct_form(params), deriv_reduced_form(params))
         fails = 0
         for k in range(1, 81):
-            direct = _scan_point(direct_polys, k)
-            assert _scan_point(reduced_polys, k) == direct, k
-            assert direct == point_verdict("h-deriv", params, Fraction(80 + k * (r2 - 1), 80 * r2))
-            fails += direct[0] == "fails"
+            z = Fraction(80 + k * (r2 - 1), 80 * r2)
+            verdict = _scan_point(polys, k)
+            d = h_parts(params, z)[1]
+            for alpha, beta in forms:
+                assert verdict[1] == sign_sqrt(alpha.eval({"z": z}), beta.eval({"z": z}), d), k
+            assert verdict == point_verdict("h-deriv-reduced", params, z)
+            fails += verdict[0] == "fails"
         assert (fails > 0) == (pair[0] < 8)
+
+
+class TestSymbolicForms:
+    """Both margin identities as polynomials in symbolic m2, m3 and z, with
+    H = (M + s)/den written out from its definition in sympy, independently
+    of h_parts, and s = sqrt(D) a symbol with s^2 = D and s' = D'/(2 s)."""
+
+    @staticmethod
+    def definitions(sympy):
+        s, m2, m3, z = sympy.symbols("s m2 m3 z")
+        r = (2 * m2 + 1) * (2 * m3 + 1) + 1
+        m = sympy.expand((m2 + m3 + 1) * (r * z - 1))
+        d = sympy.expand(((m3 - m2) * (r * z - 1)) ** 2 + (r - 1) ** 3 * z)
+        den = sympy.expand(r * r * z - 1)
+        return (s, m2, m3, z), r, d, den, (m + s) / den
+
+    @staticmethod
+    def as_sympy(sympy, p: MultiPoly):
+        symbols = sympy.symbols(p.vars)
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(symbols, exps)))
+            for exps, c in p.terms.items()
+        ))
+
+    def test_deriv_margin_from_the_definition_of_h(self):
+        sympy = pytest.importorskip("sympy")
+        gens, r, d, den, h = self.definitions(sympy)
+        s, m2, m3, z = gens
+        h_z = sympy.diff(h, z) + sympy.diff(h, s) * sympy.diff(d, z) / (2 * s)
+        c = 2 * (m2 + m3 + 1) * z - 1
+        # (rhs - lhs) den^2 D of (1-z) + c H < (r-1) z H^2 + 2 z (1-z) H'
+        direct = ((r - 1) * z * h**2 + 2 * z * (1 - z) * h_z - (1 - z) - c * h) * den**2 * d
+        # direct = s (alpha + beta s), so direct s = alpha D + beta D s mod s^2 - D,
+        # a remainder in s, the first generator
+        num, denom = sympy.fraction(sympy.together(direct * s))
+        assert denom == 1
+        reduced = sympy.Poly(num, *gens).rem(sympy.Poly(s**2 - d, *gens))
+        alpha, beta, _ = (self.as_sympy(sympy, q)
+                          for q in margin_polys.__wrapped__("h-deriv", symbolic_params()))
+        assert reduced == sympy.Poly(alpha + beta * s, *gens) * sympy.Poly(d, *gens)
+
+    def test_g_margin_from_the_definition_of_g(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        gens, _, _, den, h = self.definitions(sympy)
+        s, _, m3, z = gens
+        f1, f2 = sympy.symbols("f1 f2")
+        # F(-m2-1, -m3; 1/2; z) by relation_38 at c = 1/2
+        f_big = (1 - z) * f1 + (2 * m3 + 1) * z * f2
+        g = f_big - ((1 - z) + (2 * m3 + 1) * z * h) * f1
+        # the package's margin with F(-m2, -m3; 1/2; z) and F(-m2, -m3; 3/2; z)
+        # as the variables f1 and f2
+        import gpiverify.inequality as inequality
+
+        monkeypatch.setattr(inequality, "hyp_poly",
+                            lambda m2, m3, c: MultiPoly.var("f1" if c == HALF else "f2"))
+        alpha, beta, _ = (self.as_sympy(sympy, q)
+                          for q in margin_polys.__wrapped__("g-negative", symbolic_params()))
+        assert sympy.cancel(-g * den - (2 * m3 + 1) * z * (alpha + beta * s)) == 0
 
 
 class TestScan:
@@ -627,7 +774,8 @@ class TestScanOracle:
             assert (point["verdict"], point["value"]) == point_verdict(
                 predicate, params, point["z"]), point["z"]
 
-    def test_certified_scan_evaluates_few_points(self, monkeypatch):
+    @pytest.mark.parametrize("predicate", ["g-negative", "h-deriv", "h-deriv-reduced"])
+    def test_certified_scan_evaluates_few_points(self, monkeypatch, predicate):
         # a certificate that never fired would pass every oracle test
         import gpiverify.inequality as inequality
 
@@ -639,7 +787,7 @@ class TestScanOracle:
             return point(polys, k)
 
         monkeypatch.setattr(inequality, "_scan_point", counted)
-        rep = scan("g-negative", make_params(30, 30), grid_n=1001)
+        rep = scan(predicate, make_params(30, 30), grid_n=1001)
         assert rep.metadata["counts"] == {"holds": 1001, "fails": 0, "indeterminate": 0}
         assert len(calls) <= 4
 
