@@ -305,6 +305,11 @@ def g_poly() -> MultiPoly:
 # ----------------------------------------------------------------------
 
 
+def _exact_status(margin: Fraction) -> str:
+    """Verdict of an exact margin: the check holds iff margin >= 0."""
+    return HOLDS if margin >= 0 else FAILS
+
+
 def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckReport:
     """Exact margin of the product inequality for X1 = X2 + a X3 over a
     unit-variance pair with correlation x:
@@ -327,13 +332,25 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
         + 2 * a * closed_form_poly(m2, m3, True).eval(point)
     )
     margin = lhs - (a * a + 1 + 2 * a * x) * double_factorial_odd(m2) * double_factorial_odd(m3)
-    status = HOLDS if margin >= 0 else FAILS
     return CheckReport(
         name=f"gpi:m2={params.m2},m3={params.m3},a={a},x={x}",
-        status=status,
+        status=_exact_status(margin),
         margin=margin,
         metadata={"equality": margin == 0, "method": "exact rational"},
     )
+
+
+def _mri_margin(params: GpiParams, pair: GaussianPair) -> tuple[Fraction, Fraction]:
+    """(margin, lhs) of the moment-ratio inequality at ``pair``, as check_mri
+    defines them; no bound is built."""
+    z = pair.corr_sq
+    f1 = hyp_poly(params.m2, params.m3, HALF).eval({"z": z})
+    f2 = hyp_poly(params.m2, params.m3, THREE_HALVES).eval({"z": z})
+    abs_cov = abs(pair.cov)
+    lhs = abs_cov * f2 / f1
+    if z <= params.t:
+        return abs_cov - lhs, lhs
+    return _s_combination(f1, f2, z, params.r, params.msum), lhs
 
 
 def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
@@ -349,21 +366,17 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     that is H_value's enclosure, to DEFAULT_WIDTH, with both ends times
     |Cov| >= 0.
     """
-    z = pair.corr_sq
-    f1 = hyp_poly(params.m2, params.m3, HALF).eval({"z": z})
-    f2 = hyp_poly(params.m2, params.m3, THREE_HALVES).eval({"z": z})
-    abs_cov = abs(pair.cov)
-    lhs = abs_cov * f2 / f1
+    margin, lhs = _mri_margin(params, pair)
+    z, abs_cov = pair.corr_sq, abs(pair.cov)
     if z <= params.t:
-        bound, margin, branch, quantity = abs_cov, abs_cov - lhs, "covariance", "|cov| - lhs"
+        bound, branch, quantity = abs_cov, "covariance", "|cov| - lhs"
     else:
         h = H_value(params, z)
         bound = RationalInterval(h.lo * abs_cov, h.hi * abs_cov)
-        margin = _s_combination(f1, f2, z, params.r, params.msum)
         branch, quantity = "ratio-bound", "S(corr_sq)"
     return CheckReport(
         name=f"mri:m2={params.m2},m3={params.m3}",
-        status=HOLDS if margin >= 0 else FAILS,
+        status=_exact_status(margin),
         margin=margin,
         witnesses=[{"corr_sq": z, "lhs": lhs, "branch": branch, "bound": bound}],
         metadata={"equality": margin == 0, "method": f"exact rational {quantity}"},
@@ -371,18 +384,18 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
 
 
 def _first_violation(
-    name: str, steps: int, xs: Iterable, check: Callable[..., CheckReport]
+    name: str, steps: int, xs: Iterable, fails: Callable[..., bool],
+    check: Callable[..., CheckReport],
 ) -> CheckReport:
-    """The first x of ``xs`` at which ``check(x)`` fails: a report that holds
-    with the witness {"x", "detail": the failing check's witnesses}, or one
-    that fails when no x does."""
+    """The first x of ``xs`` at which ``fails(x)``: a report that holds with
+    the witness {"x", "detail": check(x)'s witnesses}, or one that fails when
+    no x does.  Only the returned x's check report is built."""
     for x in xs:
-        report = check(x)
-        if report.status == FAILS:
+        if fails(x):
             return CheckReport(
                 name=name,
                 status=HOLDS,
-                witnesses=[{"x": x, "detail": report.witnesses}],
+                witnesses=[{"x": x, "detail": check(x).witnesses}],
                 metadata={"found": True, "grid_steps": steps},
             )
     return CheckReport(name=name, status=FAILS, metadata={"found": False, "grid_steps": steps})
@@ -393,10 +406,12 @@ def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
     exact MRI violation; the report carries the first witness found (or none).
 
     Scanning downward surfaces the full-correlation witness first where it
-    exists (as for small index pairs)."""
+    exists (as for small index pairs).  Each correlation is decided from its
+    exact margin; the witness bound is built only for the one returned."""
     return _first_violation(
         f"mri-violation:m2={params.m2},m3={params.m3}", steps,
         (Fraction(k, steps) for k in range(steps, 0, -1)),
+        lambda x: _exact_status(_mri_margin(params, GaussianPair.unit(x))[0]) == FAILS,
         lambda x: check_mri(params, GaussianPair.unit(x)),
     )
 
@@ -774,7 +789,9 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
 def find_mri_real_violation(rp: RealGpiParams, steps: int = 100) -> CheckReport:
     """Search x = k/steps (k = steps-1..1, descending) for a real-exponent
     ratio-bound violation, as find_mri_violation does on the exact path."""
+    check = partial(check_mri_real, rp)
     return _first_violation(
         f"mri-real-violation:y2={rp.y2},y3={rp.y3}", steps,
-        (k / steps for k in range(steps - 1, 0, -1)), partial(check_mri_real, rp),
+        (k / steps for k in range(steps - 1, 0, -1)),
+        lambda x: check(x).status == FAILS, check,
     )

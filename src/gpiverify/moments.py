@@ -38,8 +38,11 @@ __all__ = [
     "mc_moment",
 ]
 
-MC_METHOD = "numpy.random.Generator(PCG64(seed)).standard_normal (ziggurat)"
-MC_BLOCK = 2**15  # pairs per z2 block of mc_moment; the sample does not depend on it
+MC_BLOCK = 2**15  # pairs per block of mc_moment: z1 then z2 for each block
+MC_METHOD = (
+    "numpy.random.Generator(PCG64(seed)).standard_normal (ziggurat), "
+    f"z1 then z2 per block of {MC_BLOCK} pairs"
+)
 
 
 class GaussianPair:
@@ -213,70 +216,57 @@ def mc_moment(
     pair: GaussianPair,
     n: int,
     seed: int,
-    chunk: int = 1_000_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the requested product moment.
 
     Draws n correlated Gaussian pairs from a PCG64 stream seeded with ``seed``
-    (method recorded in MC_METHOD); deterministic for fixed (n, seed, chunk).
-    Each chunk of up to ``chunk`` pairs draws its z1 values, then its z2
-    values, so ``chunk`` fixes how the two draws interleave in the stream:
-    changing it changes the sample.  A chunk's x2 = s2 z1 fill one float64
-    buffer of min(n, chunk) entries; its z2 are then drawn MC_BLOCK at a
-    time into two small scratch arrays, where x3 and g(x2) h(x3) are formed,
-    and each block's products overwrite its x2.  The buffers are allocated
-    once per call.
+    (method recorded in MC_METHOD); deterministic for fixed (n, seed).  The
+    pairs come in blocks of MC_BLOCK (the last block may be partial): each
+    block draws its z1 values, then its z2 values, so the block size fixes
+    how the two draws interleave in the stream.  A block's x2, x3 and
+    g(x2) h(x3) are formed in three block-long float64 arrays, allocated once
+    per call, and its sum and sum of squares are added to the totals; memory
+    does not depend on n.
     """
     import numpy as np  # only this oracle needs numpy; keep it off the import path
 
     if n < 2:
         raise ValueError("n must be >= 2: one draw has no standard error")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     p, q, signed2, signed3 = exponents
     rng = np.random.default_rng(seed)
     s2 = math.sqrt(float(pair.var2))
     cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
     cond_scale = math.sqrt(cond_scale) if cond_scale > 0 else 0.0
     slope = float(pair.cov / pair.var2)
-    size = min(chunk, n)
-    x2_buf = np.empty(size)
-    x3_buf, w_buf = (np.empty(min(MC_BLOCK, size)) for _ in range(2))
+    x2_buf, x3_buf, w_buf = (np.empty(min(MC_BLOCK, n)) for _ in range(3))
     total = 0.0
     total_sq = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(chunk, remaining)
-        chunk_x2 = x2_buf[:m]
-        rng.standard_normal(out=chunk_x2)  # z1
-        chunk_x2 *= s2
-        for lo in range(0, m, MC_BLOCK):
-            x2 = chunk_x2[lo:lo + MC_BLOCK]
-            x3, w = x3_buf[:len(x2)], w_buf[:len(x2)]
-            rng.standard_normal(out=x3)  # z2
-            x3 *= cond_scale
-            np.multiply(x2, slope, out=w)
-            x3 += w  # x3 = slope x2 + cond_scale z2
-            # in-place ** takes the path of ``abs(x) ** p``, numpy's scalar fast
-            # paths included (sqrt for 0.5, square for 2): the values are equal
-            np.abs(x2, out=w)
-            w **= p
-            if signed2:
-                np.sign(x2, out=x2)
-                w *= x2  # w = g(x2)
-            if signed3:
-                np.sign(x3, out=x2)
-            np.abs(x3, out=x3)
-            x3 **= q
-            if signed3:
-                x3 *= x2  # x3 = h(x3)
-            np.multiply(w, x3, out=x2)
-        # summed over the whole chunk, not per block: numpy's pairwise
-        # summation depends on the length, and per-block sums would change bits
-        total += float(chunk_x2.sum())
-        chunk_x2 *= chunk_x2
-        total_sq += float(chunk_x2.sum())
-        remaining -= m
+    for lo in range(0, n, MC_BLOCK):
+        m = min(MC_BLOCK, n - lo)
+        x2, x3, w = x2_buf[:m], x3_buf[:m], w_buf[:m]
+        rng.standard_normal(out=x2)  # z1
+        x2 *= s2
+        rng.standard_normal(out=x3)  # z2
+        x3 *= cond_scale
+        np.multiply(x2, slope, out=w)
+        x3 += w  # x3 = slope x2 + cond_scale z2
+        # in-place ** takes the path of ``abs(x) ** p``, numpy's scalar fast
+        # paths included (sqrt for 0.5, square for 2): the values are equal
+        np.abs(x2, out=w)
+        w **= p
+        if signed2:
+            np.sign(x2, out=x2)
+            w *= x2  # w = g(x2)
+        if signed3:
+            np.sign(x3, out=x2)
+        np.abs(x3, out=x3)
+        x3 **= q
+        if signed3:
+            x3 *= x2  # x3 = h(x3)
+        np.multiply(w, x3, out=x2)
+        total += float(x2.sum())
+        x2 *= x2
+        total_sq += float(x2.sum())
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     stderr = math.sqrt(var / n)

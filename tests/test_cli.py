@@ -550,7 +550,18 @@ class TestCommands:
         assert code == 0
         meta = report["checks"][0]["metadata"]
         assert "PCG64" in meta["method"]
+        assert meta["method"].endswith("z1 then z2 per block of 32768 pairs")
         assert meta["seed"] == 4 and meta["n"] == 100000
+
+    def test_default_oracle_compare_real_holds(self, tmp_path):
+        # the paper's run: default --mc-n and --seed, six closed forms
+        code, report = invoke(["oracle", "compare", "--real"], tmp_path)
+        assert code == 0
+        checks = report["checks"]
+        assert [c["status"] for c in checks] == ["holds"] * 6
+        assert {(c["metadata"]["n"], c["metadata"]["seed"]) for c in checks} == {
+            (10**6, i) for i in range(6)
+        }
 
     def test_oracle_sets_a_blas_thread_default_that_changes_no_byte(self):
         # the oracle starts numpy with OPENBLAS_NUM_THREADS=1 unless the user

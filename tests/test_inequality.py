@@ -42,6 +42,7 @@ from gpiverify.gausshyp import HALF
 from gpiverify.inequality import _index_polys, _s_poly, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
+from gpiverify.report import jsonable
 from reference import (
     G_value,
     deriv_direct_form,
@@ -385,6 +386,28 @@ class TestCheckMri:
         assert find_mri_violation(make_params(1, 1)).metadata["found"]
         assert find_mri_violation(make_params(2, 2)).metadata["found"]
         assert not find_mri_violation(make_params(3, 3), steps=40).metadata["found"]
+
+    def test_violation_search_builds_one_bound(self, monkeypatch):
+        # each correlation is decided from its margin; only the returned
+        # witness's bound is enclosed
+        import gpiverify.inequality as inequality
+
+        calls = []
+        enclose = inequality.sqrt_enclosure
+        monkeypatch.setattr(inequality, "sqrt_enclosure",
+                            lambda *a: calls.append(a) or enclose(*a))
+        params = make_params(2, 2)
+        report = find_mri_violation(params)
+        assert len(calls) == 1
+        # the witness is the first failing check_mri walking down from x = 1
+        x = next(Fraction(k, 100) for k in range(100, 0, -1)
+                 if check_mri(params, GaussianPair.unit(Fraction(k, 100))).status == "fails")
+        detail = check_mri(params, GaussianPair.unit(x)).witnesses
+        assert jsonable(report.witnesses) == jsonable([{"x": x, "detail": detail}])
+        assert detail[0]["branch"] == "ratio-bound"
+        calls.clear()
+        assert not find_mri_violation(make_params(3, 3), steps=40).metadata["found"]
+        assert not calls
 
     def test_exact_verdict_agrees_with_interval_route(self):
         # the squared-radical decision must match a high-precision enclosure

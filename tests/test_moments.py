@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gpiverify import moments
 from gpiverify.inequality import check_gpi, make_params
 from gpiverify.moments import (
     MC_BLOCK,
@@ -263,12 +264,6 @@ class TestMonteCarlo:
         mean, err = mc_moment(exps, pair, 4 * 10**5, seed=7)
         assert abs(closed - mean) <= 4 * err
 
-    def test_nonpositive_chunk_rejected(self):
-        # chunk=0 used to loop forever: each round drew 0 pairs
-        for chunk in (0, -1):
-            with pytest.raises(ValueError, match="chunk"):
-                mc_moment(MomentExponents(1.0, 0.0), HALF_CORR, 10, seed=0, chunk=chunk)
-
     def test_fewer_than_two_draws_rejected(self):
         # one draw gives a standard error of 0, which no estimate meets
         for n in (1, 0):
@@ -277,8 +272,9 @@ class TestMonteCarlo:
 
 
 def allocating_mc_moment(exponents, pair, n, seed, chunk):
-    """The estimator written with one fresh array per step, the reference
-    the buffered mc_moment must match bit for bit."""
+    """The estimator written with one fresh array per step, z1 then z2 per
+    chunk of ``chunk`` pairs: at chunk=MC_BLOCK, the reference the buffered
+    mc_moment must match bit for bit."""
     rng = np.random.default_rng(seed)
     s2 = math.sqrt(float(pair.var2))
     cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
@@ -308,20 +304,25 @@ def allocating_mc_moment(exponents, pair, n, seed, chunk):
 
 class TestMonteCarloBuffers:
     @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1, 0), (2, 3), (1.3, 2.7), (1.5, 4), (0, 2)])
-    def test_bit_identical_to_allocating_formula(self, p, q):
+    def test_bit_identical_to_allocating_formula(self, p, q, monkeypatch):
+        # a small block keeps the cases small; mc_moment reads the constant
+        # at each call
+        monkeypatch.setattr(moments, "MC_BLOCK", 64)
+        block = moments.MC_BLOCK
         pairs = [HALF_CORR, GaussianPair.unit(Fraction(-3, 10)), GaussianPair(2, 3, 1)]
         for signed2 in (False, True):
             for signed3 in (False, True):
                 exps = MomentExponents(p, q, signed2, signed3)
                 for pair in pairs:
-                    # a partial chunk, one full chunk, and several chunks
-                    for n in (999, 1000, 2500):
-                        expected = allocating_mc_moment(exps, pair, n, 11, chunk=1000)
-                        assert mc_moment(exps, pair, n, 11, chunk=1000) == expected
+                    # one partial block, one full block, a full and a partial
+                    # one, and several ending in a partial one
+                    for n in (2, block - 1, block, block + 1, 3 * block + 5):
+                        expected = allocating_mc_moment(exps, pair, n, 11, chunk=block)
+                        assert mc_moment(exps, pair, n, 11) == expected
 
     def test_default_oracle_draws_match_allocating_formula(self):
-        # the six draws of `oracle compare --real` at the default chunk, one
-        # pair past it, so the run ends in a partial second chunk
+        # the six draws of `oracle compare --real` at its default --mc-n and
+        # --seed, which end in a partial block
         half, neg = HALF_CORR, GaussianPair.unit(Fraction(-3, 10))
         cases = [
             (MomentExponents(1.0, 0.0), half),
@@ -331,27 +332,17 @@ class TestMonteCarloBuffers:
             (MomentExponents(2.0, 3.0, True, True), half),
             (MomentExponents(2.0, 3.0), neg),
         ]
-        n = 10**6 + 1
+        n = 10**6
+        assert n % MC_BLOCK
         for seed, (exps, pair) in enumerate(cases):
-            expected = allocating_mc_moment(exps, pair, n, seed, chunk=10**6)
+            expected = allocating_mc_moment(exps, pair, n, seed, chunk=MC_BLOCK)
             assert mc_moment(exps, pair, n, seed) == expected
 
-    def test_blocks_straddle_chunks(self):
-        # a chunk that is not a whole number of z2 blocks, over two full
-        # chunks and a partial one
-        chunk = 3 * MC_BLOCK + 7
-        n = 2 * chunk + 5
-        pair = GaussianPair.unit(Fraction(-3, 10))
-        for signed2 in (False, True):
-            for signed3 in (False, True):
-                exps = MomentExponents(1.3, 2.7, signed2, signed3)
-                expected = allocating_mc_moment(exps, pair, n, 5, chunk)
-                assert mc_moment(exps, pair, n, 5, chunk) == expected
-
-    def test_peak_memory_is_one_buffer_and_block_scratch(self):
+    @pytest.mark.parametrize("n", [4 * 10**5, 2 * 10**6])
+    def test_peak_memory_is_three_blocks_whatever_n(self, n):
         # numpy reports its array data to tracemalloc; warm up so that lazy
         # set-up inside numpy stays out of the measured peak
-        exps, n = MomentExponents(2.0, 3.0, True, True), 4 * 10**5
+        exps = MomentExponents(2.0, 3.0, True, True)
         mc_moment(exps, HALF_CORR, 100, 0)
         outer = tracemalloc.is_tracing()  # e.g. under -X tracemalloc
         if outer:
@@ -365,4 +356,4 @@ class TestMonteCarloBuffers:
         finally:
             if not outer:
                 tracemalloc.stop()
-        assert peak - before <= 8 * n + 3 * 8 * MC_BLOCK + 64 * 1024
+        assert peak - before <= 3 * 8 * MC_BLOCK + 64 * 1024
