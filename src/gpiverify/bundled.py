@@ -13,9 +13,9 @@ package, never of the caller's input.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from functools import lru_cache
-from importlib import resources
 
 from .exactnum import InputError
 from .polyring import MultiPoly
@@ -37,8 +37,9 @@ def reading(package_dir: str, name: str):
 
 
 def _read(package_dir: str, name: str) -> dict:
-    ref = resources.files(__package__).joinpath(package_dir).joinpath(name)
-    with ref.open("r", encoding="utf-8") as fh:
+    # the package is installed as plain files (setuptools package-data)
+    path = os.path.join(os.path.dirname(__file__), package_dir, name)
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -27,17 +27,6 @@ from .exactnum import InputError, RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .polyring import MultiPoly
 
-__all__ = [
-    "GaussianPair",
-    "MomentExponents",
-    "double_factorial_odd",
-    "wick_poly",
-    "closed_form_poly",
-    "gauss_hyp_real",
-    "real_moment",
-    "mc_moment",
-]
-
 MC_BLOCK = 2**15  # pairs per block of mc_moment: z1 then z2 for each block
 MC_METHOD = (
     "numpy.random.Generator(PCG64(seed)).standard_normal (ziggurat), "

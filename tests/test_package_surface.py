@@ -5,19 +5,28 @@ must enter every function and method defined in ``src/gpiverify``.  Code that
 only tests call belongs in ``tests/reference.py``, not in the package.
 
 Every absolute import in the package, lazy ones included, names the standard
-library or numpy.
+library or numpy.  In a fresh ``python -S`` interpreter (no ``site``, so
+nothing is preloaded) ``import gpiverify`` loads nothing else, and
+``import gpiverify.cli`` loads no ``importlib.resources`` or ``pathlib``: the
+bundled files are read by path, and the same data come back through
+``importlib.resources``.
 """
 
 import ast
+import fnmatch
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
+import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import gpiverify
+from gpiverify import bundled
 from gpiverify.cli import main
 
 PACKAGE_DIR = Path(gpiverify.__file__).resolve().parent
@@ -35,7 +44,7 @@ ARGVS = [
     "expand g --compare-appendix",
     "expand h --m2 1 --compare-bundled",
     "oracle compare --max-m 2",
-    "oracle compare --real --mc-n 1000",
+    "oracle compare --real --mc-n 10000",
     "check gpi --m2 1 --m3 1 --a=-1 --x 1/2",
     "check mri --m2 2 --m3 2 --find-violation",
     "check mri --m2 2 --m3 3 --x 1/4",
@@ -140,3 +149,70 @@ def test_package_imports_only_the_standard_library_and_numpy():
             foreign += [(path.name, node.lineno, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert foreign == []
+
+
+def _fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh ``python -S``, with this checkout's ``src`` on
+    PYTHONPATH (see conftest.py)."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=cwd, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_package_import_loads_only_the_package():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import gpiverify\n"
+            "print(sorted(set(sys.modules) - before))")
+    assert _fresh(code).stdout.strip() == "['gpiverify']"
+
+
+def test_cli_import_loads_no_resource_machinery():
+    unwanted = ("importlib.resources", "pathlib", "zipfile", "tempfile")
+    code = f"import sys, gpiverify.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    assert _fresh(code).stdout.strip() == "[]"
+
+
+def test_bundled_reads_do_not_depend_on_the_working_directory(tmp_path):
+    for argv in ("sos verify --all", "expand g --compare-appendix"):
+        code = f"import sys, gpiverify.cli; sys.exit(gpiverify.cli.main({argv.split()!r}))"
+        here, elsewhere = _fresh(code), _fresh(code, cwd=tmp_path)
+        assert here.stdout == elsewhere.stdout
+        assert '"verified"' in here.stdout
+
+
+def test_bundled_read_matches_importlib_resources():
+    root = resources.files("gpiverify")
+    names = [(d, ref.name) for d in ("certs", "data") for ref in root.joinpath(d).iterdir()]
+    assert len(names) == 15  # h1..h7 expansions and certificates, and g's
+    for package_dir, name in names:
+        text = root.joinpath(package_dir).joinpath(name).read_text(encoding="utf-8")
+        assert bundled._read(package_dir, name) == json.loads(text), name
+
+
+def test_package_data_globs_cover_every_bundled_read(monkeypatch):
+    section = (PACKAGE_DIR.parent.parent / "pyproject.toml").read_text()
+    section = section.split("[tool.setuptools.package-data]", 1)[1]
+    globs = re.findall(r'"([^"]+)"', re.search(r"^gpiverify = \[(.*)\]", section, re.M)[1])
+    opened = []
+    read = bundled._read
+
+    def recording_read(package_dir, name):
+        opened.append(f"{package_dir}/{name}")
+        return read(package_dir, name)
+
+    loaders = (bundled.load_h_expansion, bundled.load_certificate_dict, bundled.load_g_appendix)
+    for loader in loaders:
+        loader.cache_clear()
+    monkeypatch.setattr(bundled, "_read", recording_read)
+    try:
+        for m2 in range(1, 8):
+            bundled.load_h_expansion(m2)
+            bundled.load_certificate_dict(m2)
+        bundled.load_g_appendix()
+    finally:
+        for loader in loaders:
+            loader.cache_clear()
+    assert len(opened) == 15
+    assert [f for f in opened if not any(fnmatch.fnmatchcase(f, g) for g in globs)] == []
