@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from functools import lru_cache
 
 from .exactnum import InputError
 from .polyring import MultiPoly
@@ -43,7 +42,6 @@ def _read(package_dir: str, name: str) -> dict:
         return json.load(fh)
 
 
-@lru_cache(maxsize=None)
 def load_h_expansion(m2: int) -> MultiPoly:
     """Bundled reference expansion of h_{m2}, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
@@ -53,7 +51,6 @@ def load_h_expansion(m2: int) -> MultiPoly:
         return MultiPoly.from_json_dict(_read("certs", name))
 
 
-@lru_cache(maxsize=None)
 def load_certificate_dict(m2: int) -> dict:
     """Raw certificate JSON for h_{m2}'s bracket, 1 <= m2 <= 7."""
     if not 1 <= m2 <= 7:
@@ -63,7 +60,6 @@ def load_certificate_dict(m2: int) -> dict:
         return _read("certs", name)
 
 
-@lru_cache(maxsize=None)
 def load_g_appendix() -> MultiPoly:
     """Bundled reference expansion of g over (a, b, c)."""
     with reading("data", "g_appendix.json"):

@@ -16,7 +16,6 @@ value at z = 1 are written out in tests/reference.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import RationalLike, rational
 from .polyring import MultiPoly
@@ -25,7 +24,6 @@ HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
 
 
-@lru_cache(maxsize=None)
 def hyp_poly(m2: int, m3: int | MultiPoly, c: RationalLike) -> MultiPoly:
     """F(-m2, -m3; c; z) as an exact polynomial in z of degree min(m2, m3).
 

@@ -20,10 +20,12 @@ This module materializes, with exact rational arithmetic wherever possible:
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
-are polynomials in z built once per (predicate, params) (margin_polys; beta
-is 0 for the HFRI polynomial S).  There is one margin per inequality: G is
-written from f1, f2 and H, and the two derivative-side predicates share one
-margin on their two domains.  A scan's grid is z_k = (A + k B)/C with
+are polynomials in z that a scan or a point check builds once and passes on
+(margin_polys; beta is 0 for the HFRI polynomial S).  The module keeps no
+memo: a value that one call uses twice, like f1 and f2 in the MRI violation
+search, is built once and passed down.  There is one margin per inequality:
+G is written from f1, f2 and H, and the two derivative-side predicates share
+one margin on their two domains.  A scan's grid is z_k = (A + k B)/C with
 ints A, B and C > 0, so once per scan these become integer polynomials in
 the grid index k (_index_polys, by polyring.affine_form), and a point is
 decided at its int k by Horner evaluation and sign_sqrt, which compares
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .exactnum import (
@@ -220,7 +222,6 @@ def _s_poly(m2: int, m3: int | MultiPoly) -> MultiPoly:
     )
 
 
-@lru_cache(maxsize=None)
 def S_poly(params: GpiParams) -> MultiPoly:
     """Cleared-denominator positivity polynomial in z, degree 2 m2 + 1:
 
@@ -242,7 +243,6 @@ def h_offset(m2: int) -> int:
     return m2
 
 
-@lru_cache(maxsize=None)
 def h_poly(m2: int) -> MultiPoly:
     """Bivariate polynomial h_{m2}(b, c) = (1+c^2)^(2 m2 + 1) * S(z)
     under m3 = b^2 + offset and z = c^2/(1+c^2); positive for all real b, c.
@@ -256,7 +256,6 @@ def h_poly(m2: int) -> MultiPoly:
     return s_b.substitute("z", "c", 0, 1, clear=2 * m2 + 1)
 
 
-@lru_cache(maxsize=None)
 def f_truncated_poly() -> MultiPoly:
     """Four-term truncation polynomial f(x2, x3, u), scaled by 17! so all
     coefficients are integers.
@@ -291,7 +290,6 @@ def f_truncated_poly() -> MultiPoly:
     )
 
 
-@lru_cache(maxsize=None)
 def g_poly() -> MultiPoly:
     """g(a, b, c) = (1+c^2)^9 f(a^2+8, b^2+8, (11/4) c^2/(1+c^2)): an
     everywhere-positive polynomial with only even exponents whose coefficient
@@ -340,12 +338,16 @@ def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckRepor
     )
 
 
-def _mri_margin(params: GpiParams, pair: GaussianPair) -> tuple[Fraction, Fraction]:
+def _f1_f2(params: GpiParams) -> tuple[MultiPoly, MultiPoly]:
+    """f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z), polynomials in z."""
+    return hyp_poly(params.m2, params.m3, HALF), hyp_poly(params.m2, params.m3, THREE_HALVES)
+
+
+def _mri_margin(params: GpiParams, pair: GaussianPair, fs: tuple) -> tuple[Fraction, Fraction]:
     """(margin, lhs) of the moment-ratio inequality at ``pair``, as check_mri
-    defines them; no bound is built."""
+    defines them, from ``fs`` = _f1_f2(params); no bound is built."""
     z = pair.corr_sq
-    f1 = hyp_poly(params.m2, params.m3, HALF).eval({"z": z})
-    f2 = hyp_poly(params.m2, params.m3, THREE_HALVES).eval({"z": z})
+    f1, f2 = (f.eval({"z": z}) for f in fs)
     abs_cov = abs(pair.cov)
     lhs = abs_cov * f2 / f1
     if z <= params.t:
@@ -353,7 +355,7 @@ def _mri_margin(params: GpiParams, pair: GaussianPair) -> tuple[Fraction, Fracti
     return _s_combination(f1, f2, z, params.r, params.msum), lhs
 
 
-def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
+def check_mri(params: GpiParams, pair: GaussianPair, fs: tuple | None = None) -> CheckReport:
     """Moment-ratio inequality check, decided exactly from f1 and f2 at z = Corr^2.
 
     With f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z), the ratio
@@ -364,9 +366,9 @@ def check_mri(params: GpiParams, pair: GaussianPair) -> CheckReport:
     together.  The check holds iff the margin >= 0, and equality means a
     margin of 0.  The witness shows lhs beside the bound; on the ratio branch
     that is H_value's enclosure, to DEFAULT_WIDTH, with both ends times
-    |Cov| >= 0.
+    |Cov| >= 0.  ``fs`` is _f1_f2(params), built here when not given.
     """
-    margin, lhs = _mri_margin(params, pair)
+    margin, lhs = _mri_margin(params, pair, fs or _f1_f2(params))
     z, abs_cov = pair.corr_sq, abs(pair.cov)
     if z <= params.t:
         bound, branch, quantity = abs_cov, "covariance", "|cov| - lhs"
@@ -406,13 +408,15 @@ def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
     exact MRI violation; the report carries the first witness found (or none).
 
     Scanning downward surfaces the full-correlation witness first where it
-    exists (as for small index pairs).  Each correlation is decided from its
-    exact margin; the witness bound is built only for the one returned."""
+    exists (as for small index pairs).  f1 and f2 are built once; each
+    correlation is decided from its exact margin, and the witness bound is
+    built only for the one returned."""
+    fs = _f1_f2(params)
     return _first_violation(
         f"mri-violation:m2={params.m2},m3={params.m3}", steps,
         (Fraction(k, steps) for k in range(steps, 0, -1)),
-        lambda x: _exact_status(_mri_margin(params, GaussianPair.unit(x))[0]) == FAILS,
-        lambda x: check_mri(params, GaussianPair.unit(x)),
+        lambda x: _exact_status(_mri_margin(params, GaussianPair.unit(x), fs)[0]) == FAILS,
+        lambda x: check_mri(params, GaussianPair.unit(x), fs),
     )
 
 
@@ -424,9 +428,8 @@ def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
 def G_at_one(params: GpiParams) -> Fraction:
     """G(1), exact: (2 m3 + 1)(f2(1) - H(1) f1(1)), with f1 = F(-m2, -m3; 1/2; z)
     and f2 = F(-m2, -m3; 3/2; z)."""
-    m2, m3 = params.m2, params.m3
-    f1, f2 = (hyp_poly(m2, m3, c).eval({"z": 1}) for c in (HALF, THREE_HALVES))
-    return (2 * m3 + 1) * (f2 - H_at_one(params) * f1)
+    f1, f2 = (f.eval({"z": 1}) for f in _f1_f2(params))
+    return (2 * params.m3 + 1) * (f2 - H_at_one(params) * f1)
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +437,9 @@ def G_at_one(params: GpiParams) -> Fraction:
 # ----------------------------------------------------------------------
 #
 # Each predicate holds at z iff alpha(z) + beta(z) sqrt(D(z)) > 0, where
-# margin_polys builds alpha, beta and D as polynomials in z, once per
-# (predicate, params).  With M, D and den > 0 from h_parts and s = sqrt(D):
+# margin_polys builds alpha, beta and D as polynomials in z.  A scan or a
+# point check calls it once and passes (alpha, beta, D) on to _index_polys
+# and _certified_points.  With M, D and den > 0 from h_parts and s = sqrt(D):
 #
 #     H = (M + s)/den,    H^2 = (M^2 + D + 2 M s)/den^2,
 #     H' = [r (r-1)(m2+m3+1) + P s/(2 D)]/den^2,
@@ -447,7 +451,6 @@ def G_at_one(params: GpiParams) -> Fraction:
 # its direct form and its radical-isolated form have one margin.
 
 
-@lru_cache(maxsize=None)
 def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(alpha, beta, D) of a predicate, as polynomials in z.  The margins:
     S for ``hfri`` (beta = 0); (H - c) den for ``h-half``/``h-seventh``;
@@ -466,8 +469,8 @@ def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPol
         alpha = m - H_THRESHOLDS[predicate] * den
         beta = MultiPoly.const(1, z.vars)
     elif predicate == "g-negative":
-        f1 = hyp_poly(params.m2, params.m3, HALF)
-        alpha, beta = f1 * m - hyp_poly(params.m2, params.m3, THREE_HALVES) * den, f1
+        f1, f2 = _f1_f2(params)
+        alpha, beta = f1 * m - f2 * den, f1
     elif predicate in ("h-deriv", "h-deriv-reduced"):
         p = 2 * params.mdiff_sq * r * rm1 * (r * z - 1) - rm1**3 * (1 + r * r * z)
         c = 2 * msum * z - 1
@@ -529,14 +532,15 @@ def scan(
     Grid points are z_lo + k (z_hi - z_lo)/(grid_n - 1); open endpoints are
     nudged inward by (z_hi - z_lo)/(10 grid_n), and the effective endpoints
     are recorded in the report.  Overrides of z_lo/z_hi may only narrow the
-    predicate's domain: an effective endpoint outside it raises InputError,
-    and so does a predicate whose domain is empty for the pair.
+    predicate's domain: one outside its closure [lo, hi] raises InputError
+    before any nudge, whatever grid_n is, and so does a predicate whose
+    domain is empty for the pair.
 
     The points are z_k = (A + k B)/C for ints A, B and C > 0, so alpha, beta
-    and D become integer polynomials in the grid index k, built once
-    (_index_polys).  The runs of points on which Q = alpha^2 - beta^2 D is
-    certified root-free take the verdict of an exactly decided endpoint
-    (_certified_points); every other point is decided at its int k
+    and D (margin_polys, built once) become integer polynomials in the grid
+    index k (_index_polys).  The runs of points on which Q = alpha^2 -
+    beta^2 D is certified root-free take the verdict of an exactly decided
+    endpoint (_certified_points); every other point is decided at its int k
     (_scan_point), in this process.
     """
     if grid_n < 2:
@@ -549,17 +553,22 @@ def scan(
         )
     z_lo = d_lo if z_lo is None else rational(z_lo)
     z_hi = d_hi if z_hi is None else rational(z_hi)
+    for name, z in (("z_lo", z_lo), ("z_hi", z_hi)):
+        if not d_lo <= z <= d_hi:
+            raise InputError(f"{name}={z} is outside the {_domain_text(predicate, params)}")
     if not z_lo < z_hi:
         raise InputError("need z_lo < z_hi")
+    # under half of z_hi - z_lo, so both nudged ends stay inside the domain
     nudge = (z_hi - z_lo) / (10 * grid_n)
-    lo_eff = check_domain(predicate, params, z_lo + nudge if lo_open else z_lo)
-    hi_eff = check_domain(predicate, params, z_hi - nudge if hi_open else z_hi)
+    lo_eff = z_lo + nudge if lo_open else z_lo
+    hi_eff = z_hi - nudge if hi_open else z_hi
     step = (hi_eff - lo_eff) / (grid_n - 1)
     c = math.lcm(lo_eff.denominator, step.denominator)
     a = lo_eff.numerator * (c // lo_eff.denominator)
     b = step.numerator * (c // step.denominator)
-    polys = _index_polys(predicate, params, a, b, c)
-    certified = _certified_points(predicate, params, polys, (a, b, c), grid_n)
+    margin = margin_polys(predicate, params)
+    polys = _index_polys(margin, a, b, c)
+    certified = _certified_points(margin, polys, (a, b, c), grid_n)
     results = [_scan_point(polys, k) if result is None else result
                for k, result in enumerate(certified)]
     points: list[dict] = []
@@ -596,14 +605,14 @@ class _IndexPolys(NamedTuple):
     scale: int  # alpha(k)/scale is the margin when beta is empty
 
 
-def _index_polys(predicate: str, params: GpiParams, a: int, b: int, c: int) -> _IndexPolys:
-    """margin_polys on the grid z = (a + k b)/c, as polynomials in k.
+def _index_polys(margin: tuple[MultiPoly, ...], a: int, b: int, c: int) -> _IndexPolys:
+    """A margin_polys margin on the grid z = (a + k b)/c, as polynomials in k.
 
     affine_form gives alpha = qa/sa, beta = qb/sb and D = qd/sd with positive
     int scales; multiplying alpha + beta sqrt(D) by sa sb sd/g, where
     g = gcd(sa, sb sd), folds the scales into the coefficients:
     (sb sd/g) qa + (sa/g) qb sqrt(sd qd) has the margin's sign."""
-    alpha, beta, d = margin_polys(predicate, params)
+    alpha, beta, d = margin
     qa, sa = affine_form(alpha, a, b, c)
     if not beta:
         return _IndexPolys(qa, [], [], sa)
@@ -615,10 +624,11 @@ def _index_polys(predicate: str, params: GpiParams, a: int, b: int, c: int) -> _
 
 
 def _certified_points(
-    predicate: str, params: GpiParams, polys: _IndexPolys, grid: tuple[int, int, int], n: int
+    margin: tuple[MultiPoly, ...], polys: _IndexPolys, grid: tuple[int, int, int], n: int
 ) -> list:
     """The (verdict, value) of each grid index k < n that a root-freeness
-    certificate decides, and None for each one left to _scan_point.
+    certificate decides, and None for each one left to _scan_point; ``polys``
+    is _index_polys of ``margin`` on ``grid``.
 
     alpha + beta sqrt(D) can vanish only where Q = alpha^2 - beta^2 D does.
     So where D is positive and Q has no root, the margin keeps one sign, and
@@ -638,7 +648,7 @@ def _certified_points(
     degree = max(2 * (len(polys.alpha) - 1), 2 * (len(polys.beta) - 1) + len(polys.radicand) - 1)
     if not polys.beta or n - 2 <= degree:
         return results
-    alpha, beta, d = margin_polys(predicate, params)
+    alpha, beta, d = margin
     q, _ = affine_form(alpha * alpha - beta * beta * d, *grid)
     radicand = polys.radicand
     if (not q or descartes_variations(radicand, 0, n - 1)
@@ -681,7 +691,7 @@ def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckRepo
     decided as the one point k = 0 of the grid z_k = z; the margin is the
     scan point's value."""
     z = check_domain(predicate, params, z)
-    polys = _index_polys(predicate, params, z.numerator, 0, z.denominator)
+    polys = _index_polys(margin_polys(predicate, params), z.numerator, 0, z.denominator)
     status, value = _scan_point(polys, 0)
     return CheckReport(
         name=f"{predicate}:m2={params.m2},m3={params.m3},z={z}",

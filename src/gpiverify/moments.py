@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -72,7 +71,6 @@ def double_factorial_odd(m: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def wick_poly(p: int, q: int) -> MultiPoly:
     """E[X2^p X3^q] of a unit-variance pair as a polynomial in x, by the
     pairing recursion M(i, j) = (i-1) M(i-2, j) + j x M(i-1, j-1) with
@@ -92,7 +90,6 @@ def wick_poly(p: int, q: int) -> MultiPoly:
     return MultiPoly(("x",), {(k,): c for k, c in enumerate(prev[p])})
 
 
-@lru_cache(maxsize=None)
 def closed_form_poly(m2: int, m3: int, odd: bool) -> MultiPoly:
     """E[X2^(2m2+odd) X3^(2m3+odd)] of a unit-variance pair as a polynomial in
     x: (2m2-1)!! (2m3-1)!! F(-m2, -m3; 1/2; x^2), or when odd

@@ -49,7 +49,8 @@ class MultiPoly:
     """sum(nums[e] x^e) / den over the ring ``vars``: ``den`` is a positive int,
     every key has ``len(vars)`` entries, every numerator is a nonzero int and
     gcd(den, *nums) = 1.  Polynomials over different rings compare equal when
-    they agree after variable alignment."""
+    they agree after variable alignment.  A polynomial is not hashable: no
+    table is keyed by one."""
 
     __slots__ = ("vars", "den", "nums")
 
@@ -248,14 +249,6 @@ class MultiPoly:
             return NotImplemented
         a, b = self._aligned(other)
         return a.den == b.den and a.nums == b.nums
-
-    def __hash__(self) -> int:
-        # equality ignores unused ring variables, so hash a ring-free form
-        canonical = frozenset(
-            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), n)
-            for exps, n in self.nums.items()
-        )
-        return hash((self.den, canonical))
 
     # ------------------------------------------------------------------
     # substitution and evaluation

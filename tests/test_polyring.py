@@ -234,16 +234,15 @@ class TestOneFormat:
 
 
 class TestEqualityAndHash:
-    @given(p=polys(), ring=st.permutations(["w", "x", "y", "z"]))
-    @settings(max_examples=60, deadline=None)
-    def test_hash_ignores_unused_ring_variables(self, p, ring):
-        assert hash(p) == hash(p.in_ring(ring))
+    def test_not_hashable(self):
+        # equality aligns rings, and no table is keyed by a polynomial
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(var("x"))
 
     def test_den_argument_is_reduced(self):
         p = MultiPoly(("x",), {(1,): 2, (0,): 4}, 6)
         q = MultiPoly(("x",), {(1,): Fraction(1, 3), (0,): Fraction(2, 3)})
         assert p == q and p.den == q.den == 3 and p.nums == {(1,): 1, (0,): 2}
-        assert hash(p) == hash(q)
         assert_one_form(p)
         assert MultiPoly(("x",), {(1,): 0}, 6).den == 1  # zero: den 1, no terms
         assert MultiPoly(("x",), {(1,): 1}, 2) != MultiPoly(("x",), {(1,): 1})  # same nums
