@@ -3,7 +3,7 @@ product inequality, its bivariate moment-ratio bound, and the accompanying
 sums-of-squares positivity certificates.
 
 All core computations are exact (arbitrary-precision rationals); the only
-floating point lives in the real-exponent extension and the Monte Carlo
+floating point lives in the real-exponent extension and its quadrature
 cross-check oracle.
 
 Importing the package loads nothing else: the library is its submodules

@@ -6,7 +6,7 @@ Commands (see README for examples):
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
     scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N]
-    oracle compare [--max-m N] [--real --mc-n N --seed N]
+    oracle compare [--max-m N] [--real]
     params show --m2 K --m3 K
 
 Every command also takes --out and --timing.  scan also accepts --jobs N and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from fractions import Fraction
@@ -57,7 +57,14 @@ from .inequality import (
     make_real_params,
     scan,
 )
-from .moments import GaussianPair, closed_form_poly, wick_poly
+from .moments import (
+    GaussianPair,
+    MomentExponents,
+    closed_form_poly,
+    polar_moment,
+    real_moment,
+    wick_poly,
+)
 from .report import (
     FAIL_STATUSES,
     FAILS,
@@ -126,15 +133,12 @@ def _build_parser() -> _Parser:
     def group(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    def common(p, handler, *, jobs=False, seed=False):
+    def common(p, handler, *, jobs=False):
         p.add_argument("--out", help="report path (default: stdout)")
         if jobs:
             p.add_argument("--jobs", type=_at_least(1), default=1,
                            help="accepted and echoed in the report; a scan runs in one "
                                 "process (default %(default)s)")
-        if seed:
-            p.add_argument("--seed", type=_at_least(0), default=0,
-                           help="seed for sampled checks (default %(default)s)")
         p.add_argument("--timing", action="store_true", help="record wall time in the report")
         p.set_defaults(handler=handler, parser=p)
         parser.commands.append(p)
@@ -206,12 +210,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-m", type=_at_least(0), default=8,
                    help="exponent indices range 0..max-m (default %(default)s)")
     p.add_argument("--real", action="store_true",
-                   help="compare real-exponent closed forms against Monte Carlo")
-    # below 10^4 draws the 4-standard-error test fails on sampling noise alone
-    # at some of 100 consecutive seeds
-    p.add_argument("--mc-n", type=_at_least(10**4), default=10**6,
-                   help="Monte Carlo sample size (default %(default)s)")
-    common(p, _cmd_oracle_compare, seed=True)
+                   help="compare real-exponent closed forms against polar quadrature")
+    common(p, _cmd_oracle_compare)
 
     params = group("params", "parameter inspection")
     p = params.add_parser("show", help="derived parameters for one (m2, m3)")
@@ -379,13 +379,9 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[CheckReport]:
-    # Nothing here calls BLAS, and OpenBLAS starts a thread per core when numpy
-    # is imported: one thread halves numpy's import time and saves the pool's
-    # memory.  Set before mc_moment imports numpy; a value the user set wins,
-    # and a library caller's environment is left alone.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .moments import MC_METHOD, MomentExponents, mc_moment, real_moment
-
+    # the two sides are floats that agree to about 1e-12 relative, so a gap
+    # past rel_tol is a defect in one of them, not rounding
+    rel_tol = 1e-9
     half = GaussianPair.unit(Fraction(1, 2))
     neg = GaussianPair.unit(Fraction(-3, 10))
     configs = [
@@ -397,17 +393,14 @@ def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[CheckReport]:
         ("plain:2.0,3.0:x=-3/10", MomentExponents(2.0, 3.0), neg),
     ]
     checks = []
-    for i, (label, exps, pair) in enumerate(configs):
+    for label, exps, pair in configs:
         closed = real_moment(exps, pair)
-        mean, stderr = mc_moment(exps, pair, args.mc_n, args.seed + i)
-        ok = abs(closed - mean) <= 4 * stderr
+        quadrature = polar_moment(exps, pair)
         checks.append(CheckReport(
             name=f"oracle:real:{label}",
-            status=HOLDS if ok else FAILS,
-            margin=closed - mean,
-            witnesses=[{"closed_form": closed, "mc_mean": mean, "mc_stderr": stderr}],
-            metadata={"method": MC_METHOD, "seed": args.seed + i, "n": args.mc_n,
-                      "tolerance": "4 standard errors"},
+            status=HOLDS if math.isclose(closed, quadrature, rel_tol=rel_tol) else FAILS,
+            witnesses=[{"closed_form": closed, "quadrature": quadrature}],
+            metadata={"relative_tolerance": rel_tol},
         ))
     return checks
 

@@ -11,8 +11,8 @@ tests/reference.py.
 
 A real-exponent moment E[g(X2) h(X3)] is named by one
 :class:`MomentExponents` request: :func:`real_moment` is its closed form in
-floating point, and :func:`mc_moment` its seeded Monte Carlo estimate, the
-independent statistical oracle.
+floating point, from the Gauss series, and :func:`polar_moment` its
+quadrature in polar coordinates, the independent deterministic oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from typing import NamedTuple
 from .exactnum import InputError, RationalLike, rational
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
 from .polyring import MultiPoly
-
-MC_BLOCK = 2**15  # pairs per block of mc_moment: z1 then z2 for each block
-MC_METHOD = (
-    "numpy.random.Generator(PCG64(seed)).standard_normal (ziggurat), "
-    f"z1 then z2 per block of {MC_BLOCK} pairs"
-)
 
 
 class GaussianPair:
@@ -166,20 +160,12 @@ class MomentExponents(NamedTuple):
     signed3: bool = False
 
 
-def real_moment(exps: MomentExponents, pair: GaussianPair) -> float:
-    """Closed form of the moment ``exps`` of a unit-variance pair with
-    correlation |x| <= CORR_CAP, to series tolerance:
-
-        unsigned:     2^((p+q)/2) Gamma((p+1)/2) Gamma((q+1)/2) / pi
-                      * F(-p/2, -q/2; 1/2; x^2)
-        both signed:  x p q 2^((p+q)/2 - 1) Gamma(p/2) Gamma(q/2) / pi
-                      * F((1-p)/2, (1-q)/2; 3/2; x^2)
-
-    The moment with one sign factor has no closed form here (ValueError).
-    """
+def _unit_corr(exps: MomentExponents, pair: GaussianPair) -> float:
+    """The correlation of ``pair`` as a float, once the request is one that
+    both real-exponent paths evaluate (ValueError otherwise)."""
     p, q, signed2, signed3 = exps
     if signed2 != signed3:
-        raise ValueError("real_moment needs both sign factors or neither")
+        raise ValueError("a real-exponent moment needs both sign factors or neither")
     if min(p, q) < 0:
         raise ValueError("exponents must be >= 0")
     if pair.var2 != 1 or pair.var3 != 1:
@@ -187,73 +173,80 @@ def real_moment(exps: MomentExponents, pair: GaussianPair) -> float:
     x = float(pair.cov)
     if abs(x) > CORR_CAP:
         raise ValueError(f"|corr| capped at {CORR_CAP} in the float path")
+    return x
+
+
+def real_moment(exps: MomentExponents, pair: GaussianPair) -> float:
+    """Closed form of the moment ``exps`` of a unit-variance pair with
+    correlation |x| <= CORR_CAP, to series tolerance:
+
+        unsigned:     2^((p+q)/2) Gamma((p+1)/2) Gamma((q+1)/2) / pi
+                      * F(-p/2, -q/2; 1/2; x^2)
+        both signed:  x 2^((p+q)/2 + 1) Gamma(p/2 + 1) Gamma(q/2 + 1) / pi
+                      * F((1-p)/2, (1-q)/2; 3/2; x^2)
+
+    The moment with one sign factor has no closed form here (ValueError).
+    """
+    p, q, signed, _ = exps
+    x = _unit_corr(exps, pair)
     z = x * x
-    if signed2:
-        scale = 2.0 ** ((p + q) / 2.0 - 1.0) * math.gamma(p / 2.0) * math.gamma(q / 2.0) / math.pi
-        return x * p * q * scale * gauss_hyp_real((1.0 - p) / 2.0, (1.0 - q) / 2.0, 1.5, z)
+    if signed:
+        scale = (
+            2.0 ** ((p + q) / 2.0 + 1.0) * math.gamma(p / 2.0 + 1.0) * math.gamma(q / 2.0 + 1.0)
+            / math.pi
+        )
+        return x * scale * gauss_hyp_real((1.0 - p) / 2.0, (1.0 - q) / 2.0, 1.5, z)
     scale = (
         2.0 ** ((p + q) / 2.0) * math.gamma((p + 1.0) / 2.0) * math.gamma((q + 1.0) / 2.0) / math.pi
     )
     return scale * gauss_hyp_real(-p / 2.0, -q / 2.0, 0.5, z)
 
 
-def mc_moment(
-    exponents: MomentExponents,
-    pair: GaussianPair,
-    n: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of the requested product moment.
+QUAD_STEP = 1 / 32  # step of the tanh-sinh rule in t
+QUAD_T_MAX = 3.5  # last node: its weight is below 1e-20 of the largest
 
-    Draws n correlated Gaussian pairs from a PCG64 stream seeded with ``seed``
-    (method recorded in MC_METHOD); deterministic for fixed (n, seed).  The
-    pairs come in blocks of MC_BLOCK (the last block may be partial): each
-    block draws its z1 values, then its z2 values, so the block size fixes
-    how the two draws interleave in the stream.  A block's x2, x3 and
-    g(x2) h(x3) are formed in three block-long float64 arrays, allocated once
-    per call, and its sum and sum of squares are added to the totals; memory
-    does not depend on n.
-    """
-    import numpy as np  # only this oracle needs numpy; keep it off the import path
 
-    if n < 2:
-        raise ValueError("n must be >= 2: one draw has no standard error")
-    p, q, signed2, signed3 = exponents
-    rng = np.random.default_rng(seed)
-    s2 = math.sqrt(float(pair.var2))
-    cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
-    cond_scale = math.sqrt(cond_scale) if cond_scale > 0 else 0.0
-    slope = float(pair.cov / pair.var2)
-    x2_buf, x3_buf, w_buf = (np.empty(min(MC_BLOCK, n)) for _ in range(3))
+def _tanh_sinh(f, a: float, b: float) -> float:
+    """The integral of f over [a, b] by the tanh-sinh rule: the nodes are
+    a + (b - a) / (1 + exp(-2u)) with u = (pi/2) sinh t, for t on the grid of
+    step QUAD_STEP in [-QUAD_T_MAX, QUAD_T_MAX].  They crowd double
+    exponentially toward both ends, so an end may hold a singularity of f or
+    the centre of a narrow peak."""
+    n = round(QUAD_T_MAX / QUAD_STEP)
     total = 0.0
-    total_sq = 0.0
-    for lo in range(0, n, MC_BLOCK):
-        m = min(MC_BLOCK, n - lo)
-        x2, x3, w = x2_buf[:m], x3_buf[:m], w_buf[:m]
-        rng.standard_normal(out=x2)  # z1
-        x2 *= s2
-        rng.standard_normal(out=x3)  # z2
-        x3 *= cond_scale
-        np.multiply(x2, slope, out=w)
-        x3 += w  # x3 = slope x2 + cond_scale z2
-        # in-place ** takes the path of ``abs(x) ** p``, numpy's scalar fast
-        # paths included (sqrt for 0.5, square for 2): the values are equal
-        np.abs(x2, out=w)
-        w **= p
-        if signed2:
-            np.sign(x2, out=x2)
-            w *= x2  # w = g(x2)
-        if signed3:
-            np.sign(x3, out=x2)
-        np.abs(x3, out=x3)
-        x3 **= q
-        if signed3:
-            x3 *= x2  # x3 = h(x3)
-        np.multiply(w, x3, out=x2)
-        total += float(x2.sum())
-        x2 *= x2
-        total_sq += float(x2.sum())
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / n)
-    return mean, stderr
+    for k in range(-n, n + 1):
+        t = k * QUAD_STEP
+        u = math.pi / 2 * math.sinh(t)
+        total += math.cosh(t) / math.cosh(u) ** 2 * f(a + (b - a) / (1.0 + math.exp(-2.0 * u)))
+    return total * QUAD_STEP * (b - a) * math.pi / 4
+
+
+def polar_moment(exps: MomentExponents, pair: GaussianPair) -> float:
+    """The moment ``exps`` of a unit-variance pair with correlation
+    |x| <= CORR_CAP, by quadrature; it shares no formula with real_moment.
+
+    In polar coordinates the radial integral is a Gamma function, and the
+    four quadrants fold onto the first.  With s = p + q + 2 the moment is
+
+        Gamma(s/2) 2^(s/2) / (2 pi sqrt(1 - x^2)) * integral over [0, pi/2] of
+        cos^p t sin^q t ([(1-x^2) / (1 - x sin 2t)]^(s/2)
+                         +- [(1-x^2) / (1 + x sin 2t)]^(s/2)) dt,
+
+    with - when both factors are signed and + when neither is.  As |x| nears
+    1, one of the two terms peaks ever more narrowly at t = pi/4, so the
+    integral is split there and each half puts the peak at one of its ends.
+    """
+    p, q, signed, _ = exps
+    x = _unit_corr(exps, pair)
+    c = 1.0 - x * x
+    half_s = (p + q + 2.0) / 2.0
+    sign = -1.0 if signed else 1.0
+
+    def integrand(t: float) -> float:
+        w = x * math.sin(2.0 * t)
+        kernel = (c / (1 - w)) ** half_s + sign * (c / (1 + w)) ** half_s
+        return math.cos(t) ** p * math.sin(t) ** q * kernel
+
+    quarter = math.pi / 4
+    integral = _tanh_sinh(integrand, 0.0, quarter) + _tanh_sinh(integrand, quarter, 2 * quarter)
+    return math.gamma(half_s) * 2.0**half_s / (2.0 * math.pi * math.sqrt(c)) * integral

@@ -32,7 +32,7 @@ from gpiverify.moments import (
     GaussianPair,
     MomentExponents,
     closed_form_poly,
-    mc_moment,
+    polar_moment,
     real_moment,
     wick_poly,
 )
@@ -273,8 +273,6 @@ def test_criterion_11_real_exponent_path():
     violation = find_mri_real_violation(make_real_params(4.0, 4.3))
     assert violation.metadata["found"]
 
-    seed = 20240817
-    n = 10**7
     pair_half = GaussianPair.unit(Fraction(1, 2))
     pair_neg = GaussianPair.unit(Fraction(-3, 10))
     configs = [
@@ -291,8 +289,8 @@ def test_criterion_11_real_exponent_path():
     ]
     for i, (exps, pair) in enumerate(configs):
         closed = real_moment(exps, pair)
-        mean, stderr = mc_moment(exps, pair, n, seed + i)
-        assert abs(closed - mean) <= 4 * stderr, (i, closed, mean, stderr)
+        quadrature = polar_moment(exps, pair)
+        assert math.isclose(closed, quadrature, rel_tol=tol), (i, closed, quadrature)
     print("[criterion 11] PASS: real-exponent margins positive (tolerance 1e-9) on "
           "the grid for y2 = y3 = 13; ratio-bound violation found at y2=4, y3=4.3; "
-          "10/10 closed forms within 4 standard errors of Monte Carlo (n = 10^7)")
+          "10/10 closed forms within 1e-9 relative of the polar quadrature")

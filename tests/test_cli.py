@@ -64,7 +64,7 @@ PLAUSIBLE = {int: ["1", "2"], float: ["0.5", "1", "2"], None: ["0.5", "0.25"]}
 # give check mri a complete form; a drawn value may override them
 START_OPTIONS = {
     "scan": [["--grid", "5"]],
-    "oracle compare": [["--max-m", "2", "--mc-n", "10000"]],
+    "oracle compare": [["--max-m", "2"]],
     "check mri": [["--m2", "2", "--m3", "3", "--x", "1/4"], ["--y2", "1", "--y3", "1", "--x", "0.5"],
                   ["--m2", "2", "--m3", "2", "--find-violation"],
                   ["--y2", "0.5", "--y3", "1", "--find-violation"]],
@@ -543,40 +543,17 @@ class TestCommands:
         with pytest.raises(InputError, match="--var2"):
             run(["--config", str(cfg), "check", "mri", "--m2", "2", "--m3", "3", "--x", "1/4"])
 
-    def test_oracle_compare_real_records_rng_method(self, tmp_path):
-        code, report = invoke(
-            ["oracle", "compare", "--real", "--mc-n", "100000", "--seed", "4"], tmp_path
-        )
-        assert code == 0
-        meta = report["checks"][0]["metadata"]
-        assert "PCG64" in meta["method"]
-        assert meta["method"].endswith("z1 then z2 per block of 32768 pairs")
-        assert meta["seed"] == 4 and meta["n"] == 100000
-
     def test_default_oracle_compare_real_holds(self, tmp_path):
-        # the paper's run: default --mc-n and --seed, six closed forms
+        # the paper's run: six closed forms, each within 1e-9 relative of its
+        # quadrature
         code, report = invoke(["oracle", "compare", "--real"], tmp_path)
         assert code == 0
         checks = report["checks"]
         assert [c["status"] for c in checks] == ["holds"] * 6
-        assert {(c["metadata"]["n"], c["metadata"]["seed"]) for c in checks} == {
-            (10**6, i) for i in range(6)
-        }
-
-    def test_oracle_sets_a_blas_thread_default_that_changes_no_byte(self):
-        # the oracle starts numpy with OPENBLAS_NUM_THREADS=1 unless the user
-        # set it; the variable changes neither the sample nor the report
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        code = ("import os, sys\n"
-                "from gpiverify import cli\n"
-                "code = cli.main('oracle compare --real --mc-n 10000'.split())\n"
-                "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
-                "sys.exit(code)")
-        runs = [subprocess.run([sys.executable, "-c", code], env=env | extra, capture_output=True)
-                for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
-        assert [proc.returncode for proc in runs] == [0, 0]
-        assert runs[0].stdout == runs[1].stdout
-        assert [proc.stderr.strip() for proc in runs] == [b"1", b"2"]
+        for check in checks:
+            assert check["metadata"] == {"relative_tolerance": 1e-9}
+            [witness] = check["witnesses"]
+            assert witness["closed_form"] == pytest.approx(witness["quadrature"], rel=1e-9)
 
     def test_scan_domain_override(self, tmp_path):
         code, report = invoke(
@@ -637,15 +614,15 @@ class TestCommands:
 
     def test_config_precedence(self, tmp_path):
         # option default < config file < explicit command line; scan has no
-        # --seed, so the file's seed is skipped
+        # --max-m, so the file's max_m is skipped
         cfg = tmp_path / "cfg.json"
         base = ["scan", "hfri", "--m2", "2", "--m3", "3"]
         _, report = invoke(base, tmp_path, "c0.json")
         assert report["run"]["grid"] == 101
-        cfg.write_text(json.dumps({"grid": 7, "seed": 99}))
+        cfg.write_text(json.dumps({"grid": 7, "max_m": 99}))
         base = ["--config", str(cfg)] + base
         _, report = invoke(base, tmp_path, "c1.json")
-        assert report["run"]["grid"] == 7 and "seed" not in report["run"]
+        assert report["run"]["grid"] == 7 and "max_m" not in report["run"]
         _, report = invoke(base + ["--grid", "11"], tmp_path, "c2.json")
         assert report["run"]["grid"] == 11
 
@@ -654,13 +631,6 @@ class TestCommands:
         "scan g-negative --m2 8 --m3 8 --jobs -2",
         "scan hfri --m2 2 --m3 3 --grid 1",
         "oracle compare --max-m -1",
-        "oracle compare --real --mc-n 0",
-        "oracle compare --real --mc-n 1",
-        # below 10^4 draws the 4-standard-error test fails on sampling noise
-        # alone at some seeds (at 1000 draws, 5 of seeds 0..99 exit 1)
-        "oracle compare --real --mc-n 9999",
-        # numpy's generator takes only seeds >= 0
-        "oracle compare --real --seed -1",
     ], ids=lambda argv: "-".join(argv.split()[-2:]))
     def test_out_of_range_option_is_usage_error(self, argv):
         argv = argv.split()
@@ -690,7 +660,7 @@ class TestCommands:
         ('{"grid": "x"}', "scan hfri --m2 2 --m3 3", "'grid'"),
         ('{"grid": 7.5}', "scan hfri --m2 2 --m3 3", "'grid'"),
         ('{"timing": 1}', "scan hfri --m2 2 --m3 3", "'timing'"),
-        ('{"seed": "x"}', "oracle compare --real", "'seed'"),
+        ('{"max_m": "x"}', "oracle compare --real", "'max_m'"),
         ('{"gird": 7}', "scan hfri --m2 2 --m3 3", "unknown option 'gird'"),
         ('{"refine_max": 3}', "scan hfri --m2 2 --m3 3", "unknown option 'refine_max'"),
     ])
@@ -714,7 +684,7 @@ class TestCommands:
         assert not hasattr(args, "max_m")
 
     @pytest.mark.parametrize("config, argv", [
-        (None, "check gpi --m2 1 --m3 1 --a 1 --x 1/2 --seed 1"),
+        (None, "check gpi --m2 1 --m3 1 --a 1 --x 1/2 --grid 5"),
         (None, "params show --m2 1 --m3 1 --jobs 2"),
         # no command has a width option
         ({"width": "1/10"}, "check mri --m2 2 --m3 3 --x 1/4"),
@@ -826,6 +796,14 @@ class TestDeterminism:
         second = (tmp_path / "r.json").read_bytes()
         assert first == second
 
+    def test_real_oracle_report_identical_across_processes(self):
+        # the float report has no seed and no sample: two fresh interpreters
+        # print the same bytes
+        argv = [sys.executable, "-m", "gpiverify.cli", "oracle", "compare", "--real"]
+        first, second = (subprocess.run(argv, capture_output=True) for _ in range(2))
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout and b'"quadrature"' in first.stdout
+
     def test_checks_identical_across_jobs(self, tmp_path, reaped):
         base = ["scan", "hfri", "--m2", "1", "--m3", "5", "--grid", "15"]
         _, serial = invoke(base + ["--jobs", "1"], tmp_path, "serial.json")
@@ -863,12 +841,10 @@ class TestDeterminism:
         assert code == 0 and forks == []
 
     def test_import_loads_only_what_every_command_needs(self):
-        # numpy serves only the Monte Carlo oracle, and is imported where it
-        # is used.  dataclasses (and the inspect it pulls in) is not used at
-        # all, nor are pickle and the standard library's process pools, even
-        # by a scan given --jobs 2
-        unwanted = ("numpy", "pickle", "concurrent.futures", "multiprocessing", "dataclasses",
-                    "inspect")
+        # dataclasses (and the inspect it pulls in) is not used at all, nor
+        # are pickle and the standard library's process pools, even by a scan
+        # given --jobs 2
+        unwanted = ("pickle", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
         code = f"import sys, gpiverify.cli; print([m for m in {unwanted!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -883,19 +859,6 @@ class TestDeterminism:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 False []"
-
-    def test_library_estimate_leaves_the_environment_alone(self):
-        # only the CLI's oracle handler sets the BLAS thread default
-        code = ("import os\n"
-                "import gpiverify\n"
-                "from gpiverify.moments import GaussianPair, MomentExponents, mc_moment\n"
-                "before = dict(os.environ)\n"
-                "mc_moment(MomentExponents(1.0, 1.0), GaussianPair.unit(0), 1000, 0)\n"
-                "print(dict(os.environ) == before)")
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True"
 
     def test_stdout_report(self):
         proc = subprocess.run(

@@ -1,22 +1,21 @@
 """Gaussian moment tests: closed forms against the pairing-recursion oracle,
-scaling laws, and the floating-point real-exponent path against Monte Carlo."""
+scaling laws, and the floating-point real-exponent path against its polar
+quadrature."""
 
 import math
-import tracemalloc
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from gpiverify import moments
 from gpiverify.inequality import check_gpi, make_params
 from gpiverify.moments import (
-    MC_BLOCK,
+    CORR_CAP,
     GaussianPair,
     MomentExponents,
     double_factorial_odd,
     gauss_hyp_real,
-    mc_moment,
+    polar_moment,
     real_moment,
     wick_poly,
 )
@@ -237,122 +236,79 @@ class TestRealExponentPath:
             real_moment(MomentExponents(1.0, 1.0), GaussianPair.unit(Fraction(9999, 10000)))
 
 
-class TestMonteCarlo:
-    def test_unit_variance(self):
-        mean, err = mc_moment(MomentExponents(2.0, 0.0), GaussianPair.unit(0), 10**5, seed=1)
-        assert abs(mean - 1.0) <= 4 * err
+class TestPolarOracle:
+    @pytest.mark.parametrize("m2, m3", [(0, 0), (1, 1), (2, 5), (7, 0)])
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-3, 10), Fraction(0),
+                                   Fraction(999, 1000)])
+    def test_matches_exact_integer_moments(self, m2, m3, x):
+        # the exact polynomials share no formula with the quadrature or the series
+        pair = GaussianPair.unit(x)
+        even = float(even_moment(m2, m3, pair))
+        odd = float(odd_moment(m2, m3, pair))
+        assert polar_moment(MomentExponents(2 * m2, 2 * m3), pair) == pytest.approx(even, rel=1e-9)
+        assert polar_moment(MomentExponents(2 * m2 + 1, 2 * m3 + 1, True, True), pair) \
+            == pytest.approx(odd, rel=1e-9, abs=1e-300)
 
-    def test_brackets_exact_moment(self):
-        mean, err = mc_moment(MomentExponents(2.0, 2.0), HALF_CORR, 2 * 10**5, seed=2)
-        assert abs(mean - 1.5) <= 4 * err
+    def test_sign_correlation_is_the_arcsine_law(self):
+        # E[sign X2 sign X3] = (2/pi) asin(x), the moment (0, 0) with both signs
+        for x in (Fraction(1, 2), Fraction(-7, 10), Fraction(999, 1000)):
+            pair = GaussianPair.unit(x)
+            exps = MomentExponents(0.0, 0.0, True, True)
+            law = 2 / math.pi * math.asin(float(x))
+            assert polar_moment(exps, pair) == pytest.approx(law, rel=1e-12)
+            assert real_moment(exps, pair) == pytest.approx(law, rel=1e-9)
 
-    def test_plain_covariance(self):
-        pair = GaussianPair(Fraction(1), Fraction(1), Fraction(3, 10))
-        mean, err = mc_moment(MomentExponents(1.0, 1.0, True, True), pair, 2 * 10**5, seed=3)
-        assert abs(mean - 0.3) <= 4 * err
+    def test_independent_pair_factorises(self):
+        # at x = 0, E|X2|^p |X3|^q is the product of the one-dimensional
+        # absolute moments 2^(y/2) Gamma((y+1)/2) / sqrt(pi); the signed
+        # moment is 0
+        pair = GaussianPair.unit(0)
 
-    def test_deterministic_for_fixed_seed(self):
-        a = mc_moment(MomentExponents(1.5, 2.5), HALF_CORR, 10**5, seed=9)
-        b = mc_moment(MomentExponents(1.5, 2.5), HALF_CORR, 10**5, seed=9)
-        assert a == b
+        def absolute(y):
+            return 2 ** (y / 2) * math.gamma((y + 1) / 2) / math.sqrt(math.pi)
 
-    def test_real_exponent_agreement(self):
-        pair = HALF_CORR
-        exps = MomentExponents(1.3, 2.7)
-        closed = real_moment(exps, pair)
-        mean, err = mc_moment(exps, pair, 4 * 10**5, seed=7)
-        assert abs(closed - mean) <= 4 * err
+        for p, q in [(0.0, 0.0), (1.0, 0.0), (0.5, 3.7), (6.0, 13.5), (14.0, 14.0)]:
+            assert polar_moment(MomentExponents(p, q), pair) == pytest.approx(
+                absolute(p) * absolute(q), rel=1e-12)
+            assert polar_moment(MomentExponents(p, q, True, True), pair) == 0.0
 
-    def test_fewer_than_two_draws_rejected(self):
-        # one draw gives a standard error of 0, which no estimate meets
-        for n in (1, 0):
-            with pytest.raises(ValueError, match="n must be >= 2"):
-                mc_moment(MomentExponents(1.0, 0.0), HALF_CORR, n, seed=0)
+    def test_swap_and_reflection_symmetries(self):
+        # (X2, X3) and (X3, X2) have one law, and so do (X2, X3) and
+        # (X2, -X3) with x negated: swapping p and q keeps the moment, and
+        # negating x keeps the unsigned moment and negates the signed one
+        for x in (Fraction(1, 2), Fraction(-3, 10), Fraction(999, 1000)):
+            pair, mirror = GaussianPair.unit(x), GaussianPair.unit(-x)
+            for p, q in [(0.0, 2.0), (1.3, 2.7), (4.0, 11.5)]:
+                for signed in (False, True):
+                    value = polar_moment(MomentExponents(p, q, signed, signed), pair)
+                    swapped = polar_moment(MomentExponents(q, p, signed, signed), pair)
+                    reflected = polar_moment(MomentExponents(p, q, signed, signed), mirror)
+                    assert swapped == pytest.approx(value, rel=1e-12), (p, q, x, signed)
+                    assert reflected == pytest.approx(-value if signed else value, rel=1e-12)
 
-
-def allocating_mc_moment(exponents, pair, n, seed, chunk):
-    """The estimator written with one fresh array per step, z1 then z2 per
-    chunk of ``chunk`` pairs: at chunk=MC_BLOCK, the reference the buffered
-    mc_moment must match bit for bit."""
-    rng = np.random.default_rng(seed)
-    s2 = math.sqrt(float(pair.var2))
-    cond_scale = float(pair.var3 - pair.cov * pair.cov / pair.var2)
-    cond_scale = math.sqrt(cond_scale) if cond_scale > 0 else 0.0
-    slope = float(pair.cov / pair.var2)
-    total = total_sq = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(chunk, remaining)
-        z1 = rng.standard_normal(m)
-        z2 = rng.standard_normal(m)
-        x2 = s2 * z1
-        x3 = slope * x2 + cond_scale * z2
-        g = np.abs(x2) ** exponents.p
-        if exponents.signed2:
-            g = g * np.sign(x2)
-        h = np.abs(x3) ** exponents.q
-        if exponents.signed3:
-            h = h * np.sign(x3)
-        vals = g * h
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        remaining -= m
-    mean = total / n
-    return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
-
-
-class TestMonteCarloBuffers:
-    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1, 0), (2, 3), (1.3, 2.7), (1.5, 4), (0, 2)])
-    def test_bit_identical_to_allocating_formula(self, p, q, monkeypatch):
-        # a small block keeps the cases small; mc_moment reads the constant
-        # at each call
-        monkeypatch.setattr(moments, "MC_BLOCK", 64)
-        block = moments.MC_BLOCK
-        pairs = [HALF_CORR, GaussianPair.unit(Fraction(-3, 10)), GaussianPair(2, 3, 1)]
-        for signed2 in (False, True):
-            for signed3 in (False, True):
-                exps = MomentExponents(p, q, signed2, signed3)
-                for pair in pairs:
-                    # one partial block, one full block, a full and a partial
-                    # one, and several ending in a partial one
-                    for n in (2, block - 1, block, block + 1, 3 * block + 5):
-                        expected = allocating_mc_moment(exps, pair, n, 11, chunk=block)
-                        assert mc_moment(exps, pair, n, 11) == expected
-
-    def test_default_oracle_draws_match_allocating_formula(self):
-        # the six draws of `oracle compare --real` at its default --mc-n and
-        # --seed, which end in a partial block
-        half, neg = HALF_CORR, GaussianPair.unit(Fraction(-3, 10))
-        cases = [
-            (MomentExponents(1.0, 0.0), half),
-            (MomentExponents(2.5, 0.0), half),
-            (MomentExponents(1.3, 2.7), half),
-            (MomentExponents(1.5, 4.0), half),
-            (MomentExponents(2.0, 3.0, True, True), half),
-            (MomentExponents(2.0, 3.0), neg),
+    def test_matches_closed_form(self):
+        # p, q in [0, 14] in both sign modes, at the correlation cap on either
+        # side and in between; both ends of the split at pi/4 are needed at
+        # the cap, where one term peaks narrowly at pi/4
+        rng = random.Random(31)
+        corrs = [CORR_CAP, -CORR_CAP] + [rng.uniform(-CORR_CAP, CORR_CAP) for _ in range(8)]
+        exponents = [(0.0, 0.0), (0.0, 14.0), (14.0, 14.0)] + [
+            (rng.uniform(0, 14), rng.uniform(0, 14)) for _ in range(7)
         ]
-        n = 10**6
-        assert n % MC_BLOCK
-        for seed, (exps, pair) in enumerate(cases):
-            expected = allocating_mc_moment(exps, pair, n, seed, chunk=MC_BLOCK)
-            assert mc_moment(exps, pair, n, seed) == expected
+        for x in corrs:
+            pair = GaussianPair.unit(Fraction(x))
+            for p, q in exponents:
+                for signed in (False, True):
+                    exps = MomentExponents(p, q, signed, signed)
+                    closed = real_moment(exps, pair)
+                    assert polar_moment(exps, pair) == pytest.approx(closed, rel=1e-9), (exps, x)
 
-    @pytest.mark.parametrize("n", [4 * 10**5, 2 * 10**6])
-    def test_peak_memory_is_three_blocks_whatever_n(self, n):
-        # numpy reports its array data to tracemalloc; warm up so that lazy
-        # set-up inside numpy stays out of the measured peak
-        exps = MomentExponents(2.0, 3.0, True, True)
-        mc_moment(exps, HALF_CORR, 100, 0)
-        outer = tracemalloc.is_tracing()  # e.g. under -X tracemalloc
-        if outer:
-            tracemalloc.reset_peak()
-        else:
-            tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            mc_moment(exps, HALF_CORR, n, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not outer:
-                tracemalloc.stop()
-        assert peak - before <= 3 * 8 * MC_BLOCK + 64 * 1024
+    def test_refuses_what_the_closed_form_refuses(self):
+        for exps, pair in [
+            (MomentExponents(1.0, 1.0, True, False), HALF_CORR),
+            (MomentExponents(-1.0, 1.0), HALF_CORR),
+            (MomentExponents(1.0, 1.0), GaussianPair(Fraction(2), Fraction(1), Fraction(0))),
+            (MomentExponents(1.0, 1.0), GaussianPair.unit(Fraction(9999, 10000))),
+        ]:
+            with pytest.raises(ValueError):
+                polar_moment(exps, pair)

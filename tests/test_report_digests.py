@@ -34,7 +34,7 @@ DIGESTS = {
     "expand h --m2 7 --compare-bundled":
         (0, "fb5bfeb4790813bd5e9a0abb1b6c81b11d63c5281b190fb11a3e442527fe64c5"),
     "oracle compare":
-        (0, "38d32f8b1cbe6cd8e5d85dafe7da62b01cdd729c15cff65cbf913767284d438b"),
+        (0, "674380498675d5a1d6b4125ea9fde199b942e3fea75d667e3210c79054091abe"),
     "check gpi --m2 1 --m3 1 --a=-1 --x 1/2":
         (0, "c872b246aff67fc1e63685421c5d1e416dbe3f834fca5a0722bf6cd8f03840ad"),
     "check mri --m2 2 --m3 2 --find-violation":
