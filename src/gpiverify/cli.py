@@ -6,7 +6,7 @@ Commands (see README for examples):
     expand {h,g,s} [--m2 K --m3 K] [--compare-bundled | --compare-appendix]
     check {gpi,mri,hfri,gpi-real} ...
     scan {hfri,g-negative,h-half,h-seventh,h-deriv,h-deriv-reduced} ... [--grid N]
-    oracle compare [--max-m N] [--real]
+    oracle compare [--max-m N | --real]
     params show --m2 K --m3 K
 
 Every command also takes --out and --timing.  scan also accepts --jobs N and
@@ -33,7 +33,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .bundled import load_g_appendix, load_h_expansion
@@ -77,6 +76,8 @@ from .report import (
     jsonable,
 )
 from .soscert import proportionality_scalar, verify_bracket_positivity, verify_nonneg_coeffs
+
+ORACLE_MAX_M = 8  # the default --max-m of oracle compare
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -207,8 +208,9 @@ def _build_parser() -> _Parser:
 
     oracle = group("oracle", "independent-oracle comparisons")
     p = oracle.add_parser("compare", help="closed-form moments vs pairing recursion")
-    p.add_argument("--max-m", type=_at_least(0), default=8,
-                   help="exponent indices range 0..max-m (default %(default)s)")
+    p.add_argument("--max-m", type=_at_least(0),
+                   help=f"exponent indices range 0..max-m (default {ORACLE_MAX_M}; "
+                        "not with --real)")
     p.add_argument("--real", action="store_true",
                    help="compare real-exponent closed forms against polar quadrature")
     common(p, _cmd_oracle_compare)
@@ -286,7 +288,7 @@ def _cmd_expand_g(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_expand_s(args: argparse.Namespace) -> list[CheckReport]:
     params = make_params(args.m2, args.m3)
-    poly = S_poly(params)
+    poly = S_poly(params.m2, params.m3)
     _maybe_write_poly(args, poly)
     return [
         CheckReport(
@@ -359,7 +361,11 @@ def _cmd_scan(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
     if args.real:
-        return _cmd_oracle_compare_real(args)
+        if args.max_m is not None:
+            raise InputError("oracle compare --real does not use --max-m")
+        return _cmd_oracle_compare_real()
+    if args.max_m is None:  # resolved here, so the report echoes it
+        args.max_m = ORACLE_MAX_M
     # each side is a polynomial in the correlation, so equality holds for every x
     indices = range(args.max_m + 1)
     cases = [(m2, m3, odd) for m2 in indices for m3 in indices for odd in (False, True)]
@@ -378,28 +384,26 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
     ]
 
 
-def _cmd_oracle_compare_real(args: argparse.Namespace) -> list[CheckReport]:
+def _cmd_oracle_compare_real() -> list[CheckReport]:
     # the two sides are floats that agree to about 1e-12 relative, so a gap
     # past rel_tol is a defect in one of them, not rounding
     rel_tol = 1e-9
-    half = GaussianPair.unit(Fraction(1, 2))
-    neg = GaussianPair.unit(Fraction(-3, 10))
     configs = [
-        ("abs:y=1", MomentExponents(1.0, 0.0), half),
-        ("abs:y=2.5", MomentExponents(2.5, 0.0), half),
-        ("plain:1.3,2.7:x=1/2", MomentExponents(1.3, 2.7), half),
-        ("even_shift2:1.5,2.0:x=1/2", MomentExponents(1.5, 4.0), half),
-        ("odd_signed:1.0,2.0:x=1/2", MomentExponents(2.0, 3.0, True, True), half),
-        ("plain:2.0,3.0:x=-3/10", MomentExponents(2.0, 3.0), neg),
+        (MomentExponents(1.0, 0.0), 0.5),
+        (MomentExponents(2.5, 0.0), 0.5),
+        (MomentExponents(1.3, 2.7), 0.5),
+        (MomentExponents(1.5, 4.0), 0.5),
+        (MomentExponents(2.0, 3.0, signed=True), 0.5),
+        (MomentExponents(2.0, 3.0), -0.3),
     ]
     checks = []
-    for label, exps, pair in configs:
-        closed = real_moment(exps, pair)
-        quadrature = polar_moment(exps, pair)
+    for exps, x in configs:
+        closed = real_moment(exps, x)
+        quadrature = polar_moment(exps, x)
         checks.append(CheckReport(
-            name=f"oracle:real:{label}",
+            name=f"oracle:real:p={exps.p},q={exps.q},signed={exps.signed},x={x}",
             status=HOLDS if math.isclose(closed, quadrature, rel_tol=rel_tol) else FAILS,
-            witnesses=[{"closed_form": closed, "quadrature": quadrature}],
+            witnesses=[exps._asdict() | {"closed_form": closed, "quadrature": quadrature}],
             metadata={"relative_tolerance": rel_tol},
         ))
     return checks
@@ -418,7 +422,7 @@ def _cmd_params_show(args: argparse.Namespace) -> list[CheckReport]:
         "in_covered_set": params.in_s,
         "H_at_1": H_at_one(params),
         "G_at_1": G_at_one(params),
-        "S_at_0": S_poly(params).eval({"z": 0}),
+        "S_at_0": S_poly(params.m2, params.m3).eval({"z": 0}),
     }
     return [CheckReport(name=f"params:m2={args.m2},m3={args.m3}", status=HOLDS,
                         metadata=meta)]

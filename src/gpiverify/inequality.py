@@ -1,22 +1,23 @@
 """Inequality objects and predicates for the product-moment verification.
 
-This module materializes, with exact rational arithmetic wherever possible:
+This module defines each object of the proof once, exactly where possible;
+the real-exponent checks take the same definitions at floats, y = 2m:
 
-* the parameter family r = (2 m2 + 1)(2 m3 + 1) + 1, the threshold t, and the
-  bound function H(z) = (M + sqrt(D))/den, whose parts M, the radicand D
-  and den every exact use of H takes from h_parts;
-* the cleared-denominator positivity polynomial S(z) whose strict positivity
-  implies the hypergeometric-ratio inequality (HFRI);
+* r = (y2 + 1)(y3 + 1) + 1 (r_of), the threshold t (r_and_t), the covered
+  set (from h_offset), and the bound H(z) = (M + sqrt(D))/den, whose parts
+  M, the radicand D and den every use of H, exact or float, takes from h_parts;
+* the positivity polynomial S(z) (S_poly, for an int or polynomial m3) whose
+  strict positivity implies the hypergeometric-ratio inequality (HFRI);
 * the bivariate polynomials h_1 .. h_7 obtained from S by the substitutions
-  m3 -> b^2 + offset and z -> c^2/(1+c^2);
+  m3 -> b^2 + h_offset(m2) and z -> c^2/(1+c^2);
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
-* exact checks of the product inequality (GPI, from three bivariate
-  moments) and the moment-ratio inequality (MRI, from f1 and f2 at
-  z = Corr^2, with the margin |Cov| - lhs for z <= t and S(z) above t), with
-  float counterparts for real exponents; one search down a grid of
-  correlations finds an MRI violation on either path; and the inequality
-  predicates at one point (check_point) or on a grid (scan).
+* checks of the product inequality (GPI, one margin in three values of F:
+  exact from hyp_poly, float from gauss_hyp_real) and the moment-ratio
+  inequality (MRI, from f1 and f2 at z = Corr^2, with the margin
+  |Cov| - lhs for z <= t and S(z) or the float H above t); one search down
+  a grid of correlations finds an MRI violation on either path; and the
+  inequality predicates at one point (check_point) or on a grid (scan).
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
@@ -56,9 +57,7 @@ from .exactnum import (
     sqrt_enclosure,
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
-from .moments import (
-    SERIES_TOL, GaussianPair, closed_form_poly, double_factorial_odd, gauss_hyp_real,
-)
+from .moments import SERIES_TOL, GaussianPair, double_factorial_odd, gauss_hyp_real
 from .polyring import MultiPoly, affine_form, descartes_variations, horner
 from .report import (
     FAILS,
@@ -98,15 +97,30 @@ H_THRESHOLDS = {"h-half": Fraction(1, 2), "h-seventh": Fraction(1, 7)}
 # ----------------------------------------------------------------------
 
 
+def h_offset(m2: int) -> int:
+    """The least m3 of h_{m2}, which substitutes m3 = b^2 + h_offset(m2)."""
+    if m2 == 1:
+        return 5
+    if m2 == 2:
+        return 3
+    return m2
+
+
 def in_coverage_set(m2: int, m3: int) -> bool:
-    """Membership in the covered parameter set: (1, >=5), (2, >=3) and all
-    pairs with both indices >= 3; order-insensitive."""
-    lo, hi = min(m2, m3), max(m2, m3)
-    if lo == 1:
-        return hi >= 5
-    if lo == 2:
-        return hi >= 3
-    return lo >= 3
+    """Membership in the covered set, order-insensitive: (1, >=5), (2, >=3)
+    and all pairs with both indices >= 3."""
+    return max(m2, m3) >= h_offset(min(m2, m3))
+
+
+def r_of(y2, y3):
+    """r = (y2 + 1)(y3 + 1) + 1, for numbers or polynomials; (m2, m3) has y = 2m."""
+    return (y2 + 1) * (y3 + 1) + 1
+
+
+def r_and_t(y2, y3):
+    """(r, t = 1/(r + (1 + 1/y2)(1 + 1/y3))) of exact or float y2, y3 > 0."""
+    r = r_of(y2, y3)
+    return r, 1 / (r + (1 + 1 / y2) * (1 + 1 / y3))
 
 
 class GpiParams(NamedTuple):
@@ -131,29 +145,36 @@ class GpiParams(NamedTuple):
 def make_params(m2: int, m3: int) -> GpiParams:
     if m2 < 1 or m3 < 1:
         raise InputError("make_params requires m2, m3 >= 1")
-    r = Fraction((2 * m2 + 1) * (2 * m3 + 1) + 1)
-    t = 1 / (r + (1 + Fraction(1, 2 * m2)) * (1 + Fraction(1, 2 * m3)))
+    r, t = r_and_t(Fraction(2 * m2), Fraction(2 * m3))
     if not (1 / (r * r) < t < 1 / r):
         raise AssertionError(f"parameter identity 1/r^2 < t < 1/r failed for ({m2},{m3})")
     return GpiParams(m2, m3, r, t, in_coverage_set(m2, m3))
 
 
 class RealGpiParams(NamedTuple):
-    """Float parameter bundle for real exponents y2, y3 > 0."""
+    """Float parameter bundle for real exponents y2, y3 > 0; at y = 2m it
+    has the r, t, msum and mdiff_sq of GpiParams."""
 
     y2: float
     y3: float
     r: float
     t: float
 
+    @property
+    def msum(self) -> float:
+        return (self.y2 + self.y3 + 2.0) / 2.0
+
+    @property
+    def mdiff_sq(self) -> float:
+        return (self.y3 - self.y2) ** 2 / 4.0
+
 
 def make_real_params(y2: float, y3: float) -> RealGpiParams:
     if not (0 < y2 < math.inf and 0 < y3 < math.inf):  # also rejects NaN
         raise InputError("make_real_params requires finite y2, y3 > 0")
-    r = (y2 + 1.0) * (y3 + 1.0) + 1.0
+    r, t = r_and_t(y2, y3)
     if not math.isfinite(r):
         raise InputError("make_real_params requires a finite r = (y2 + 1)(y3 + 1) + 1")
-    t = 1.0 / (r + (1.0 + 1.0 / y2) * (1.0 + 1.0 / y3))
     return RealGpiParams(y2, y3, r, t)
 
 
@@ -162,11 +183,11 @@ def make_real_params(y2: float, y3: float) -> RealGpiParams:
 # ----------------------------------------------------------------------
 
 
-def h_parts(params: GpiParams, z: Fraction | MultiPoly) -> tuple[Fraction | MultiPoly, ...]:
-    """(M, D, den) with H(z) = (M + sqrt(D))/den, for a rational z or the
-    polynomial variable z: M = (m2+m3+1)(rz - 1), the radicand
-    D = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z and den = r^2 z - 1, which is
-    positive on H's domain 1/r^2 < z <= 1."""
+def h_parts(params: GpiParams | RealGpiParams, z):
+    """(M, D, den) with H(z) = (M + sqrt(D))/den, for a rational z, the
+    polynomial variable z, or a float z and RealGpiParams: M = (m2+m3+1)(rz - 1),
+    the radicand D = ((m3 - m2)(rz - 1))^2 + (r - 1)^3 z and den = r^2 z - 1,
+    which is positive on H's domain 1/r^2 < z <= 1."""
     r = params.r
     rz1 = r * z - 1
     return params.msum * rz1, params.mdiff_sq * rz1**2 + (r - 1) ** 3 * z, r * r * z - 1
@@ -213,34 +234,20 @@ def _s_combination(f1, f2, z, r, msum, one=1) -> Fraction | MultiPoly:
     )
 
 
-def _s_poly(m2: int, m3: int | MultiPoly) -> MultiPoly:
-    """S for an int m3 (a polynomial in z) or a polynomial m3 (a polynomial in
-    z and m3's variables that specializes to S at every integer m3 >= 1)."""
-    return _s_combination(
-        hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES), MultiPoly.var("z"),
-        (2 * m2 + 1) * (2 * m3 + 1) + 1, m3 + (m2 + 1),
-    )
-
-
-def S_poly(params: GpiParams) -> MultiPoly:
+def S_poly(m2: int, m3: int | MultiPoly) -> MultiPoly:
     """Cleared-denominator positivity polynomial in z, degree 2 m2 + 1:
 
         (r-1)(1-z) f1^2 + 2 (m2+m3+1)(rz-1) f1 f2 - (r^2 z - 1) f2^2
 
     with f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z).  Its strict
     positivity on (1/r^2, 1) is equivalent to the ratio inequality
-    f1/f2 > 1/H there.
+    f1/f2 > 1/H there.  A polynomial m3 gives a polynomial in z and m3's
+    variables that specializes to S at every integer m3 >= 1.
     """
-    return _s_poly(params.m2, params.m3)
-
-
-def h_offset(m2: int) -> int:
-    """Offset in the substitution m3 = b^2 + offset defining h_{m2}."""
-    if m2 == 1:
-        return 5
-    if m2 == 2:
-        return 3
-    return m2
+    return _s_combination(
+        hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES), MultiPoly.var("z"),
+        r_of(2 * m2, 2 * m3), m3 + (m2 + 1),
+    )
 
 
 def h_poly(m2: int) -> MultiPoly:
@@ -252,7 +259,7 @@ def h_poly(m2: int) -> MultiPoly:
     if not 1 <= m2 <= 7:
         raise InputError("h_poly is defined for m2 in 1..7")
     b = MultiPoly.var("b")
-    s_b = _s_poly(m2, b * b + h_offset(m2))
+    s_b = S_poly(m2, b * b + h_offset(m2))
     return s_b.substitute("z", "c", 0, 1, clear=2 * m2 + 1)
 
 
@@ -284,9 +291,8 @@ def f_truncated_poly() -> MultiPoly:
             total = total + piece
         return total
 
-    r = (x2 * 2 + 1) * (x3 * 2 + 1) + 1
     return _s_combination(
-        bracket(odd=False), bracket(odd=True), u, r, x2 + x3 + 1, one=x2x3
+        bracket(odd=False), bracket(odd=True), u, r_of(2 * x2, 2 * x3), x2 + x3 + 1, one=x2x3
     )
 
 
@@ -308,28 +314,41 @@ def _exact_status(margin: Fraction) -> str:
     return HOLDS if margin >= 0 else FAILS
 
 
+def _gpi_margin(f: Callable, y2, y3, a, x):
+    """The product-inequality margin for X1 = X2 + a X3 over a unit-variance
+    pair with correlation x, divided by (y2 - 1)!! (y3 - 1)!!:
+
+        a^2 (y3+1) f(0, 1, 1/2) + (y2+1) f(1, 0, 1/2)
+        + 2 a x (y3+1)(y2+1) f(0, 0, 3/2) - (a^2 + 1 + 2 a x)
+
+    with f(i, j, c) = F(-y3/2 - j, -y2/2 - i; c; x^2).  The exact check
+    passes rationals and y = 2m, the float check floats."""
+    return (
+        a * a * (y3 + 1) * f(0, 1, HALF)
+        + (y2 + 1) * f(1, 0, HALF)
+        + 2 * a * x * (y3 + 1) * (y2 + 1) * f(0, 0, THREE_HALVES)
+        - (a * a + 1 + 2 * a * x)
+    )
+
+
 def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckReport:
     """Exact margin of the product inequality for X1 = X2 + a X3 over a
-    unit-variance pair with correlation x:
+    unit-variance pair with correlation x,
 
-        margin = E[X1^2 X2^(2m2) X3^(2m3)] - E[X1^2] E[X2^(2m2)] E[X3^(2m3)]
-               = a^2 E[X2^(2m2) X3^(2m3+2)] + E[X2^(2m2+2) X3^(2m3)]
-                 + 2a E[X2^(2m2+1) X3^(2m3+1)] - (a^2 + 1 + 2ax)(2m2-1)!! (2m3-1)!!
+        E[X1^2 X2^(2m2) X3^(2m3)] - E[X1^2] E[X2^(2m2)] E[X3^(2m3)],
 
-    The three moments are the closed-form polynomials in x, evaluated at x.
-    Holds iff margin >= 0; equality (margin exactly 0) is reported in the
-    metadata and occurs only in independent/degenerate configurations.
+    which is (2m2-1)!! (2m3-1)!! times _gpi_margin at y = 2m, with its three
+    F from hyp_poly at z = x^2.  Holds iff margin >= 0; equality (margin
+    exactly 0) is reported in the metadata and occurs only in
+    independent/degenerate configurations.
     """
     a, x = rational(a), rational(x)
     if abs(x) > 1:
         raise InputError("correlation x must satisfy |x| <= 1")
-    m2, m3, point = params.m2, params.m3, {"x": x}
-    lhs = (
-        a * a * closed_form_poly(m2, m3 + 1, False).eval(point)
-        + closed_form_poly(m2 + 1, m3, False).eval(point)
-        + 2 * a * closed_form_poly(m2, m3, True).eval(point)
+    m2, m3, point = params.m2, params.m3, {"z": x * x}
+    margin = double_factorial_odd(m2) * double_factorial_odd(m3) * _gpi_margin(
+        lambda i, j, c: hyp_poly(m2 + i, m3 + j, c).eval(point), 2 * m2, 2 * m3, a, x
     )
-    margin = lhs - (a * a + 1 + 2 * a * x) * double_factorial_odd(m2) * double_factorial_odd(m3)
     return CheckReport(
         name=f"gpi:m2={params.m2},m3={params.m3},a={a},x={x}",
         status=_exact_status(margin),
@@ -464,7 +483,7 @@ def margin_polys(predicate: str, params: GpiParams) -> tuple[MultiPoly, MultiPol
     rm1 = r - 1
     m, d, den = h_parts(params, z)
     if predicate == "hfri":
-        alpha, beta = S_poly(params), MultiPoly.zero(z.vars)
+        alpha, beta = S_poly(params.m2, params.m3), MultiPoly.zero(z.vars)
     elif predicate in H_THRESHOLDS:
         alpha = m - H_THRESHOLDS[predicate] * den
         beta = MultiPoly.const(1, z.vars)
@@ -719,12 +738,8 @@ def _real_margin_status(margin: float) -> str:
 
 
 def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
-    """Float margin of the real-exponent product inequality:
-
-        a^2 (y3+1) F(-y3/2-1, -y2/2; 1/2; x^2)
-        + (y2+1) F(-y3/2, -y2/2-1; 1/2; x^2)
-        + 2 a x (y3+1)(y2+1) F(-y3/2, -y2/2; 3/2; x^2)
-        - (a^2 + 1 + 2 a x)
+    """Float margin of the real-exponent product inequality: _gpi_margin,
+    its three F summed by gauss_hyp_real.
 
     Requires |x| < 1 (series convergence); margins within REAL_MARGIN_GUARD of
     zero are reported indeterminate rather than trusted.
@@ -734,12 +749,9 @@ def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
     if not math.isfinite(a):
         raise InputError("check_gpi_real requires a finite a")
     y2, y3 = rp.y2, rp.y3
-    z = x * x
-    margin = (
-        a * a * (y3 + 1.0) * gauss_hyp_real(-y3 / 2.0 - 1.0, -y2 / 2.0, 0.5, z)
-        + (y2 + 1.0) * gauss_hyp_real(-y3 / 2.0, -y2 / 2.0 - 1.0, 0.5, z)
-        + 2.0 * a * x * (y3 + 1.0) * (y2 + 1.0) * gauss_hyp_real(-y3 / 2.0, -y2 / 2.0, 1.5, z)
-        - (a * a + 1.0 + 2.0 * a * x)
+    margin = _gpi_margin(
+        lambda i, j, c: gauss_hyp_real(-y3 / 2.0 - j, -y2 / 2.0 - i, float(c), x * x),
+        y2, y3, a, x,
     )
     return CheckReport(
         name=f"gpi-real:y2={rp.y2},y3={rp.y3},a={a},x={x}",
@@ -756,36 +768,26 @@ def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
         <=  |x|                 if x^2 <= t
         <=  H(x^2) |x|          otherwise
 
-    with the float analogue of the bound function H,
-
-        H(z) = [ (y2+y3+2)/2 (rz-1) + sqrt( ((y3-y2)(rz-1))^2/4 + (y2+1)^3 (y3+1)^3 z ) ]
-               / (r^2 z - 1).
-
-    An x^2 in (t, 1/r^2], where H is undefined (small y2, y3), raises InputError.
+    with H(z) = (M + sqrt(D))/den from h_parts at the float parameters.  An
+    x^2 in (t, 1/r^2], where den <= 0 and H is undefined (small y2, y3),
+    raises InputError.
     """
     if not abs(x) < 1:
         raise InputError("check_mri_real requires |x| < 1")
     z = x * x
-    r = rp.r
-    if z > rp.t and not r * r * z - 1.0 > 0.0:
-        raise InputError(f"x^2 = {z!r} is above t = {rp.t!r} but outside the ratio bound's "
-                         f"domain x^2 > 1/r^2 = {1.0 / (r * r)!r}")
+    bound, branch = abs(x), "covariance"
+    if z > rp.t:
+        try:
+            m, d, den = h_parts(rp, z)
+        except OverflowError:  # a float power in H past the float range
+            raise InputError(f"the ratio bound H({z!r}) overflows the float range") from None
+        if not den > 0.0:
+            raise InputError(f"x^2 = {z!r} is above t = {rp.t!r} but outside the ratio bound's "
+                             f"domain x^2 > 1/r^2 = {1.0 / (rp.r * rp.r)!r}")
+        bound, branch = (m + math.sqrt(d)) / den * abs(x), "ratio-bound"
     f1 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 0.5, z)
     f2 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 1.5, z)
     lhs = abs(x) * f2 / f1
-    if z <= rp.t:
-        bound = abs(x)
-        branch = "covariance"
-    else:
-        try:
-            disc = ((rp.y3 - rp.y2) * (r * z - 1.0)) ** 2 / 4.0 + (rp.y2 + 1.0) ** 3 * (
-                rp.y3 + 1.0
-            ) ** 3 * z
-        except OverflowError:  # a float power in H past the float range
-            raise InputError(f"the ratio bound H({z!r}) overflows the float range") from None
-        h = ((rp.y2 + rp.y3 + 2.0) / 2.0 * (r * z - 1.0) + math.sqrt(disc)) / (r * r * z - 1.0)
-        bound = h * abs(x)
-        branch = "ratio-bound"
     margin = bound - lhs
     return CheckReport(
         name=f"mri-real:y2={rp.y2},y3={rp.y3},x={x}",

@@ -9,10 +9,11 @@ the polynomial's value at x (:meth:`MultiPoly.eval`); the commands need no
 other pair, and the homogenization to any variances and covariance lives in
 tests/reference.py.
 
-A real-exponent moment E[g(X2) h(X3)] is named by one
-:class:`MomentExponents` request: :func:`real_moment` is its closed form in
-floating point, from the Gauss series, and :func:`polar_moment` its
-quadrature in polar coordinates, the independent deterministic oracle.
+A real-exponent moment E[g(X2) h(X3)] of a unit-variance pair is one
+:class:`MomentExponents` request (p, q, signed) at a float correlation x:
+:func:`real_moment` is its closed form in floating point, from the Gauss
+series, and :func:`polar_moment` its quadrature in polar coordinates, the
+independent deterministic oracle.
 """
 
 from __future__ import annotations
@@ -151,44 +152,34 @@ def gauss_hyp_real(a: float, b: float, c: float, z: float) -> float:
 
 
 class MomentExponents(NamedTuple):
-    """A real-exponent moment E[g(X2) h(X3)], with g(x) = |x|^p (times sign x
-    when signed2) and h(x) = |x|^q (times sign x when signed3)."""
+    """A real-exponent moment E[g(X2) h(X3)] of a unit-variance pair, with
+    g(x) = |x|^p and h(x) = |x|^q, each times sign x when signed."""
 
     p: float
     q: float
-    signed2: bool = False
-    signed3: bool = False
+    signed: bool = False
 
 
-def _unit_corr(exps: MomentExponents, pair: GaussianPair) -> float:
-    """The correlation of ``pair`` as a float, once the request is one that
-    both real-exponent paths evaluate (ValueError otherwise)."""
-    p, q, signed2, signed3 = exps
-    if signed2 != signed3:
-        raise ValueError("a real-exponent moment needs both sign factors or neither")
-    if min(p, q) < 0:
+def _check_request(exps: MomentExponents, x: float) -> None:
+    """ValueError unless both real-exponent paths evaluate ``exps`` at the
+    correlation x."""
+    if min(exps.p, exps.q) < 0:
         raise ValueError("exponents must be >= 0")
-    if pair.var2 != 1 or pair.var3 != 1:
-        raise ValueError("real-exponent moments require unit variances")
-    x = float(pair.cov)
-    if abs(x) > CORR_CAP:
+    if not abs(x) <= CORR_CAP:  # also rejects NaN
         raise ValueError(f"|corr| capped at {CORR_CAP} in the float path")
-    return x
 
 
-def real_moment(exps: MomentExponents, pair: GaussianPair) -> float:
-    """Closed form of the moment ``exps`` of a unit-variance pair with
-    correlation |x| <= CORR_CAP, to series tolerance:
+def real_moment(exps: MomentExponents, x: float) -> float:
+    """Closed form of the moment ``exps`` at the correlation |x| <= CORR_CAP,
+    to series tolerance:
 
-        unsigned:     2^((p+q)/2) Gamma((p+1)/2) Gamma((q+1)/2) / pi
-                      * F(-p/2, -q/2; 1/2; x^2)
-        both signed:  x 2^((p+q)/2 + 1) Gamma(p/2 + 1) Gamma(q/2 + 1) / pi
-                      * F((1-p)/2, (1-q)/2; 3/2; x^2)
-
-    The moment with one sign factor has no closed form here (ValueError).
+        unsigned:  2^((p+q)/2) Gamma((p+1)/2) Gamma((q+1)/2) / pi
+                   * F(-p/2, -q/2; 1/2; x^2)
+        signed:    x 2^((p+q)/2 + 1) Gamma(p/2 + 1) Gamma(q/2 + 1) / pi
+                   * F((1-p)/2, (1-q)/2; 3/2; x^2)
     """
-    p, q, signed, _ = exps
-    x = _unit_corr(exps, pair)
+    p, q, signed = exps
+    _check_request(exps, x)
     z = x * x
     if signed:
         scale = (
@@ -221,9 +212,9 @@ def _tanh_sinh(f, a: float, b: float) -> float:
     return total * QUAD_STEP * (b - a) * math.pi / 4
 
 
-def polar_moment(exps: MomentExponents, pair: GaussianPair) -> float:
-    """The moment ``exps`` of a unit-variance pair with correlation
-    |x| <= CORR_CAP, by quadrature; it shares no formula with real_moment.
+def polar_moment(exps: MomentExponents, x: float) -> float:
+    """The moment ``exps`` at the correlation |x| <= CORR_CAP, by quadrature;
+    it shares no formula with real_moment.
 
     In polar coordinates the radial integral is a Gamma function, and the
     four quadrants fold onto the first.  With s = p + q + 2 the moment is
@@ -232,12 +223,12 @@ def polar_moment(exps: MomentExponents, pair: GaussianPair) -> float:
         cos^p t sin^q t ([(1-x^2) / (1 - x sin 2t)]^(s/2)
                          +- [(1-x^2) / (1 + x sin 2t)]^(s/2)) dt,
 
-    with - when both factors are signed and + when neither is.  As |x| nears
+    with - when the request is signed and + when it is not.  As |x| nears
     1, one of the two terms peaks ever more narrowly at t = pi/4, so the
     integral is split there and each half puts the peak at one of its ends.
     """
-    p, q, signed, _ = exps
-    x = _unit_corr(exps, pair)
+    p, q, signed = exps
+    _check_request(exps, x)
     c = 1.0 - x * x
     half_s = (p + q + 2.0) / 2.0
     sign = -1.0 if signed else 1.0

@@ -10,7 +10,8 @@ derivative-side condition and -G den from F(-m2-1, -m3; 1/2; z), which
 margin_polys's one margin per inequality is tested against, the
 derivative of a polynomial, the four contiguous relations of F and its
 Chu-Vandermonde value at z = 1, the moments at any pair by homogenizing a
-unit-variance polynomial (the closed forms and the pairing recursion),
+unit-variance polynomial (the closed forms and the pairing recursion), the
+GPI margin from three closed-form moments, the covered set case by case,
 single-coefficient certificate mutations, root counts on an open interval by
 Sturm's theorem, and a polynomial with one variable fixed at a constant.
 Import them with ``from reference import ...`` (pytest puts ``tests/`` on the
@@ -32,7 +33,7 @@ from gpiverify.inequality import (
     h_parts,
     margin_polys,
 )
-from gpiverify.moments import GaussianPair, closed_form_poly, wick_poly
+from gpiverify.moments import GaussianPair, closed_form_poly, double_factorial_odd, wick_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import SosCertificate
 
@@ -295,6 +296,31 @@ def odd_moment(m2: int, m3: int, pair: GaussianPair) -> Fraction:
 def wick_moment(p: int, q: int, pair: GaussianPair) -> Fraction:
     """E[X2^p X3^q] by the pairing recursion; independent of hyp_poly."""
     return moment_at(wick_poly(p, q), p, q, pair)
+
+
+def gpi_margin(m2: int, m3: int, a: Fraction, x: Fraction) -> Fraction:
+    """The product-inequality margin for X1 = X2 + a X3 over the
+    unit-variance pair with correlation x, from three closed-form moments:
+    a^2 E[X2^(2m2) X3^(2m3+2)] + E[X2^(2m2+2) X3^(2m3)]
+    + 2a E[X2^(2m2+1) X3^(2m3+1)] - (a^2 + 1 + 2ax)(2m2-1)!! (2m3-1)!!."""
+    pair = GaussianPair.unit(x)
+    return (
+        a * a * even_moment(m2, m3 + 1, pair)
+        + even_moment(m2 + 1, m3, pair)
+        + 2 * a * odd_moment(m2, m3, pair)
+        - (a * a + 1 + 2 * a * x) * double_factorial_odd(m2) * double_factorial_odd(m3)
+    )
+
+
+def coverage_rule(m2: int, m3: int) -> bool:
+    """The covered parameter set case by case, in either order: (1, >= 5),
+    (2, >= 3) and every pair with both indices >= 3."""
+    lo, hi = min(m2, m3), max(m2, m3)
+    if lo == 1:
+        return hi >= 5
+    if lo == 2:
+        return hi >= 3
+    return lo >= 3
 
 
 class Mutation(NamedTuple):

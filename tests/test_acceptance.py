@@ -273,23 +273,21 @@ def test_criterion_11_real_exponent_path():
     violation = find_mri_real_violation(make_real_params(4.0, 4.3))
     assert violation.metadata["found"]
 
-    pair_half = GaussianPair.unit(Fraction(1, 2))
-    pair_neg = GaussianPair.unit(Fraction(-3, 10))
     configs = [
-        (MomentExponents(1.0, 0.0), pair_half),
-        (MomentExponents(2.5, 0.0), pair_half),
-        (MomentExponents(4.0, 0.0), pair_half),
-        (MomentExponents(1.3, 2.7), pair_half),
-        (MomentExponents(2.0, 3.0), pair_neg),
-        (MomentExponents(1.5, 4.0), pair_half),
-        (MomentExponents(3.0, 3.0), pair_neg),
-        (MomentExponents(2.0, 3.0, True, True), pair_half),
-        (MomentExponents(3.4, 2.6, True, True), pair_neg),
-        (MomentExponents(5.0, 1.0), pair_half),
+        (MomentExponents(1.0, 0.0), 0.5),
+        (MomentExponents(2.5, 0.0), 0.5),
+        (MomentExponents(4.0, 0.0), 0.5),
+        (MomentExponents(1.3, 2.7), 0.5),
+        (MomentExponents(2.0, 3.0), -0.3),
+        (MomentExponents(1.5, 4.0), 0.5),
+        (MomentExponents(3.0, 3.0), -0.3),
+        (MomentExponents(2.0, 3.0, signed=True), 0.5),
+        (MomentExponents(3.4, 2.6, signed=True), -0.3),
+        (MomentExponents(5.0, 1.0), 0.5),
     ]
-    for i, (exps, pair) in enumerate(configs):
-        closed = real_moment(exps, pair)
-        quadrature = polar_moment(exps, pair)
+    for i, (exps, x) in enumerate(configs):
+        closed = real_moment(exps, x)
+        quadrature = polar_moment(exps, x)
         assert math.isclose(closed, quadrature, rel_tol=tol), (i, closed, quadrature)
     print("[criterion 11] PASS: real-exponent margins positive (tolerance 1e-9) on "
           "the grid for y2 = y3 = 13; ratio-bound violation found at y2=4, y3=4.3; "

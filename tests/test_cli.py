@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gpiverify.cli import _build_parser, _resolve_config, main, run
 from gpiverify.exactnum import InputError
 from gpiverify.gausshyp import HALF
-from gpiverify.moments import GaussianPair, MomentExponents, real_moment
+from gpiverify.moments import MomentExponents, real_moment
 from gpiverify.polyring import MultiPoly
 from reference import hyp_value_at_one
 
@@ -187,7 +187,7 @@ class TestExitCodes:
         # the Gamma factors of the moments cancel in the margin, which sums
         # its own series; the moments themselves overflow math.gamma here
         with pytest.raises(OverflowError):
-            real_moment(MomentExponents(400.0, 402.0), GaussianPair.unit(Fraction(1, 2)))
+            real_moment(MomentExponents(400.0, 402.0), 0.5)
         argv = "check gpi-real --y2 400 --y3 400 --a 1 --x 0.5 --out".split() + [os.devnull]
         assert main(argv) == 0
 
@@ -532,6 +532,8 @@ class TestCommands:
         "check mri --m2 2 --m3 2 --find-violation --cov 1/2",
         "check mri --m2 2 --m3 2 --find-violation --var2 2",
         "sos verify --all --m2 3",
+        "oracle compare --real --max-m 3",
+        "oracle compare --real --max-m 8",
     ])
     def test_option_the_chosen_form_ignores_is_usage_error(self, argv, capsys):
         assert main(argv.split()) == 64
@@ -548,12 +550,28 @@ class TestCommands:
         # quadrature
         code, report = invoke(["oracle", "compare", "--real"], tmp_path)
         assert code == 0
+        assert report["run"]["max_m"] is None  # --real uses no --max-m
         checks = report["checks"]
         assert [c["status"] for c in checks] == ["holds"] * 6
         for check in checks:
             assert check["metadata"] == {"relative_tolerance": 1e-9}
             [witness] = check["witnesses"]
             assert witness["closed_form"] == pytest.approx(witness["quadrature"], rel=1e-9)
+            # the name is the request that the witness computes
+            request = MomentExponents(witness["p"], witness["q"], witness["signed"])
+            x = float(check["name"].rsplit(",x=", 1)[1])
+            assert check["name"] == (f"oracle:real:p={request.p},q={request.q},"
+                                     f"signed={request.signed},x={x}")
+            assert witness["closed_form"] == real_moment(request, x)
+        assert len({c["name"] for c in checks}) == 6
+
+    def test_oracle_compare_echoes_and_documents_its_default(self, tmp_path, capsys):
+        _, report = invoke(["oracle", "compare"], tmp_path)
+        assert report["run"]["max_m"] == 8
+        assert report["checks"][0]["name"] == "oracle:moments:max_m=8"
+        with pytest.raises(SystemExit):
+            main(["oracle", "compare", "--help"])
+        assert "(default 8;" in capsys.readouterr().out
 
     def test_scan_domain_override(self, tmp_path):
         code, report = invoke(

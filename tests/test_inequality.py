@@ -39,14 +39,16 @@ from gpiverify.inequality import (
 )
 from gpiverify.exactnum import sign_sqrt
 from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly
-from gpiverify.inequality import _index_polys, _s_poly, _scan_point
+from gpiverify.inequality import _index_polys, _scan_point
 from gpiverify.moments import GaussianPair, double_factorial_odd
 from gpiverify.polyring import MultiPoly
 from gpiverify.report import jsonable
 from reference import (
     G_value,
+    coverage_rule,
     deriv_direct_form,
     deriv_reduced_form,
+    gpi_margin,
     h_compare,
     hyp_value_at_one,
     mri_ratio,
@@ -98,6 +100,9 @@ class TestParams:
         assert in_coverage_set(2, 3)
         assert in_coverage_set(3, 3)
         assert in_coverage_set(9, 5)  # order-insensitive
+        for m2 in range(1, 41):
+            for m3 in range(1, 41):
+                assert in_coverage_set(m2, m3) == coverage_rule(m2, m3), (m2, m3)
 
     def test_t_between_inverse_powers(self):
         for m2 in range(1, 13):
@@ -194,28 +199,28 @@ class TestLemmaBounds:
 class TestSPoly:
     def test_value_at_zero(self):
         # (2m2+1)(2m3+1) - 2(m2+m3+1) + 1
-        assert S_poly(make_params(1, 5)).eval({"z": 0}) == 20
-        assert S_poly(make_params(2, 3)).eval({"z": 0}) == 24
+        assert S_poly(1, 5).eval({"z": 0}) == 20
+        assert S_poly(2, 3).eval({"z": 0}) == 24
 
     def test_degree(self):
         for m2, m3 in [(1, 5), (2, 3), (4, 9)]:
-            assert S_poly(make_params(m2, m3)).degree("z") == 2 * m2 + 1
+            assert S_poly(m2, m3).degree("z") == 2 * m2 + 1
 
     def test_positive_inside_for_covered_pair(self):
-        assert S_poly(make_params(2, 3)).eval({"z": Fraction(1, 2)}) > 0
+        assert S_poly(2, 3).eval({"z": Fraction(1, 2)}) > 0
 
     def test_sign_at_one_tracks_mri_boundary(self):
         # (1,1) violates the ratio inequality near z = 1; its S(1) is negative
-        assert S_poly(make_params(1, 1)).eval({"z": 1}) < 0
-        assert S_poly(make_params(1, 5)).eval({"z": 1}) > 0
+        assert S_poly(1, 1).eval({"z": 1}) < 0
+        assert S_poly(1, 5).eval({"z": 1}) > 0
 
     def test_symbolic_specialization(self):
         # S built with a polynomial m3, specialized at every m3 (below m2 too)
         m3v = MultiPoly.var("m3")
         for m2 in (1, 2, 3):
-            sym = _s_poly(m2, m3v)
+            sym = S_poly(m2, m3v)
             for m3 in range(1, 10):
-                assert specialize(sym, "m3", m3) == S_poly(make_params(m2, m3)), (m2, m3)
+                assert specialize(sym, "m3", m3) == S_poly(m2, m3), (m2, m3)
 
 
 class TestHPoly:
@@ -243,11 +248,10 @@ class TestHPoly:
         for m2, b in [(1, 0), (2, 1), (3, 2)]:
             offset = {1: 5, 2: 3}.get(m2, m2)
             m3 = b * b + offset
-            params = make_params(m2, m3)
             for c in (Fraction(1, 2), Fraction(2)):
                 z = c * c / (1 + c * c)
                 lhs = h_poly(m2).eval({"b": b, "c": c})
-                rhs = (1 + c * c) ** (2 * m2 + 1) * S_poly(params).eval({"z": z})
+                rhs = (1 + c * c) ** (2 * m2 + 1) * S_poly(m2, m3).eval({"z": z})
                 assert lhs == rhs, (m2, b, c)
 
 
@@ -300,7 +304,7 @@ class TestEquivalenceChain:
         rng = random.Random(333)
         for m2, m3 in self.COVERED:
             params = make_params(m2, m3)
-            s = S_poly(params)
+            s = S_poly(m2, m3)
             lo = 1 / (params.r * params.r)
             for _ in range(50):
                 z = lo + Fraction(rng.randint(1, 9999), 10000) * (1 - lo)
@@ -313,7 +317,7 @@ class TestEquivalenceChain:
         # the uncovered pair (1,1) near z = 1, S is negative while the exact
         # product-form margin stays nonnegative (zero only at z = 1)
         z = Fraction(97, 100)
-        assert S_poly(make_params(1, 1)).eval({"z": z}) < 0
+        assert S_poly(1, 1).eval({"z": z}) < 0
         assert self._product_form_margin(1, 1, z) > 0
         assert self._product_form_margin(1, 1, Fraction(1)) == 0
 
@@ -351,6 +355,13 @@ class TestCheckGpi:
         with pytest.raises(ValueError):
             check_gpi(make_params(1, 1), Fraction(0), Fraction(3, 2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6),
+           st.fractions(min_value=-8, max_value=8, max_denominator=60),
+           st.fractions(min_value=-1, max_value=1, max_denominator=60))
+    def test_margin_is_the_closed_form_moment_margin(self, m2, m3, a, x):
+        assert check_gpi(make_params(m2, m3), a, x).margin == gpi_margin(m2, m3, a, x)
+
 
 class TestCheckMri:
     def test_known_violation_at_full_correlation(self):
@@ -360,7 +371,7 @@ class TestCheckMri:
         assert H_at_one(params) == Fraction(6, 11)
         rep = check_mri(params, pair)
         assert rep.status == "fails"
-        assert rep.margin == S_poly(params).eval({"z": 1}) == -5
+        assert rep.margin == S_poly(params.m2, params.m3).eval({"z": 1}) == -5
         bound = rep.witnesses[0]["bound"]
         assert bound.lo == bound.hi == Fraction(6, 11)
 
@@ -455,7 +466,7 @@ class TestCheckMri:
                 params = make_params(m2, m3)
                 # built once per pair of indices, as find_mri_violation does
                 fs = (hyp_poly(m2, m3, HALF), hyp_poly(m2, m3, THREE_HALVES))
-                s_poly = S_poly(params)
+                s_poly = S_poly(m2, m3)
                 for pair in pairs:
                     report = check_mri(params, pair, fs)
                     (witness,) = report.witnesses
@@ -530,7 +541,7 @@ class TestG:
                 params = make_params(m2, m3)
                 alpha, beta, d = margin_polys("g-negative", params)
                 den = h_parts(params, _Z)[2]
-                assert alpha * alpha - beta * beta * d == -den * S_poly(params), (m2, m3)
+                assert alpha * alpha - beta * beta * d == -den * S_poly(m2, m3), (m2, m3)
 
     def test_sign_matches_closed_form_factor(self):
         # G(1) < 0 iff (2m2-1)(2m3-1) > 2
@@ -908,11 +919,23 @@ class TestRealPath:
         real = check_gpi_real(make_real_params(2.0 * m2, 2.0 * m3), float(a), float(x)).margin
         assert real == pytest.approx(float(exact / scale), rel=1e-12)
 
+    @pytest.mark.parametrize("m2, m3", [(1, 5), (2, 3), (4, 1), (30, 34)])
+    def test_real_ratio_bound_is_h_at_even_exponents(self, m2, m3):
+        # y = 2m: the float bound over |x| is H(x^2), which H_value encloses;
+        # these x have an exact square in binary
+        params, rp = make_params(m2, m3), make_real_params(2.0 * m2, 2.0 * m3)
+        for x in (0.5, -0.75, 0.875):
+            (witness,) = check_mri_real(rp, x).witnesses
+            h = H_value(params, Fraction(x * x), Fraction(1, 10**30))
+            assert witness["branch"] == "ratio-bound"
+            assert witness["bound"] / abs(x) == pytest.approx(float(h.lo), rel=1e-13)
+
     def test_real_params_match_integer_case(self):
         rp = make_real_params(4.0, 6.0)
         p = make_params(2, 3)
         assert rp.r == float(p.r)
         assert abs(rp.t - float(p.t)) < 1e-15
+        assert (rp.msum, rp.mdiff_sq) == (float(p.msum), float(p.mdiff_sq))
 
     def test_real_mri_matches_exact_verdicts(self):
         # float path agrees with the exact integer path away from the margin

@@ -3,8 +3,9 @@ exact-arithmetic command line, compared with a table computed from an earlier
 commit of the package.
 
 The table covers the paper suite's exact commands, the interval scans at the
-five index pairs of the benchmark, and a few more commands (``params show``,
-``expand s``, the MRI at a zero of S, a failing scan).  Float reports
+five index pairs of the benchmark, and a few more commands: the GPI margin
+at both signs of x and at |x| = 1, ``params show`` on the covered set's
+boundary, ``expand s``, the MRI at a zero of S and a failing scan.  Float reports
 (``oracle compare --real``, ``check gpi-real``, ``check mri --y2``) are left
 out: their last digits may move with the platform's libm.
 """
@@ -37,6 +38,14 @@ DIGESTS = {
         (0, "674380498675d5a1d6b4125ea9fde199b942e3fea75d667e3210c79054091abe"),
     "check gpi --m2 1 --m3 1 --a=-1 --x 1/2":
         (0, "c872b246aff67fc1e63685421c5d1e416dbe3f834fca5a0722bf6cd8f03840ad"),
+    "check gpi --m2 2 --m3 5 --a 5/2 --x=-3/10":
+        (0, "cf450a0ac4ededc8f7c0502024181be34e0bcef028ea3793af90e48cf39495a8"),
+    "check gpi --m2 4 --m3 1 --a 1/3 --x 9/10":
+        (0, "5edccd284a35d01d57fa143d5c893cbde3c331dbda67da070dcfe1c6f01698bc"),
+    "check gpi --m2 3 --m3 3 --a 0 --x 1":
+        (0, "722bfac93411ed6d8633f6dabd0a9b48128334a7d1d804dd72aa87980addb9b9"),
+    "check gpi --m2 1 --m3 1 --a 1 --x -1":
+        (0, "c399b15b4d0a716f9547edc3a19fe56577894acd0a4f79ffd072885b1e4d19d1"),
     "check mri --m2 2 --m3 2 --find-violation":
         (0, "1ba2f3f330ad2c6860c3e94f9b6529aafa5f403ad237b5d0e0a9cd39f3162700"),
     "check mri --m2 2 --m3 3 --x 1/4":
@@ -87,8 +96,18 @@ DIGESTS = {
         (0, "a1c6b3b45a3ff8a58ef6068bdb98f9f95ca7dd8fdf28d909f5023bdc8bfb6097"),
     "params show --m2 2 --m3 3":
         (0, "58ce8d8e7f4099abd11a142b7804758c41b4b37b45c4dc693e444d7aa345470b"),
+    "params show --m2 1 --m3 4":
+        (0, "2c75f33fe0c05d61be48035969d0413a7aad26c8cd7186e55b336cba8a8d9ec8"),
+    "params show --m2 1 --m3 5":
+        (0, "56561793a177fb71f2a0ec8b29525719dc3dfc9bc30e706fb81fda81be0f1f34"),
+    "params show --m2 2 --m3 2":
+        (0, "d6311ce8f97360b2f88b5f908aabfd56b43494ad954d78c9c06475dcfbaf857b"),
+    "params show --m2 3 --m3 3":
+        (0, "2636538f2ffb7ace3fada9ab8948554976e3ed3fbfa4245a67340be72f1f95eb"),
     "expand s --m2 2 --m3 3":
         (0, "64b5ef5d68c089617948600a2c5a41590c7df12efa4b5a27afff6c8a02df9117"),
+    "expand s --m2 1 --m3 5":
+        (0, "4634cbed660ffdc9a79cbf5149303bbcd76cde182cca7b9ea96b0abce8916708"),
     "check mri --m2 1 --m3 2 --cov 3 --var2 4 --var3 3":
         (0, "52ed644bf92500ebb9997b592e12e159db703a41a778b69deeb2980f94271498"),
     "scan h-deriv --m2 2 --m3 1 --grid 1001":
