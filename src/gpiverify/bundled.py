@@ -1,38 +1,46 @@
-"""Access to the bundled read-only data files.
+"""The bundled read-only data files: their names, formats and index range.
 
-certs/h{k}_expansion.json : the full bivariate polynomial h_k, k = 1..7
+certs/h{k}_expansion.json : the full bivariate polynomial h_k, k in H_INDICES
 certs/h{k}_sos.json       : weighted-square certificate for h_k's bracket
 data/g_appendix.json      : the reference expansion of g
 
-All files use the polynomial JSON format ({"vars": [...], "terms": [...]})
-with coefficients as exact rational strings.  A file that cannot be read or
-parsed raises :class:`BundledDataError`: it is a defect of the installed
-package, never of the caller's input.
+A polynomial is stored in the JSON format of :meth:`MultiPoly.to_json_dict`
+({"vars": [...], "terms": [...]}) with coefficients as exact rational strings.
+A certificate file holds its ring, its target polynomial, a list of squares
+({"lambda": weight, "poly": polynomial}), the scale of the target inside its
+host and the host's name.  This module parses each file into a value;
+:mod:`gpiverify.soscert` checks what the values claim.  A file that cannot be
+read or parsed, or a certificate with a weight or scale that is not positive,
+raises :class:`BundledDataError`: it is a defect of the installed package,
+never of the caller's input.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import InputError
+from .exactnum import InputError, rational
 from .polyring import MultiPoly
+
+H_INDICES = range(1, 8)  # the m2 of the bundled h expansions and certificates
 
 
 class BundledDataError(Exception):
     """A bundled file is missing or malformed; the message names the file."""
 
 
-@contextmanager
-def reading(package_dir: str, name: str):
-    """Re-raise a failure to read or parse one bundled file as BundledDataError."""
-    try:
-        yield
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise BundledDataError(
-            f"bundled file {package_dir}/{name}: {type(exc).__name__}: {exc}"
-        ) from exc
+class Certificate(NamedTuple):
+    """host = scale * target + rest, and target = sum(weight * square^2) over
+    ``squares``, a tuple of (weight, square) pairs; every weight and the scale
+    are positive.  ``name`` is the host's."""
+
+    name: str
+    scale: Fraction
+    target: MultiPoly
+    squares: tuple[tuple[Fraction, MultiPoly], ...]
 
 
 def _read(package_dir: str, name: str) -> dict:
@@ -42,25 +50,50 @@ def _read(package_dir: str, name: str) -> dict:
         return json.load(fh)
 
 
+def _load(package_dir: str, name: str, parse):
+    """parse(the JSON of one bundled file); a failure to read or parse it is a
+    BundledDataError that names the file."""
+    try:
+        return parse(_read(package_dir, name))
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BundledDataError(
+            f"bundled file {package_dir}/{name}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _h_file(m2: int, kind: str) -> str:
+    if m2 not in H_INDICES:
+        raise InputError(f"bundled h files exist for m2 in {H_INDICES[0]}..{H_INDICES[-1]}")
+    return f"h{m2}_{kind}.json"
+
+
 def load_h_expansion(m2: int) -> MultiPoly:
-    """Bundled reference expansion of h_{m2}, 1 <= m2 <= 7."""
-    if not 1 <= m2 <= 7:
-        raise InputError("bundled h expansions exist for m2 in 1..7")
-    name = f"h{m2}_expansion.json"
-    with reading("certs", name):
-        return MultiPoly.from_json_dict(_read("certs", name))
+    """Bundled reference expansion of h_{m2}, m2 in H_INDICES."""
+    return _load("certs", _h_file(m2, "expansion"), MultiPoly.from_json_dict)
 
 
-def load_certificate_dict(m2: int) -> dict:
-    """Raw certificate JSON for h_{m2}'s bracket, 1 <= m2 <= 7."""
-    if not 1 <= m2 <= 7:
-        raise InputError("bundled certificates exist for m2 in 1..7")
-    name = f"h{m2}_sos.json"
-    with reading("certs", name):
-        return _read("certs", name)
+def load_certificate(m2: int) -> Certificate:
+    """Bundled certificate for h_{m2}'s bracket, m2 in H_INDICES."""
+
+    def parse(raw: dict) -> Certificate:
+        target = MultiPoly.from_json_dict(raw["target"])
+        if tuple(raw["ring"]) != target.vars:
+            raise ValueError(f"certificate ring {raw['ring']} does not match target {target.vars}")
+        scale = rational(raw["scale"])
+        squares = tuple(
+            (rational(item["lambda"]), MultiPoly.from_json_dict(item["poly"]))
+            for item in raw["squares"]
+        )
+        if scale <= 0:
+            raise ValueError(f"certificate scale {scale} is not positive")
+        for lam, _ in squares:
+            if lam <= 0:
+                raise ValueError(f"certificate weight {lam} is not positive")
+        return Certificate(raw.get("host", f"h{m2}"), scale, target, squares)
+
+    return _load("certs", _h_file(m2, "sos"), parse)
 
 
 def load_g_appendix() -> MultiPoly:
     """Bundled reference expansion of g over (a, b, c)."""
-    with reading("data", "g_appendix.json"):
-        return MultiPoly.from_json_dict(_read("data", "g_appendix.json"))
+    return _load("data", "g_appendix.json", MultiPoly.from_json_dict)

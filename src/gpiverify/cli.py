@@ -35,7 +35,7 @@ import sys
 import time
 
 from . import __version__
-from .bundled import load_g_appendix, load_h_expansion
+from .bundled import H_INDICES, load_g_appendix, load_h_expansion
 from .exactnum import InputError, rational
 from .inequality import (
     SCAN_PREDICATES,
@@ -232,14 +232,14 @@ def _build_parser() -> _Parser:
 def _cmd_sos_verify(args: argparse.Namespace) -> list[CheckReport]:
     if args.all and args.m2 is not None:
         raise InputError("sos verify --all does not use --m2")
-    if args.m2 is not None:
-        indices = [args.m2]
-    else:
-        indices = list(range(1, 8))  # --all and the bare form verify everything
+    # --all and the bare form verify every bundled certificate
+    indices = H_INDICES if args.m2 is None else [args.m2]
     return [verify_bracket_positivity(m2) for m2 in indices]
 
 
 def _cmd_expand_h(args: argparse.Namespace) -> list[CheckReport]:
+    # an m2 with no bundled file is refused before h is built
+    bundled = load_h_expansion(args.m2) if args.compare_bundled else None
     poly = h_poly(args.m2)
     _maybe_write_poly(args, poly)
     out = [CheckReport(
@@ -248,8 +248,7 @@ def _cmd_expand_h(args: argparse.Namespace) -> list[CheckReport]:
         metadata={"terms": len(poly.nums), "degree_b": poly.degree("b"),
                   "degree_c": poly.degree("c"), "polynomial": poly.to_json_dict()},
     )]
-    if args.compare_bundled:
-        bundled = load_h_expansion(args.m2)
+    if bundled is not None:
         same = poly == bundled
         out.append(CheckReport(
             name=f"expand:h{args.m2}:compare-bundled",
@@ -275,7 +274,7 @@ def _cmd_expand_g(args: argparse.Namespace) -> list[CheckReport]:
         scalar = proportionality_scalar(poly, bundled)
         meta["proportionality_scalar"] = scalar
         meta["bundled_constant"] = bundled.constant_term()
-        meta["bundled_min_coeff"] = min(bundled.coefficients())
+        meta["bundled_min_coeff"] = min(bundled.terms.values())
         checks.append(CheckReport(
             name="expand:g:compare-appendix",
             status=VERIFIED if scalar is not None else RESIDUAL_NONZERO,

@@ -252,12 +252,11 @@ def S_poly(m2: int, m3: int | MultiPoly) -> MultiPoly:
 
 def h_poly(m2: int) -> MultiPoly:
     """Bivariate polynomial h_{m2}(b, c) = (1+c^2)^(2 m2 + 1) * S(z)
-    under m3 = b^2 + offset and z = c^2/(1+c^2); positive for all real b, c.
-
-    Defined for 1 <= m2 <= 7 (the explicitly certified range).
+    under m3 = b^2 + offset and z = c^2/(1+c^2), for any m2 >= 1; the bundled
+    certificates prove it positive for all real b, c at each m2 they cover.
     """
-    if not 1 <= m2 <= 7:
-        raise InputError("h_poly is defined for m2 in 1..7")
+    if m2 < 1:
+        raise InputError("h_poly is defined for m2 >= 1")
     b = MultiPoly.var("b")
     s_b = S_poly(m2, b * b + h_offset(m2))
     return s_b.substitute("z", "c", 0, 1, clear=2 * m2 + 1)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .exactnum import RationalLike, rational
 
@@ -115,9 +115,6 @@ class MultiPoly:
     # basic queries
     # ------------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -127,9 +124,6 @@ class MultiPoly:
             raise ValueError(f"unknown variable {var!r}")
         i = self.vars.index(var)
         return max((e[i] for e in self.nums), default=-1)
-
-    def total_degree(self) -> int:
-        return max(map(sum, self.nums), default=-1)
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         """Coefficient of the monomial with exponent vector ``exps``, in the
@@ -145,9 +139,6 @@ class MultiPoly:
     def iter_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Terms in graded-lexicographic order of the ring's variable order."""
         return iter(sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
-    def coefficients(self) -> Iterable[Fraction]:
-        return self.terms.values()
 
     # ------------------------------------------------------------------
     # ring alignment

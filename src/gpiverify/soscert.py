@@ -1,21 +1,23 @@
-"""Exact verification of weighted sums-of-squares certificates.
+"""Exact checks of positivity certificates, on the values that
+:mod:`gpiverify.bundled` parses; this module reads no file itself.
 
-A certificate asserts ``target = sum_i lambda_i * p_i^2`` with all weights
-positive.  Verification is exact polynomial arithmetic: the certificate is
-data and is never trusted; a nonzero residual is reported verbatim so a
+A sums-of-squares certificate asserts ``target = sum_i lambda_i * p_i^2``
+with every weight positive (the loader refuses any other).  The certificate
+is data and is never trusted: a nonzero residual is reported verbatim so a
 transcription or source defect can be localized, never silently repaired.
 
-Combined with the coefficientwise decomposition ``host = scale * target +
-rest`` with ``rest`` having only nonnegative coefficients, a verified
-certificate whose squares include a constant certifies strict positivity of
-the host polynomial on all of R^2.
+With ``host = scale * target + rest``, scale > 0 and every coefficient of
+``rest`` nonnegative, a verified certificate whose squares include a nonzero
+constant certifies host > 0 wherever each monomial of ``rest`` is
+nonnegative: on b, c >= 0, which is all the hypergeometric ratio inequality
+uses (b^2 = m3 - offset and c^2 = z/(1 - z)).  Every bundled host and target
+has even exponents only, so for them it holds on all of R^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from .bundled import load_certificate_dict, load_h_expansion, reading
-from .exactnum import rational
+from .bundled import Certificate, load_certificate, load_h_expansion
 from .polyring import MultiPoly
 from .report import (
     COEFFICIENT_NEGATIVE,
@@ -25,73 +27,17 @@ from .report import (
 )
 
 
-class SosCertificate:
-    """Target polynomial with its weighted list of squares.
-
-    ``context_scale`` is the factor in front of the bracket inside the host
-    expansion (e.g. 1/9 for h_1); ``host`` is the full polynomial whose
-    bracket the target is, when bundled alongside.
-    """
-
-    __slots__ = ("target", "squares", "context_scale", "host", "name")
-
-    def __init__(
-        self,
-        target: MultiPoly,
-        squares: tuple[tuple[Fraction, MultiPoly], ...],
-        context_scale: Fraction = Fraction(1),
-        host: MultiPoly | None = None,
-        name: str = "certificate",
-    ):
-        for lam, _ in squares:
-            if lam <= 0:
-                raise ValueError(f"malformed certificate: weight {lam} is not positive")
-        self.target = target
-        self.squares = squares
-        self.context_scale = context_scale
-        self.host = host
-        self.name = name
-
-    def reconstruction(self) -> MultiPoly:
-        total = MultiPoly.zero(self.target.vars)
-        for lam, p in self.squares:
-            total = total + (p * p).scale(lam)
-        return total
-
-    def constant_square_weight(self) -> Fraction | None:
-        """Weight of a constant square, if any: witnesses strict positivity."""
-        for lam, p in self.squares:
-            if p.total_degree() == 0 and not p.is_zero():
-                return lam * p.constant_term() ** 2
-        return None
-
-
-def load_certificate(m2: int) -> SosCertificate:
-    """Bundled certificate for the h_{m2} bracket, with its host attached."""
-    raw = load_certificate_dict(m2)
-    with reading("certs", f"h{m2}_sos.json"):
-        target = MultiPoly.from_json_dict(raw["target"])
-        if tuple(raw["ring"]) != target.vars:
-            raise ValueError(f"certificate ring {raw['ring']} does not match target {target.vars}")
-        squares = tuple(
-            (rational(item["lambda"]), MultiPoly.from_json_dict(item["poly"]))
-            for item in raw["squares"]
-        )
-        return SosCertificate(
-            target=target,
-            squares=squares,
-            context_scale=rational(raw["scale"]),
-            host=load_h_expansion(m2),
-            name=raw.get("host", f"h{m2}"),
-        )
-
-
-def verify_sos(cert: SosCertificate) -> CheckReport:
-    """Exact check that target equals the weighted sum of squares."""
-    residual = cert.target - cert.reconstruction()
-    if residual.is_zero():
+def verify_sos(cert: Certificate) -> CheckReport:
+    """Exact check that target equals the weighted sum of squares.  The first
+    nonzero constant square bounds the target below by its weighted value."""
+    squares = MultiPoly.zero(cert.target.vars)
+    for lam, p in cert.squares:
+        squares = squares + (p * p).scale(lam)
+    residual = cert.target - squares
+    if not residual:
         metadata = {"squares": len(cert.squares)}
-        const_w = cert.constant_square_weight()
+        const_w = next((lam * p.constant_term() ** 2 for lam, p in cert.squares
+                        if list(p.nums) == [(0,) * len(p.vars)]), None)
         if const_w is not None:
             metadata["strictness"] = (
                 f"nonnegative certified; strict positivity via constant square >= {const_w}"
@@ -116,7 +62,7 @@ def verify_nonneg_coeffs(p: MultiPoly, name: str = "polynomial") -> CheckReport:
         return CheckReport(
             name=f"nonneg:{name}",
             status=VERIFIED,
-            metadata={"terms": len(p.nums), "min_coeff": min(p.coefficients(), default=Fraction(0))},
+            metadata={"terms": len(p.nums), "min_coeff": min(p.terms.values(), default=Fraction(0))},
         )
     return CheckReport(
         name=f"nonneg:{name}",
@@ -130,7 +76,7 @@ def proportionality_scalar(p: MultiPoly, q: MultiPoly) -> Fraction | None:
     """The positive rational c with p = c q, or None if there is none."""
     ring = MultiPoly.union_ring(p, q)
     p, q = p.in_ring(ring), q.in_ring(ring)
-    if p.is_zero() or len(p.nums) != len(q.nums):
+    if not p or len(p.nums) != len(q.nums):
         return None
     exps = next(iter(p.nums))
     ref = q.coeff(exps)
@@ -147,11 +93,11 @@ def verify_bracket_positivity(m2: int) -> CheckReport:
     2. the bracket certificate must verify exactly.
 
     Together (with the constant square providing strictness) these certify
-    h_{m2} > 0 everywhere.
+    h_{m2} > 0 on b, c >= 0, and on all of R^2 since h_{m2} and its target
+    have even exponents only.
     """
     cert = load_certificate(m2)
-    assert cert.host is not None
-    rest = cert.host - cert.target.scale(cert.context_scale)
+    rest = load_h_expansion(m2) - cert.target.scale(cert.scale)
     rest_report = verify_nonneg_coeffs(rest, name=f"h{m2}-rest")
     sos_report = verify_sos(cert)
     ok = rest_report.status == VERIFIED and sos_report.status == VERIFIED
@@ -164,7 +110,7 @@ def verify_bracket_positivity(m2: int) -> CheckReport:
         residual=sos_report.residual,
         witnesses=sos_report.witnesses + rest_report.witnesses,
         metadata={
-            "scale": cert.context_scale,
+            "scale": cert.scale,
             "decomposition": rest_report.status,
             "sos": sos_report.status,
             "strictness": sos_report.metadata.get("strictness"),

@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
+from gpiverify.bundled import Certificate
 from gpiverify.exactnum import RationalLike, rational, sign_sqrt
 from gpiverify.gausshyp import HALF, hyp_poly
 from gpiverify.inequality import (
@@ -35,7 +36,6 @@ from gpiverify.inequality import (
 )
 from gpiverify.moments import GaussianPair, closed_form_poly, double_factorial_odd, wick_poly
 from gpiverify.polyring import MultiPoly
-from gpiverify.soscert import SosCertificate
 
 # the package keeps no memo; the tests ask for one pair's margin and one
 # moment's closed form at many points, so these two lookups keep theirs
@@ -331,24 +331,24 @@ class Mutation(NamedTuple):
     monomial: tuple[int, ...] = ()
 
 
-def mutate_certificate(cert: SosCertificate, mutation: Mutation) -> SosCertificate:
+def mutate_certificate(cert: Certificate, mutation: Mutation) -> Certificate:
     """A copy with one coefficient bumped by +1; must flip verify_sos."""
     if mutation.kind == "lambda":
         lam, p = cert.squares[mutation.index]
         squares = list(cert.squares)
         squares[mutation.index] = (lam + 1, p)
-        return SosCertificate(cert.target, tuple(squares), cert.context_scale, cert.host, cert.name)
+        return cert._replace(squares=tuple(squares))
     if mutation.kind == "square":
         lam, p = cert.squares[mutation.index]
         bumped = p + MultiPoly(p.vars, {tuple(mutation.monomial): Fraction(1)})
         squares = list(cert.squares)
         squares[mutation.index] = (lam, bumped)
-        return SosCertificate(cert.target, tuple(squares), cert.context_scale, cert.host, cert.name)
+        return cert._replace(squares=tuple(squares))
     if mutation.kind == "target":
         bumped = cert.target + MultiPoly(
             cert.target.vars, {tuple(mutation.monomial): Fraction(1)}
         )
-        return SosCertificate(bumped, cert.squares, cert.context_scale, cert.host, cert.name)
+        return cert._replace(target=bumped)
     raise ValueError(f"unknown mutation kind {mutation.kind!r}")
 
 

@@ -488,6 +488,16 @@ class TestCommands:
         assert code == 0
         assert [c["status"] for c in report["checks"]] == ["verified", "verified"]
 
+    def test_expand_h_past_the_bundled_range(self, tmp_path, capsys, monkeypatch):
+        # h_poly takes any m2 >= 1; only the bundled files stop at 7
+        import gpiverify.cli as cli
+
+        code, report = invoke(["expand", "h", "--m2", "8"], tmp_path)
+        assert code == 0 and report["checks"][0]["metadata"]["terms"] == 188
+        monkeypatch.setattr(cli, "h_poly", None)  # the range is checked before h is built
+        assert main("expand h --m2 8 --compare-bundled".split()) == 64
+        assert "bundled h files exist for m2 in 1..7" in capsys.readouterr().err
+
     def test_expand_s_poly_out(self, tmp_path):
         poly_path = tmp_path / "s.json"
         code, _ = invoke(
@@ -762,7 +772,20 @@ class TestCommands:
          lambda data: data | {"terms": [{"c": data["terms"][0]["c"],
                                          "e": [e + 0.5 for e in data["terms"][0]["e"]]}]
                               + data["terms"][1:]}),
-    ], ids=["duplicate-monomial", "missing-file", "certificate-field", "fractional-exponent"])
+        ("sos verify --m2 5", "h5_sos.json",
+         lambda data: data | {"squares": [data["squares"][0] | {"lambda": "0"}]
+                              + data["squares"][1:]}),
+        ("sos verify --m2 5", "h5_sos.json",
+         lambda data: data | {"squares": data["squares"][:-1]
+                              + [data["squares"][-1] | {"lambda": "-1"}]}),
+        ("sos verify --m2 6", "h6_sos.json",
+         lambda data: data | {"ring": data["ring"][::-1]}),
+        # h7 = scale * target + rest fails with the scale negated: some
+        # coefficient of rest turns negative
+        ("sos verify --m2 7", "h7_sos.json",
+         lambda data: data | {"scale": "-" + data["scale"]}),
+    ], ids=["duplicate-monomial", "missing-file", "certificate-field", "fractional-exponent",
+            "zero-weight", "negative-weight", "reversed-ring", "negative-scale"])
     def test_damaged_bundled_file_is_internal_error(self, monkeypatch, capsys, argv,
                                                     damaged, damage):
         # a defect of the installed data is not the user's: exit 70, not 64
@@ -784,12 +807,49 @@ class TestCommands:
         assert err.startswith("gpiverify: internal error: BundledDataError: bundled file ")
         assert f"certs/{damaged}" in err and err.count("\n") == 1
 
+    def test_nonpositive_scale_is_internal_error(self, monkeypatch, capsys):
+        # host = scale * target + rest proves host > 0 only when scale > 0: with
+        # target 1 = 1 * 1^2 and scale -2, the host -1 + b^2 has rest 1 + b^2,
+        # whose coefficients are nonnegative, yet the host is -1 at the origin
+        import gpiverify.bundled as bundled
+
+        def poly(*terms):
+            return {"vars": ["b", "c"], "terms": [{"c": c, "e": e} for c, e in terms]}
+
+        one = poly(("1", [0, 0]))
+        files = {
+            "h1_expansion.json": poly(("-1", [0, 0]), ("1", [2, 0])),
+            "h1_sos.json": {"ring": ["b", "c"], "target": one, "scale": "-2",
+                            "squares": [{"lambda": "1", "poly": one}], "host": "h1"},
+        }
+        monkeypatch.setattr(bundled, "_read", lambda package_dir, name: files[name])
+        assert main(["sos", "verify", "--m2", "1", "--out", os.devnull]) == 70
+        err = capsys.readouterr().err
+        assert "BundledDataError: bundled file certs/h1_sos.json: " in err
+        assert "scale -2 is not positive" in err
+
     def test_missing_config_is_usage_error(self):
         assert main(["--config", "/no/such/file.json", "params", "show",
                      "--m2", "1", "--m3", "1"]) == 64
 
 
 class TestNoMemo:
+    def test_each_bundled_file_is_read_once(self, monkeypatch):
+        # no loader keeps a copy, and no command reads a file it does not use
+        import gpiverify.bundled as bundled
+
+        opened = []
+        read = bundled._read
+        monkeypatch.setattr(bundled, "_read",
+                            lambda package_dir, name: opened.append(name) or read(package_dir, name))
+        assert main("sos verify --all --out".split() + [os.devnull]) == 0
+        assert sorted(opened) == sorted(f"h{k}_{kind}.json" for k in range(1, 8)
+                                        for kind in ("expansion", "sos"))
+        for k in range(1, 8):
+            opened.clear()
+            assert main(f"expand h --m2 {k} --compare-bundled --out".split() + [os.devnull]) == 0
+            assert opened == [f"h{k}_expansion.json"]
+
     def test_violation_search_builds_f1_and_f2_once(self, monkeypatch, capsys):
         # every correlation of the search evaluates the same two polynomials
         import gpiverify.inequality as inequality

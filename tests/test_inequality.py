@@ -127,7 +127,7 @@ class TestQuadraticForm:
         for m2 in range(1, 16):
             for m3 in range(1, 16):
                 residuals = quadratic_form_residuals(make_params(m2, m3))
-                assert all(p.is_zero() for p in residuals), (m2, m3)
+                assert not any(residuals), (m2, m3)
 
 
 class TestH:
@@ -232,20 +232,20 @@ class TestHPoly:
         assert h_poly(2).coeff((10, 10)) == Fraction(32, 15)
 
     def test_even_exponents_only(self):
-        for m2 in range(1, 8):
+        for m2 in range(1, 10):
             assert all(
                 all(e % 2 == 0 for e in exps) for exps in h_poly(m2).terms
             ), m2
 
     def test_range_enforced(self):
+        # any m2 >= 1: only the bundled files stop at 7
         with pytest.raises(ValueError):
             h_poly(0)
-        with pytest.raises(ValueError):
-            h_poly(8)
+        assert len(h_poly(8).nums) == 188
 
     def test_h_encodes_s_at_rational_points(self):
         # h_{m2}(b, c) = (1+c^2)^(2m2+1) S(c^2/(1+c^2)) with m3 = b^2 + offset
-        for m2, b in [(1, 0), (2, 1), (3, 2)]:
+        for m2, b in [(1, 0), (2, 1), (3, 2), (8, 1), (9, 3)]:
             offset = {1: 5, 2: 3}.get(m2, m2)
             m3 = b * b + offset
             for c in (Fraction(1, 2), Fraction(2)):
@@ -269,7 +269,7 @@ class TestFAndG:
         g = g_poly()
         assert g.degree("a") == 16 and g.degree("b") == 16 and g.degree("c") == 18
         assert all(all(e % 2 == 0 for e in exps) for exps in g.terms)
-        assert all(coeff >= 0 for coeff in g.coefficients())
+        assert all(coeff >= 0 for coeff in g.terms.values())
 
     def test_g_symmetric_in_a_b(self):
         g = g_poly()

@@ -218,7 +218,7 @@ def test_package_data_globs_cover_every_bundled_read(monkeypatch):
     monkeypatch.setattr(bundled, "_read", recording_read)
     for m2 in range(1, 8):
         bundled.load_h_expansion(m2)
-        bundled.load_certificate_dict(m2)
+        bundled.load_certificate(m2)
     bundled.load_g_appendix()
     assert len(opened) == 15
     assert [f for f in opened if not any(fnmatch.fnmatchcase(f, g) for g in globs)] == []

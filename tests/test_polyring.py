@@ -31,7 +31,7 @@ class TestArithmetic:
         p = 1 + 2 * z
         assert p * p == 1 + 4 * z + 4 * z**2
         assert (1 + c**2) ** 3 == 1 + 3 * c**2 + 3 * c**4 + c**6
-        assert (p - p).is_zero()
+        assert not (p - p)
         assert (p - p).terms == {}
 
     def test_no_zero_coefficients_stored(self):
@@ -39,7 +39,7 @@ class TestArithmetic:
         p, q = x + y, x - y
         prod = p * q  # x^2 - y^2; the xy terms cancel
         assert set(prod.terms) == {(2, 0), (0, 2)}
-        assert all(c != 0 for c in prod.coefficients())
+        assert all(c != 0 for c in prod.terms.values())
 
     def test_variable_alignment(self):
         r = var("b") ** 2 + var("c")
@@ -57,7 +57,7 @@ class TestArithmetic:
         assert p * q == q * p
         assert (p + q) + r == p + (q + r)
         assert p * (q + r) == p * q + p * r
-        assert all(c != 0 for c in (p * q).coefficients())
+        assert all(c != 0 for c in (p * q).terms.values())
 
     @staticmethod
     def reference_mul(p, q):
@@ -87,7 +87,7 @@ class TestArithmetic:
         ring, expected = self.reference_mul(p, q)
         assert prod.vars == ring
         assert prod.terms == expected
-        assert all(type(c) is Fraction and c != 0 for c in prod.coefficients())
+        assert all(type(c) is Fraction and c != 0 for c in prod.terms.values())
         assert all(len(e) == len(ring) for e in prod.terms)
 
     def test_mul_cancellation_leaves_no_key(self):
@@ -266,7 +266,7 @@ class TestSubstitution:
         a, b, c, w = var("a"), var("b"), var("c"), var("w")
         assert (var("m3") ** 2).substitute("m3", "b", 5, 1) == b**4 + 10 * b**2 + 25
         assert var("x2").substitute("x2", "a", 8, 1) == a**2 + 8
-        assert var("z").substitute("z", "w", 0, 0).is_zero()
+        assert not var("z").substitute("z", "w", 0, 0)
         got = (var("x") ** 2 + var("y")).substitute("x", "c", 1, 1, 2)
         assert got.vars == ("y", "c")
         assert got == Fraction(1, 4) * (1 + c**2) ** 2 + var("y")

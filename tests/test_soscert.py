@@ -4,14 +4,10 @@ the bundled data."""
 import random
 from fractions import Fraction
 
-import pytest
-
-from gpiverify.bundled import load_g_appendix, load_h_expansion
+from gpiverify.bundled import Certificate, load_certificate, load_g_appendix, load_h_expansion
 from gpiverify.inequality import g_poly, h_poly
 from gpiverify.polyring import MultiPoly
 from gpiverify.soscert import (
-    SosCertificate,
-    load_certificate,
     proportionality_scalar,
     verify_bracket_positivity,
     verify_nonneg_coeffs,
@@ -24,35 +20,20 @@ a, b, c = (MultiPoly.var(v) for v in "abc")
 
 class TestVerifySos:
     def test_single_square(self):
-        cert = SosCertificate(
-            target=b**2, squares=((Fraction(1), b),)
-        )
-        assert verify_sos(cert).status == "verified"
+        cert = Certificate("demo", Fraction(1), b**2, ((Fraction(1), b),))
+        rep = verify_sos(cert)
+        assert rep.status == "verified"
+        assert "strictness" not in rep.metadata  # no constant square
 
     def test_deliberate_mismatch(self):
-        cert = SosCertificate(
-            target=b**2 + 1, squares=((Fraction(1), b),)
-        )
+        cert = Certificate("demo", Fraction(1), b**2 + 1, ((Fraction(1), b),))
         rep = verify_sos(cert)
         assert rep.status == "residual_nonzero"
         assert rep.residual == MultiPoly.const(1, ("b",))
 
-    def test_nonpositive_weight_rejected(self):
-        for weight in (Fraction(-1), Fraction(0)):
-            with pytest.raises(ValueError, match="not positive"):
-                SosCertificate(
-                    target=b**2, squares=((Fraction(1), b), (weight, b))
-                )
-
     def test_reordering_invariance(self):
         cert = load_certificate(1)
-        shuffled = SosCertificate(
-            cert.target,
-            tuple(reversed(cert.squares)),
-            cert.context_scale,
-            cert.host,
-            cert.name,
-        )
+        shuffled = cert._replace(squares=tuple(reversed(cert.squares)))
         assert verify_sos(cert).status == verify_sos(shuffled).status == "verified"
 
 
@@ -71,7 +52,7 @@ class TestBundledCertificates:
     def test_known_scales(self):
         scales = {1: "1/9", 2: "1/45", 3: "1/35", 4: "1/315", 5: "1/63", 6: "1/7", 7: "1/45"}
         for m2, scale in scales.items():
-            assert load_certificate(m2).context_scale == Fraction(scale)
+            assert load_certificate(m2).scale == Fraction(scale)
 
     def test_bracket_spot_coefficient(self):
         target = load_certificate(1).target
@@ -81,6 +62,12 @@ class TestBundledCertificates:
         for m2 in range(1, 8):
             assert len(load_certificate(m2).squares) == 10
 
+    def test_even_exponents_only(self):
+        # so the nonnegative rest of each host is nonnegative on all of R^2
+        for m2 in range(1, 8):
+            for poly in (load_h_expansion(m2), load_certificate(m2).target):
+                assert all(e % 2 == 0 for exps in poly.nums for e in exps), m2
+
     def test_bundled_h_matches_regeneration(self):
         for m2 in range(1, 8):
             assert load_h_expansion(m2) == h_poly(m2), m2
@@ -89,8 +76,9 @@ class TestBundledCertificates:
         rng = random.Random(7)
         for m2 in range(1, 8):
             cert = load_certificate(m2)
-            floor = cert.constant_square_weight()
-            assert floor is not None and floor > 0
+            floor = next(lam * p.constant_term() ** 2 for lam, p in cert.squares
+                         if p.degree("b") == p.degree("c") == 0)
+            assert floor > 0
             for _ in range(20):
                 point = {
                     "b": Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
@@ -130,7 +118,7 @@ class TestMutationSoundness:
                 mutation = Mutation("target", 0, mono)
             rep = verify_sos(mutate_certificate(cert, mutation))
             assert rep.status == "residual_nonzero", (m2, mutation)
-            assert rep.residual is not None and not rep.residual.is_zero()
+            assert rep.residual
 
 
 class TestNonnegCoeffs:
