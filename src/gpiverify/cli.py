@@ -35,7 +35,6 @@ import sys
 import time
 
 from . import __version__
-from .bundled import H_INDICES, load_g_appendix, load_h_expansion
 from .exactnum import InputError, rational
 from .inequality import (
     SCAN_PREDICATES,
@@ -43,26 +42,12 @@ from .inequality import (
     G_at_one,
     H_at_one,
     S_poly,
-    check_gpi,
-    check_gpi_real,
-    check_mri,
-    check_mri_real,
     check_point,
-    find_mri_real_violation,
-    find_mri_violation,
     g_poly,
     h_poly,
     make_params,
     make_real_params,
     scan,
-)
-from .moments import (
-    GaussianPair,
-    MomentExponents,
-    closed_form_poly,
-    polar_moment,
-    real_moment,
-    wick_poly,
 )
 from .report import (
     FAIL_STATUSES,
@@ -75,7 +60,6 @@ from .report import (
     CheckReport,
     jsonable,
 )
-from .soscert import proportionality_scalar, verify_bracket_positivity, verify_nonneg_coeffs
 
 ORACLE_MAX_M = 8  # the default --max-m of oracle compare
 
@@ -230,6 +214,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sos_verify(args: argparse.Namespace) -> list[CheckReport]:
+    from .bundled import H_INDICES
+    from .soscert import verify_bracket_positivity
+
     if args.all and args.m2 is not None:
         raise InputError("sos verify --all does not use --m2")
     # --all and the bare form verify every bundled certificate
@@ -238,8 +225,11 @@ def _cmd_sos_verify(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_expand_h(args: argparse.Namespace) -> list[CheckReport]:
-    # an m2 with no bundled file is refused before h is built
-    bundled = load_h_expansion(args.m2) if args.compare_bundled else None
+    bundled = None
+    if args.compare_bundled:  # an m2 with no bundled file is refused before h is built
+        from .bundled import load_h_expansion
+
+        bundled = load_h_expansion(args.m2)
     poly = h_poly(args.m2)
     _maybe_write_poly(args, poly)
     out = [CheckReport(
@@ -259,6 +249,9 @@ def _cmd_expand_h(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_expand_g(args: argparse.Namespace) -> list[CheckReport]:
+    from .bundled import load_g_appendix
+    from .soscert import proportionality_scalar, verify_nonneg_coeffs
+
     poly = g_poly()
     _maybe_write_poly(args, poly)
     checks = [verify_nonneg_coeffs(poly, "g")]
@@ -303,6 +296,8 @@ def _cmd_expand_s(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_check_gpi(args: argparse.Namespace) -> list[CheckReport]:
+    from .checks import check_gpi
+
     params = make_params(args.m2, args.m3)
     return [check_gpi(params, rational(args.a), rational(args.x))]
 
@@ -311,6 +306,9 @@ def _cmd_check_mri(args: argparse.Namespace) -> list[CheckReport]:
     """--m2/--m3 or --y2/--y3 (real exponents), then --find-violation or a
     point: --x, or --cov with --var2/--var3 for integers.  An option that
     the chosen form ignores is a usage error."""
+    from .checks import check_mri, check_mri_real, find_mri_real_violation, find_mri_violation
+    from .moments import GaussianPair
+
     real = args.y2 is not None or args.y3 is not None
     indices = ("y2", "y3") if real else ("m2", "m3")
     if any(getattr(args, opt) is None for opt in indices):
@@ -349,6 +347,8 @@ def _cmd_check_hfri(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_check_gpi_real(args: argparse.Namespace) -> list[CheckReport]:
+    from .checks import check_gpi_real
+
     rp = make_real_params(args.y2, args.y3)
     return [check_gpi_real(rp, _float(args.a), _float(args.x))]
 
@@ -363,6 +363,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
         if args.max_m is not None:
             raise InputError("oracle compare --real does not use --max-m")
         return _cmd_oracle_compare_real()
+    from .moments import closed_form_poly, wick_poly
+
     if args.max_m is None:  # resolved here, so the report echoes it
         args.max_m = ORACLE_MAX_M
     # each side is a polynomial in the correlation, so equality holds for every x
@@ -384,6 +386,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_oracle_compare_real() -> list[CheckReport]:
+    from .moments import MomentExponents, polar_moment, real_moment
+
     # the two sides are floats that agree to about 1e-12 relative, so a gap
     # past rel_tol is a defect in one of them, not rounding
     rel_tol = 1e-9

@@ -14,11 +14,16 @@ No operation mutates a value; all operations are pure.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
 RationalLike = Union[Fraction, int, str]
+
+#: the exponent k that ends a decimal text m e k
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
 class InputError(ValueError):
@@ -31,7 +36,14 @@ def rational(value: RationalLike) -> Fraction:
 
     Decimal strings are converted exactly ("2.75" becomes 11/4), never through
     binary floating point.  Floats are rejected to keep accidental rounding out
-    of the exact pipeline.
+    of the exact pipeline.  A text whose numerator or denominator would have
+    more digits than the interpreter converts to text
+    (sys.get_int_max_str_digits(), unbounded when 0) is an InputError, so
+    no report fails to print it.  Fraction refuses any run of more digits
+    than that, so the value is at most a few times the limit long unless an
+    exponent k makes it longer: an exponent past 3 limit is refused before
+    10^k is built, which can take minutes, and any other value is built and
+    its digits counted.
     """
     if isinstance(value, Fraction):
         return value
@@ -42,12 +54,22 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float input; pass a string, int or Fraction")
     text = str(value).strip()
+    limit = sys.get_int_max_str_digits()
+    power = _EXPONENT.search(text) if limit else None
     try:
-        return Fraction(text)
+        far = power is not None and abs(int(power[1])) > 3 * limit
+        result = None if far else Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"{text!r} has a zero denominator") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if far:
+        raise InputError(f"{text!r} has an exponent past {3 * limit} in magnitude")
+    big = max(abs(result.numerator), result.denominator)
+    # a number of at most 3 limit bits is below 8^limit, so it has at most limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise InputError(f"{text!r} has more than {limit} digits in its numerator or denominator")
+    return result
 
 
 def sign_sqrt(a: Fraction | int, b: Fraction | int, d: Fraction | int) -> int:

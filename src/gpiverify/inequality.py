@@ -12,19 +12,19 @@ the real-exponent checks take the same definitions at floats, y = 2m:
   m3 -> b^2 + h_offset(m2) and z -> c^2/(1+c^2);
 * the truncated three-variable polynomial f and its positified form g under
   u -> (11/4) c^2/(1+c^2), x2 -> a^2 + 8, x3 -> b^2 + 8;
-* checks of the product inequality (GPI, one margin in three values of F:
-  exact from hyp_poly, float from gauss_hyp_real) and the moment-ratio
-  inequality (MRI, from f1 and f2 at z = Corr^2, with the margin
-  |Cov| - lhs for z <= t and S(z) or the float H above t); one search down
-  a grid of correlations finds an MRI violation on either path; and the
-  inequality predicates at one point (check_point) or on a grid (scan).
+* the inequality predicates at one point (check_point) or on a grid (scan).
+
+The point checks of the product inequality (GPI) and the moment-ratio
+inequality (MRI) evaluate moments, so they live in ``checks``, which takes
+these objects from here.  This module imports neither ``checks`` nor
+``moments``, so a scan loads neither.
 
 Every predicate is decided exactly.  Each holds at z iff
 alpha(z) + beta(z) sqrt(D(z)) > 0, where alpha, beta and the radicand D of H
 are polynomials in z that a scan or a point check builds once and passes on
 (margin_polys; beta is 0 for the HFRI polynomial S).  The module keeps no
-memo: a value that one call uses twice, like f1 and f2 in the MRI violation
-search, is built once and passed down.  There is one margin per inequality:
+memo: a value that one call uses twice, like a predicate's alpha, beta and D
+in a scan, is built once and passed down.  There is one margin per inequality:
 G is written from f1, f2 and H, and the two derivative-side predicates share
 one margin on their two domains.  A scan's grid is z_k = (A + k B)/C with
 ints A, B and C > 0, so once per scan these become integer polynomials in
@@ -37,16 +37,16 @@ signs shows that Q has no root (_certified_points, by
 polyring.descartes_variations), and decides only the other points one by
 one, in the same process.  A point check is the one-point grid A/C = z,
 B = 0.  The interval enclosure H_value gives the bound shown beside an MRI
-verdict, which it does not decide; the enclosure of G that the tests
-compare the g-negative signs against lives in tests/reference.py.
+verdict (checks.check_mri), which it does not decide; the enclosure of G
+that the tests compare the g-negative signs against lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .exactnum import (
     InputError,
@@ -57,7 +57,6 @@ from .exactnum import (
     sqrt_enclosure,
 )
 from .gausshyp import HALF, THREE_HALVES, hyp_poly
-from .moments import SERIES_TOL, GaussianPair, double_factorial_odd, gauss_hyp_real
 from .polyring import MultiPoly, affine_form, descartes_variations, horner
 from .report import (
     FAILS,
@@ -75,9 +74,6 @@ TRUNCATION_BOUND = Fraction(11, 4)
 FACT17 = math.factorial(17)
 
 DEFAULT_WIDTH = Fraction(1, 10**6)
-
-#: float-path guard: series results within this of zero are indeterminate
-REAL_MARGIN_GUARD = 1e-9
 
 SCAN_PREDICATES = (
     "hfri",
@@ -304,143 +300,13 @@ def g_poly() -> MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# exact checks: GPI and MRI
+# the difference function G for the large-parameter case
 # ----------------------------------------------------------------------
-
-
-def _exact_status(margin: Fraction) -> str:
-    """Verdict of an exact margin: the check holds iff margin >= 0."""
-    return HOLDS if margin >= 0 else FAILS
-
-
-def _gpi_margin(f: Callable, y2, y3, a, x):
-    """The product-inequality margin for X1 = X2 + a X3 over a unit-variance
-    pair with correlation x, divided by (y2 - 1)!! (y3 - 1)!!:
-
-        a^2 (y3+1) f(0, 1, 1/2) + (y2+1) f(1, 0, 1/2)
-        + 2 a x (y3+1)(y2+1) f(0, 0, 3/2) - (a^2 + 1 + 2 a x)
-
-    with f(i, j, c) = F(-y3/2 - j, -y2/2 - i; c; x^2).  The exact check
-    passes rationals and y = 2m, the float check floats."""
-    return (
-        a * a * (y3 + 1) * f(0, 1, HALF)
-        + (y2 + 1) * f(1, 0, HALF)
-        + 2 * a * x * (y3 + 1) * (y2 + 1) * f(0, 0, THREE_HALVES)
-        - (a * a + 1 + 2 * a * x)
-    )
-
-
-def check_gpi(params: GpiParams, a: RationalLike, x: RationalLike) -> CheckReport:
-    """Exact margin of the product inequality for X1 = X2 + a X3 over a
-    unit-variance pair with correlation x,
-
-        E[X1^2 X2^(2m2) X3^(2m3)] - E[X1^2] E[X2^(2m2)] E[X3^(2m3)],
-
-    which is (2m2-1)!! (2m3-1)!! times _gpi_margin at y = 2m, with its three
-    F from hyp_poly at z = x^2.  Holds iff margin >= 0; equality (margin
-    exactly 0) is reported in the metadata and occurs only in
-    independent/degenerate configurations.
-    """
-    a, x = rational(a), rational(x)
-    if abs(x) > 1:
-        raise InputError("correlation x must satisfy |x| <= 1")
-    m2, m3, point = params.m2, params.m3, {"z": x * x}
-    margin = double_factorial_odd(m2) * double_factorial_odd(m3) * _gpi_margin(
-        lambda i, j, c: hyp_poly(m2 + i, m3 + j, c).eval(point), 2 * m2, 2 * m3, a, x
-    )
-    return CheckReport(
-        name=f"gpi:m2={params.m2},m3={params.m3},a={a},x={x}",
-        status=_exact_status(margin),
-        margin=margin,
-        metadata={"equality": margin == 0, "method": "exact rational"},
-    )
 
 
 def _f1_f2(params: GpiParams) -> tuple[MultiPoly, MultiPoly]:
     """f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z), polynomials in z."""
     return hyp_poly(params.m2, params.m3, HALF), hyp_poly(params.m2, params.m3, THREE_HALVES)
-
-
-def _mri_margin(params: GpiParams, pair: GaussianPair, fs: tuple) -> tuple[Fraction, Fraction]:
-    """(margin, lhs) of the moment-ratio inequality at ``pair``, as check_mri
-    defines them, from ``fs`` = _f1_f2(params); no bound is built."""
-    z = pair.corr_sq
-    f1, f2 = (f.eval({"z": z}) for f in fs)
-    abs_cov = abs(pair.cov)
-    lhs = abs_cov * f2 / f1
-    if z <= params.t:
-        return abs_cov - lhs, lhs
-    return _s_combination(f1, f2, z, params.r, params.msum), lhs
-
-
-def check_mri(params: GpiParams, pair: GaussianPair, fs: tuple | None = None) -> CheckReport:
-    """Moment-ratio inequality check, decided exactly from f1 and f2 at z = Corr^2.
-
-    With f1 = F(-m2, -m3; 1/2; z) and f2 = F(-m2, -m3; 3/2; z), the ratio
-    |E[X2^(2m2+1) X3^(2m3+1)]| / ((r-1) E[X2^(2m2) X3^(2m3)]) is
-    lhs = |Cov| f2/f1.  When z <= t the bound is |Cov| and the margin is
-    |Cov| - lhs.  Otherwise the bound is H(z) |Cov| and the margin is S(z):
-    f1 > 0, and on (1/r^2, 1] S(z) >= 0 iff f2/f1 <= H(z), with equality
-    together.  The check holds iff the margin >= 0, and equality means a
-    margin of 0.  The witness shows lhs beside the bound; on the ratio branch
-    that is H_value's enclosure, to DEFAULT_WIDTH, with both ends times
-    |Cov| >= 0.  ``fs`` is _f1_f2(params), built here when not given.
-    """
-    margin, lhs = _mri_margin(params, pair, fs or _f1_f2(params))
-    z, abs_cov = pair.corr_sq, abs(pair.cov)
-    if z <= params.t:
-        bound, branch, quantity = abs_cov, "covariance", "|cov| - lhs"
-    else:
-        h = H_value(params, z)
-        bound = RationalInterval(h.lo * abs_cov, h.hi * abs_cov)
-        branch, quantity = "ratio-bound", "S(corr_sq)"
-    return CheckReport(
-        name=f"mri:m2={params.m2},m3={params.m3}",
-        status=_exact_status(margin),
-        margin=margin,
-        witnesses=[{"corr_sq": z, "lhs": lhs, "branch": branch, "bound": bound}],
-        metadata={"equality": margin == 0, "method": f"exact rational {quantity}"},
-    )
-
-
-def _first_violation(
-    name: str, steps: int, xs: Iterable, fails: Callable[..., bool],
-    check: Callable[..., CheckReport],
-) -> CheckReport:
-    """The first x of ``xs`` at which ``fails(x)``: a report that holds with
-    the witness {"x", "detail": check(x)'s witnesses}, or one that fails when
-    no x does.  Only the returned x's check report is built."""
-    for x in xs:
-        if fails(x):
-            return CheckReport(
-                name=name,
-                status=HOLDS,
-                witnesses=[{"x": x, "detail": check(x).witnesses}],
-                metadata={"found": True, "grid_steps": steps},
-            )
-    return CheckReport(name=name, status=FAILS, metadata={"found": False, "grid_steps": steps})
-
-
-def find_mri_violation(params: GpiParams, steps: int = 100) -> CheckReport:
-    """Search correlations x = k/steps, scanning down from x = 1, for an
-    exact MRI violation; the report carries the first witness found (or none).
-
-    Scanning downward surfaces the full-correlation witness first where it
-    exists (as for small index pairs).  f1 and f2 are built once; each
-    correlation is decided from its exact margin, and the witness bound is
-    built only for the one returned."""
-    fs = _f1_f2(params)
-    return _first_violation(
-        f"mri-violation:m2={params.m2},m3={params.m3}", steps,
-        (Fraction(k, steps) for k in range(steps, 0, -1)),
-        lambda x: _exact_status(_mri_margin(params, GaussianPair.unit(x), fs)[0]) == FAILS,
-        lambda x: check_mri(params, GaussianPair.unit(x), fs),
-    )
-
-
-# ----------------------------------------------------------------------
-# the difference function G for the large-parameter case
-# ----------------------------------------------------------------------
 
 
 def G_at_one(params: GpiParams) -> Fraction:
@@ -716,93 +582,4 @@ def check_point(predicate: str, params: GpiParams, z: RationalLike) -> CheckRepo
         status=status,
         margin=value,
         metadata={"method": "exact rational"},
-    )
-
-
-# ----------------------------------------------------------------------
-# real-exponent path
-# ----------------------------------------------------------------------
-
-
-def _real_margin_status(margin: float) -> str:
-    """Verdict of a float margin: within REAL_MARGIN_GUARD of zero it is not
-    trusted and reads indeterminate; a non-finite margin raises InputError."""
-    if not math.isfinite(margin):
-        raise InputError(f"the float margin is {margin}: the inputs overflow the float range")
-    if margin > REAL_MARGIN_GUARD:
-        return HOLDS
-    if margin < -REAL_MARGIN_GUARD:
-        return FAILS
-    return INDETERMINATE
-
-
-def check_gpi_real(rp: RealGpiParams, a: float, x: float) -> CheckReport:
-    """Float margin of the real-exponent product inequality: _gpi_margin,
-    its three F summed by gauss_hyp_real.
-
-    Requires |x| < 1 (series convergence); margins within REAL_MARGIN_GUARD of
-    zero are reported indeterminate rather than trusted.
-    """
-    if not abs(x) < 1:
-        raise InputError("check_gpi_real requires |x| < 1")
-    if not math.isfinite(a):
-        raise InputError("check_gpi_real requires a finite a")
-    y2, y3 = rp.y2, rp.y3
-    margin = _gpi_margin(
-        lambda i, j, c: gauss_hyp_real(-y3 / 2.0 - j, -y2 / 2.0 - i, float(c), x * x),
-        y2, y3, a, x,
-    )
-    return CheckReport(
-        name=f"gpi-real:y2={rp.y2},y3={rp.y3},a={a},x={x}",
-        status=_real_margin_status(margin),
-        margin=margin,
-        metadata={"series_tol": SERIES_TOL, "guard": REAL_MARGIN_GUARD},
-    )
-
-
-def check_mri_real(rp: RealGpiParams, x: float) -> CheckReport:
-    """Real-exponent moment-ratio inequality at correlation x (unit variances):
-
-        |x| F(-y2/2, -y3/2; 3/2; x^2) / F(-y2/2, -y3/2; 1/2; x^2)
-        <=  |x|                 if x^2 <= t
-        <=  H(x^2) |x|          otherwise
-
-    with H(z) = (M + sqrt(D))/den from h_parts at the float parameters.  An
-    x^2 in (t, 1/r^2], where den <= 0 and H is undefined (small y2, y3),
-    raises InputError.
-    """
-    if not abs(x) < 1:
-        raise InputError("check_mri_real requires |x| < 1")
-    z = x * x
-    bound, branch = abs(x), "covariance"
-    if z > rp.t:
-        try:
-            m, d, den = h_parts(rp, z)
-        except OverflowError:  # a float power in H past the float range
-            raise InputError(f"the ratio bound H({z!r}) overflows the float range") from None
-        if not den > 0.0:
-            raise InputError(f"x^2 = {z!r} is above t = {rp.t!r} but outside the ratio bound's "
-                             f"domain x^2 > 1/r^2 = {1.0 / (rp.r * rp.r)!r}")
-        bound, branch = (m + math.sqrt(d)) / den * abs(x), "ratio-bound"
-    f1 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 0.5, z)
-    f2 = gauss_hyp_real(-rp.y2 / 2.0, -rp.y3 / 2.0, 1.5, z)
-    lhs = abs(x) * f2 / f1
-    margin = bound - lhs
-    return CheckReport(
-        name=f"mri-real:y2={rp.y2},y3={rp.y3},x={x}",
-        status=_real_margin_status(margin),
-        margin=margin,
-        witnesses=[{"x": x, "branch": branch, "lhs": lhs, "bound": bound}],
-        metadata={"series_tol": SERIES_TOL, "guard": REAL_MARGIN_GUARD},
-    )
-
-
-def find_mri_real_violation(rp: RealGpiParams, steps: int = 100) -> CheckReport:
-    """Search x = k/steps (k = steps-1..1, descending) for a real-exponent
-    ratio-bound violation, as find_mri_violation does on the exact path."""
-    check = partial(check_mri_real, rp)
-    return _first_violation(
-        f"mri-real-violation:y2={rp.y2},y3={rp.y3}", steps,
-        (k / steps for k in range(steps - 1, 0, -1)),
-        lambda x: check(x).status == FAILS, check,
     )

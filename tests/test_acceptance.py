@@ -11,17 +11,19 @@ import time
 from fractions import Fraction
 
 from gpiverify.bundled import load_certificate, load_g_appendix, load_h_expansion
+from gpiverify.checks import (
+    check_gpi,
+    check_gpi_real,
+    check_mri,
+    find_mri_real_violation,
+    find_mri_violation,
+)
 from gpiverify.gausshyp import HALF, THREE_HALVES, hyp_poly
 from gpiverify.inequality import (
     G_at_one,
     H_at_one,
     H_value,
-    check_gpi,
-    check_gpi_real,
-    check_mri,
     f_truncated_poly,
-    find_mri_real_violation,
-    find_mri_violation,
     g_poly,
     h_poly,
     make_params,

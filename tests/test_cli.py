@@ -282,6 +282,23 @@ class TestExitCodes:
         errors = [line for line in proc.stderr.splitlines() if line.startswith("gpiverify:")]
         assert len(errors) == 1 and "number of more than" in errors[0]
 
+    @pytest.mark.parametrize("argv", [
+        "check gpi --m2 1 --m3 1 --a 1 --x 1e-5000",
+        "check gpi --m2 1 --m3 1 --a 1e5000 --x 1/2",
+        "check hfri --m2 1 --m3 5 --z 1e-5000",
+        "scan hfri --m2 1 --m3 5 --z-lo 1e-5000",
+        "scan hfri --m2 1 --m3 5 --z-hi 1e-5000",
+        "check gpi --m2 1 --m3 1 --a 1 --x 1e-99999999",
+    ])
+    def test_input_past_the_digit_limit_is_usage_within_seconds(self, argv):
+        # the text itself is refused, before a report names it or 10^k is built
+        proc = subprocess.run([sys.executable, "-m", "gpiverify.cli", *argv.split()],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 64 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("gpiverify:")]
+        assert len(errors) == 1 and "usage: gpiverify " in proc.stderr
+
     def test_large_exact_input_with_a_short_x_still_runs(self):
         assert main("check gpi --m2 200 --m3 200 --a 3 --x 1/3 --out".split() + [os.devnull]) == 0
 
@@ -516,15 +533,15 @@ class TestCommands:
         assert "correlations" not in meta
 
     def test_oracle_compare_reports_a_wrong_closed_form(self, tmp_path, monkeypatch):
-        import gpiverify.cli as cli
+        import gpiverify.moments as moments
 
-        right = cli.closed_form_poly
+        right = moments.closed_form_poly
 
         def perturbed(m2, m3, odd):
             poly = right(m2, m3, odd)
             return poly + MultiPoly.var("x") ** 3 if (m2, m3, odd) == (2, 1, True) else poly
 
-        monkeypatch.setattr(cli, "closed_form_poly", perturbed)
+        monkeypatch.setattr(moments, "closed_form_poly", perturbed)
         code, report = invoke(["oracle", "compare", "--max-m", "3"], tmp_path)
         assert code == 1
         check = report["checks"][0]
@@ -937,6 +954,22 @@ class TestDeterminism:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 False []"
+        # a scan loads neither the point checks nor the moments, the bundled
+        # files nor the certificate checks; a point check loads what it runs
+        lazy = ("gpiverify.checks", "gpiverify.moments", "gpiverify.bundled",
+                "gpiverify.soscert")
+        code = ("import sys\n"
+                "from gpiverify import cli\n"
+                f"loaded = lambda: [m for m in {lazy!r} if m in sys.modules]\n"
+                "print(loaded())\n"
+                "code, _ = cli.run('scan g-negative --m2 8 --m3 8 --grid 3'.split())\n"
+                "print(code, loaded())\n"
+                "code, _ = cli.run('check gpi --m2 1 --m3 1 --a=-1 --x 1/2'.split())\n"
+                "print(code, loaded())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]", "0 []", "0 ['gpiverify.checks', 'gpiverify.moments']"]
 
     def test_stdout_report(self):
         proc = subprocess.run(

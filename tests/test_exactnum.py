@@ -5,6 +5,7 @@ checked against the defining property of the operation (e.g. a square-root
 enclosure must bracket the radicand when squared).
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from gpiverify.exactnum import (
     sign_sqrt,
     sqrt_enclosure,
 )
-from gpiverify.inequality import DEFAULT_WIDTH, H_value, check_mri, make_params
+from gpiverify.checks import check_mri
+from gpiverify.inequality import DEFAULT_WIDTH, H_value, make_params
 from gpiverify.moments import GaussianPair
 from reference import h_compare, sign_of
 
@@ -44,6 +46,17 @@ class TestRational:
             rational(" 1/0")
         with pytest.raises(InputError, match="^Invalid literal for Fraction: 'abc'$"):
             rational("abc")
+
+    def test_digit_limit(self):
+        # a numerator or denominator of more digits than str() converts is
+        # refused; the reduced value counts, and 0 has one digit
+        limit = sys.get_int_max_str_digits()
+        assert rational(f"1e-{limit - 1}").denominator == 10 ** (limit - 1)
+        assert rational(f"10e-{limit}") == Fraction(1, 10 ** (limit - 1))
+        assert rational(f"0e-{2 * limit}") == 0
+        for text in (f"1e-{limit}", f"1e{limit}", "1." + "1" * limit, "1e-99999999"):
+            with pytest.raises(InputError, match="digits|exponent"):
+                rational(text)
 
     def test_exact_arithmetic_examples(self):
         assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)

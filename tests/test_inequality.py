@@ -11,6 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpiverify.checks import (
+    check_gpi,
+    check_gpi_real,
+    check_mri,
+    check_mri_real,
+    find_mri_real_violation,
+    find_mri_violation,
+)
 from gpiverify.inequality import (
     SCAN_PREDICATES,
     G_at_one,
@@ -19,15 +27,9 @@ from gpiverify.inequality import (
     S_poly,
     TRUNCATION_BOUND,
     check_domain,
-    check_gpi,
-    check_gpi_real,
-    check_mri,
-    check_mri_real,
     check_point,
     default_scan_range,
     f_truncated_poly,
-    find_mri_real_violation,
-    find_mri_violation,
     g_poly,
     h_parts,
     h_poly,

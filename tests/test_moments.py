@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from gpiverify.inequality import check_gpi, make_params
+from gpiverify.checks import check_gpi
+from gpiverify.inequality import make_params
 from gpiverify.moments import (
     CORR_CAP,
     GaussianPair,
